@@ -78,7 +78,7 @@ func BenchmarkFig2(b *testing.B) {
 		}
 		var pts int
 		for _, r := range recs {
-			pts += r.Len()
+			pts += len(r)
 		}
 		b.ReportMetric(float64(pts), "samples")
 	}

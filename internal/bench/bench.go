@@ -127,14 +127,15 @@ func init() {
 		hpccgSpec(),
 		amgSpec(),
 	} {
-		scenario.MustRegister(entryOf(s))
+		scenario.MustRegister(s.Entry())
 	}
 }
 
-// entryOf adapts one benchmark to a registry entry. The Spec itself
-// rides along as the entry payload so the views below can return it
-// without a parallel lookup table.
-func entryOf(s Spec) scenario.Entry {
+// Entry adapts the benchmark to a registry entry — the one workload type
+// the experiment harnesses simulate. The Spec itself rides along as the
+// entry payload so the views below can return it without a parallel
+// lookup table.
+func (s Spec) Entry() scenario.Entry {
 	return scenario.Entry{
 		Name:           s.Name,
 		Kind:           scenario.KindBench,

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/governor"
-	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -94,30 +93,25 @@ func Ablation(names []string, opt Options) ([]AblationRow, error) {
 			}
 		}
 	}
-	outcomes := make([]ablatedOutcome, len(jobs))
+	outcomes := make([]RunResult, len(jobs))
 	err := forEach(len(jobs), opt, func(i int) error {
 		j := jobs[i]
-		o, err := runAblated(specs[j.bench], j.variant, opt, opt.Seed+int64(j.rep))
-		if err != nil {
+		// Resolve Tinv/warmup exactly like every registry-built daemon,
+		// then layer the ablation switches on top.
+		dcfg := opt.tuning().DaemonConfig(core.PolicyBoth)
+		if err := j.variant.apply(&dcfg); err != nil {
 			return err
 		}
-		outcomes[i] = o
-		return nil
+		g := governor.NewCuttlefishFromConfig(dcfg)
+		res, err := run(simJob{entry: specs[j.bench].Entry(), gov: g, seed: opt.Seed + int64(j.rep)}, opt)
+		outcomes[i] = res
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Defaults for the savings baseline.
-	defaults := make([]RunResult, len(specs)*opt.Reps)
-	err = forEach(len(defaults), opt, func(i int) error {
-		b, r := i/opt.Reps, i%opt.Reps
-		res, err := RunOne(specs[b], governor.Default, opt, opt.Seed+int64(r))
-		if err != nil {
-			return err
-		}
-		defaults[i] = res
-		return nil
-	})
+	defaults, err := runReps(specs, governor.Default, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -129,10 +123,11 @@ func Ablation(names []string, opt Options) ([]AblationRow, error) {
 			for r := 0; r < opt.Reps; r++ {
 				o := outcomes[(b*len(AblationVariants)+vi)*opt.Reps+r]
 				def := defaults[b*opt.Reps+r]
-				expl = append(expl, o.explorationPct)
-				res = append(res, o.resolvedPct)
-				sav = append(sav, stats.SavingsPercent(def.Joules, o.joules))
-				slow = append(slow, stats.SlowdownPercent(def.Seconds, o.seconds))
+				e, rs := daemonCoverage(o.Daemon)
+				expl = append(expl, e)
+				res = append(res, rs)
+				sav = append(sav, stats.SavingsPercent(def.Joules, o.Joules))
+				slow = append(slow, stats.SlowdownPercent(def.Seconds, o.Seconds))
 			}
 			rows = append(rows, AblationRow{
 				Bench:            spec.Name,
@@ -147,51 +142,13 @@ func Ablation(names []string, opt Options) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// ablatedOutcome is one ablated run's measurements.
-type ablatedOutcome struct {
-	explorationPct float64
-	resolvedPct    float64
-	seconds        float64
-	joules         float64
-}
-
-func runAblated(spec bench.Spec, v AblationVariant, opt Options, seed int64) (ablatedOutcome, error) {
-	var out ablatedOutcome
-	mcfg := opt.machineConfig()
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return out, err
+// daemonCoverage reports the share of Tinv samples a daemon spent
+// exploring and the share of its distinct slabs with both optima found.
+func daemonCoverage(d *core.Daemon) (explorationPct, resolvedPct float64) {
+	if s := d.Samples(); s > 0 {
+		explorationPct = 100 * float64(d.ExplorationSamples()) / float64(s)
 	}
-	defer m.Close()
-	// Resolve Tinv/warmup exactly like every registry-built daemon, then
-	// layer the ablation switches on top.
-	dcfg := opt.tuning().DaemonConfig(core.PolicyBoth)
-	if err := v.apply(&dcfg); err != nil {
-		return out, err
-	}
-	att, err := governor.NewCuttlefishFromConfig(dcfg).Attach(m)
-	if err != nil {
-		return out, err
-	}
-	defer att.Detach()
-	daemon := att.Daemon()
-	src, err := spec.Build(bench.Params{Cores: mcfg.Cores, Scale: opt.Scale, Seed: seed, Model: opt.Model})
-	if err != nil {
-		return out, err
-	}
-	m.SetSource(src)
-	out.seconds = m.Run(spec.PaperSeconds*opt.Scale*6 + opt.WarmupSec + 30)
-	if !m.Finished() {
-		return out, fmt.Errorf("experiments: %s/%s did not finish", spec.Name, v)
-	}
-	if err := att.Detach(); err != nil {
-		return out, err
-	}
-	out.joules = m.TotalEnergy()
-	if s := daemon.Samples(); s > 0 {
-		out.explorationPct = 100 * float64(daemon.ExplorationSamples()) / float64(s)
-	}
-	nodes := daemon.List().Nodes()
+	nodes := d.List().Nodes()
 	if len(nodes) > 0 {
 		resolved := 0
 		for _, n := range nodes {
@@ -199,7 +156,7 @@ func runAblated(spec bench.Spec, v AblationVariant, opt Options, seed int64) (ab
 				resolved++
 			}
 		}
-		out.resolvedPct = 100 * float64(resolved) / float64(len(nodes))
+		resolvedPct = 100 * float64(resolved) / float64(len(nodes))
 	}
-	return out, nil
+	return explorationPct, resolvedPct
 }

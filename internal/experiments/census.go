@@ -10,75 +10,55 @@ import (
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/tipi"
-	"repro/internal/trace"
 )
 
 // FrequentShare is the paper's threshold: a TIPI slab is "frequently
 // occurring" when it covers more than 10% of the Tinv samples (§3.2).
 const FrequentShare = 0.10
 
+// CensusPoint is one Tinv profiling interval of a census run.
+type CensusPoint struct {
+	Time float64 // interval end, seconds
+	TIPI float64
+	JPI  float64    // joules per instruction
+	CF   freq.Ratio // core 0's ratio at sample time
+	UF   freq.Ratio
+}
+
 // sampleRun executes a benchmark under the given governor while a profiler
 // component records TIPI and JPI every Tinv, the instrumentation behind
-// Table 1 and Figs. 2–3. The profiler is a pure observer, so any
-// registered strategy can drive the environment.
-func sampleRun(spec bench.Spec, opt Options, seed int64, g governor.Governor) (*trace.Recorder, float64, error) {
-	mcfg := opt.machineConfig()
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer m.Close()
-	// Arm the flight recorder before attach so the governor sees it and
-	// records its decision events (nil stays nil: zero cost when off).
-	m.SetTimeline(opt.Timeline)
-	att, err := g.Attach(m)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer att.Detach()
-
-	prof, err := core.NewProfiler(m.Device(), mcfg.Cores)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := prof.Reset(); err != nil {
-		return nil, 0, err
-	}
-	rec := &trace.Recorder{}
-	m.Schedule(&machine.Component{
-		Period: opt.TinvSec,
-		Tick: func(now float64) float64 {
-			m.RecordTimeline()
-			s, err := prof.Sample()
-			if err != nil || !s.OK {
+// Table 1 and Figs. 2–3. The profiler reads the MSRs through
+// core.Profiler, the paper's method: its integer counters and RAPL energy
+// units are what the census reports are computed from. It is a pure
+// observer, so any registered strategy can drive the environment.
+func sampleRun(spec bench.Spec, opt Options, g governor.Governor) ([]CensusPoint, float64, error) {
+	var pts []CensusPoint
+	profile := func(m *machine.Machine) error {
+		prof, err := core.NewProfiler(m.Device(), m.Config().Cores)
+		if err != nil {
+			return err
+		}
+		if err := prof.Reset(); err != nil {
+			return err
+		}
+		m.Schedule(&machine.Component{
+			Period: opt.TinvSec,
+			Tick: func(now float64) float64 {
+				m.RecordTimeline()
+				if s, err := prof.Sample(); err == nil && s.OK {
+					pts = append(pts, CensusPoint{Time: now, TIPI: s.TIPI, JPI: s.JPI, CF: m.CoreRatio(0), UF: m.UncoreRatio()})
+				}
 				return 0
-			}
-			rec.Add(trace.Point{
-				Time: now, TIPI: s.TIPI, JPI: s.JPI,
-				Instr: s.Instr, Joules: s.Joules,
-				CF: m.CoreRatio(0), UF: m.UncoreRatio(),
-			})
-			return 0
-		},
-	}, opt.TinvSec)
-
-	src, err := spec.Build(bench.Params{Cores: mcfg.Cores, Scale: opt.Scale, Seed: seed, Model: opt.Model})
-	if err != nil {
-		return nil, 0, err
+			},
+		}, opt.TinvSec)
+		return nil
 	}
-	m.SetSource(src)
-	sec := m.Run(spec.PaperSeconds*opt.Scale*6 + 30)
-	if !m.Finished() {
-		return nil, 0, fmt.Errorf("experiments: %s sampling run did not finish", spec.Name)
-	}
-	if err := att.Detach(); err != nil {
-		return nil, 0, err
-	}
-	return rec, sec, nil
+	res, err := run(simJob{entry: spec.Entry(), gov: g, seed: opt.Seed, prerun: profile}, opt)
+	return pts, res.Seconds, err
 }
 
 // slabHistogram buckets samples into slabs.
-func slabHistogram(points []trace.Point) map[tipi.Slab]int {
+func slabHistogram(points []CensusPoint) map[tipi.Slab]int {
 	h := make(map[tipi.Slab]int)
 	for _, p := range points {
 		h[tipi.SlabOf(p.TIPI, tipi.DefaultSlabWidth)]++
@@ -125,11 +105,10 @@ func Table1(opt Options) ([]Table1Row, error) {
 		if err != nil {
 			return err
 		}
-		rec, sec, err := sampleRun(spec, lopt, opt.Seed, g)
+		pts, sec, err := sampleRun(spec, lopt, g)
 		if err != nil {
 			return err
 		}
-		pts := rec.Points()
 		if len(pts) == 0 {
 			return fmt.Errorf("experiments: %s produced no samples", spec.Name)
 		}
@@ -162,17 +141,17 @@ func Table1(opt Options) ([]Table1Row, error) {
 var Fig2Benchmarks = []string{"UTS", "SOR-irt", "Heat-irt", "MiniFE", "HPCCG", "AMG"}
 
 // Fig2 records the TIPI and JPI execution timelines with core and uncore
-// pinned at maximum, one recorder per benchmark.
-func Fig2(opt Options) (map[string]*trace.Recorder, error) {
-	out := make(map[string]*trace.Recorder, len(Fig2Benchmarks))
-	recs := make([]*trace.Recorder, len(Fig2Benchmarks))
+// pinned at maximum, one series per benchmark.
+func Fig2(opt Options) (map[string][]CensusPoint, error) {
+	out := make(map[string][]CensusPoint, len(Fig2Benchmarks))
+	recs := make([][]CensusPoint, len(Fig2Benchmarks))
 	err := forEach(len(Fig2Benchmarks), opt, func(i int) error {
 		spec, ok := bench.Get(Fig2Benchmarks[i])
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %q", Fig2Benchmarks[i])
 		}
-		rec, _, err := sampleRun(spec, opt, opt.Seed, governor.NewStatic(spec22CF(), spec22UF()))
-		recs[i] = rec
+		pts, _, err := sampleRun(spec, opt, governor.NewStatic(spec22CF(), spec22UF()))
+		recs[i] = pts
 		return err
 	})
 	if err != nil {
@@ -224,11 +203,10 @@ func fig3Sweep(opt Options, settings []freq.Ratio, sweepCF bool) ([]Fig3Point, e
 		} else {
 			uf = j.setting
 		}
-		rec, _, err := sampleRun(spec, opt, opt.Seed, governor.NewStatic(cf, uf))
+		pts, _, err := sampleRun(spec, opt, governor.NewStatic(cf, uf))
 		if err != nil {
 			return err
 		}
-		pts := rec.Points()
 		h := slabHistogram(pts)
 		for _, slab := range frequentSlabs(h, len(pts)) {
 			sum, n := 0.0, 0

@@ -168,16 +168,7 @@ func Table3(opt Options, tinvs []float64) ([]Table3Row, error) {
 	}
 
 	// The baseline is Tinv-independent; run it once.
-	defaults := make([]RunResult, len(specs)*opt.Reps)
-	err := forEach(len(defaults), opt, func(i int) error {
-		b, r := i/opt.Reps, i%opt.Reps
-		res, err := RunOne(specs[b], governor.Default, opt, opt.Seed+int64(r))
-		if err != nil {
-			return err
-		}
-		defaults[i] = res
-		return nil
-	})
+	defaults, err := runReps(specs, governor.Default, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -186,16 +177,7 @@ func Table3(opt Options, tinvs []float64) ([]Table3Row, error) {
 	for ti, tinv := range tinvs {
 		o := opt
 		o.TinvSec = tinv
-		runs := make([]RunResult, len(specs)*opt.Reps)
-		err := forEach(len(runs), opt, func(i int) error {
-			b, r := i/opt.Reps, i%opt.Reps
-			res, err := RunOne(specs[b], governor.Cuttlefish, o, opt.Seed+int64(r))
-			if err != nil {
-				return err
-			}
-			runs[i] = res
-			return nil
-		})
+		runs, err := runReps(specs, governor.Cuttlefish, o)
 		if err != nil {
 			return nil, err
 		}
@@ -217,4 +199,17 @@ func Table3(opt Options, tinvs []float64) ([]Table3Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// runReps runs every spec Reps times under gov. Result b*Reps+r is spec
+// b's repetition r, seeded Seed+r like the matching repetition of every
+// other governor, so ratios compare like with like.
+func runReps(specs []bench.Spec, gov string, opt Options) ([]RunResult, error) {
+	out := make([]RunResult, len(specs)*opt.Reps)
+	err := forEach(len(out), opt, func(i int) error {
+		var err error
+		out[i], err = RunOne(specs[i/opt.Reps], gov, opt, opt.Seed+int64(i%opt.Reps))
+		return err
+	})
+	return out, err
 }

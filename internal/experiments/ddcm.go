@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/freq"
 	"repro/internal/governor"
-	"repro/internal/machine"
 )
 
 // DDCMRow compares the two core-throttling knobs the energy-efficiency
@@ -60,45 +59,20 @@ func DDCMStudy(names []string, opt Options) ([]DDCMRow, error) {
 		rows[i] = DDCMRow{
 			Bench:             spec.Name,
 			ThrottleFrac:      float64(dvfsRatio) / 23,
-			DVFSEnergySavings: 100 * (1 - dvfs.joules/base.joules),
-			DVFSSlowdown:      100 * (dvfs.seconds/base.seconds - 1),
-			DDCMEnergySavings: 100 * (1 - ddcm.joules/base.joules),
-			DDCMSlowdown:      100 * (ddcm.seconds/base.seconds - 1),
+			DVFSEnergySavings: 100 * (1 - dvfs.Joules/base.Joules),
+			DVFSSlowdown:      100 * (dvfs.Seconds/base.Seconds - 1),
+			DDCMEnergySavings: 100 * (1 - ddcm.Joules/base.Joules),
+			DDCMSlowdown:      100 * (ddcm.Seconds/base.Seconds - 1),
 		}
 		return nil
 	})
 	return rows, err
 }
 
-type throttledOutcome struct {
-	seconds float64
-	joules  float64
-}
-
-func runThrottled(spec bench.Spec, opt Options, cfRatio uint8, ddcmLevel uint8) (throttledOutcome, error) {
-	var out throttledOutcome
-	mcfg := opt.machineConfig()
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return out, err
-	}
-	defer m.Close()
-	// The ddcm governor pins the uncore at the firmware's quiet point, so
-	// only the core knob varies between the rows.
-	att, err := governor.NewDDCM(freq.Ratio(cfRatio), ddcmLevel).Attach(m)
-	if err != nil {
-		return out, err
-	}
-	defer att.Detach()
-	src, err := spec.Build(bench.Params{Cores: mcfg.Cores, Scale: opt.Scale, Seed: opt.Seed, Model: opt.Model})
-	if err != nil {
-		return out, err
-	}
-	m.SetSource(src)
-	out.seconds = m.Run(spec.PaperSeconds*opt.Scale*8 + 30)
-	if !m.Finished() {
-		return out, fmt.Errorf("experiments: %s throttled run did not finish", spec.Name)
-	}
-	out.joules = m.TotalEnergy()
-	return out, nil
+// runThrottled runs spec under the ddcm governor, which pins the uncore
+// at the firmware's quiet point so only the core knob varies between the
+// rows.
+func runThrottled(spec bench.Spec, opt Options, cfRatio, ddcmLevel uint8) (RunResult, error) {
+	g := governor.NewDDCM(freq.Ratio(cfRatio), ddcmLevel)
+	return run(simJob{entry: spec.Entry(), gov: g, seed: opt.Seed}, opt)
 }

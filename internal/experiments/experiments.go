@@ -4,11 +4,14 @@
 // (HClib) policy comparisons, the Table 2 frequency-settings report and the
 // Table 3 Tinv sensitivity study.
 //
-// Every harness constructs its frequency-control strategy through the
-// governor registry (repro/internal/governor): one RunOne path attaches a
-// named governor, runs the benchmark and detaches — the msr-safe
-// Save/Restore bracket and daemon teardown are uniform across success and
-// error paths.
+// Every harness runs its simulations through one function, simulate: it
+// boots the machine, wires the flight recorder, brackets the run with the
+// governor's Attach/Detach (so the msr-safe Save/Restore and daemon
+// teardown are uniform across success and error paths), builds the
+// workload source or restores a memoized prefix of it, applies the one
+// deadline rule, records the simulate span, and returns the RunResult.
+// Harnesses differ only in the governor they pass and, for the census,
+// a pre-run hook that schedules the MSR profiler.
 //
 // Absolute joules and seconds are simulator outputs; the contract is shape
 // fidelity (see EXPERIMENTS.md for the paper-vs-measured record).
@@ -166,6 +169,9 @@ type RunResult struct {
 	Seconds  float64
 	Joules   float64
 	EDP      float64
+	// Instructions is the run's total retired instruction count, the
+	// denominator of its joules per instruction.
+	Instructions float64
 	// AvgUncoreGHz is the run's time-weighted uncore frequency.
 	AvgUncoreGHz float64
 	// Daemon carries the slab list for daemon-backed governors (nil
@@ -177,84 +183,53 @@ type RunResult struct {
 // governor's Attach/Detach brackets the run, so the MSR save/restore and
 // daemon teardown happen on every path, including errors.
 func RunOne(spec bench.Spec, gov string, opt Options, seed int64) (RunResult, error) {
-	g, err := governor.New(gov, opt.tuning())
-	if err != nil {
-		return RunResult{}, err
-	}
-	return runGovernor(spec, g, opt, seed)
+	return RunEntry(spec.Entry(), gov, opt, seed)
 }
 
 // RunEntry is RunOne for any workload in the scenario registry — a
 // Table 1 benchmark, a built-in synthetic or an inline definition
-// wrapped in an Entry. The run path (machine, governor bracket,
-// deadline, report fields) is identical; only the workload construction
-// differs.
+// wrapped in an Entry.
 func RunEntry(e scenario.Entry, gov string, opt Options, seed int64) (RunResult, error) {
 	g, err := governor.New(gov, opt.tuning())
 	if err != nil {
 		return RunResult{}, err
 	}
-	if opt.Memo != nil && e.Def != nil {
-		if res, handled, err := memoRun(e, g, opt, seed); handled {
-			return res, err
+	return run(simJob{entry: e, gov: g, seed: seed}, opt)
+}
+
+// simJob is one simulation: a workload, the seed its source is built
+// with, and the governor driving the machine.
+type simJob struct {
+	entry scenario.Entry
+	gov   governor.Governor
+	seed  int64
+	// prerun, when set, runs on the booted machine after the governor
+	// attaches and before the source is installed; the census schedules
+	// its MSR profiler here.
+	prerun func(m *machine.Machine) error
+}
+
+// run executes one job. A memo tier and a deterministic region schedule
+// send it through the prefix-resume path (memo.go); everything else
+// simulates from boot.
+func run(j simJob, opt Options) (RunResult, error) {
+	if opt.Memo != nil && j.entry.Def != nil {
+		if p := newMemoPlan(j, opt); p != nil {
+			return p.run(j, opt)
 		}
 	}
-	return runSource(e.Name, e.NominalSeconds, func(cores int) (workload.Source, error) {
-		return e.Build(scenario.Params{Cores: cores, Scale: opt.Scale, Seed: seed, Model: string(opt.Model)})
-	}, g, opt)
+	return simulate(j, opt, nil, 0)
 }
 
-// runGovernor is RunOne for an already constructed strategy (the ablation
-// study and sweeps build theirs directly).
-func runGovernor(spec bench.Spec, g governor.Governor, opt Options, seed int64) (RunResult, error) {
-	return runSource(spec.Name, spec.PaperSeconds, func(cores int) (workload.Source, error) {
-		return spec.Build(bench.Params{Cores: cores, Scale: opt.Scale, Seed: seed, Model: opt.Model})
-	}, g, opt)
-}
-
-// runSource executes one workload source under one attached governor:
-// the single simulation path every benchmark and scenario run funnels
-// through. nominalSec is the workload's approximate Default wall time at
-// Scale 1; the simulation deadline derives from it with generous
-// headroom.
-func runSource(name string, nominalSec float64, build func(cores int) (workload.Source, error), g governor.Governor, opt Options) (RunResult, error) {
-	cfg := opt.machineConfig()
-	m, err := machine.New(cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer m.Close()
-	m.SetTimeline(opt.Timeline)
-	att, err := g.Attach(m)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer att.Detach() // uniform cleanup on every early return
-	src, err := build(cfg.Cores)
-	if err != nil {
-		return RunResult{}, err
-	}
-	m.SetSource(src)
-	maxSim := nominalSec*opt.Scale*6 + opt.WarmupSec + 30
-	sp := opt.Span.Child("simulate")
-	sp.Set("workload", name)
-	sec := simulate(m, maxSim, sp, opt.Timeline)
-	finishSpan(sp, m, sec)
-	if !m.Finished() {
-		return RunResult{}, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", name, g.Name(), maxSim)
-	}
-	if err := att.Detach(); err != nil {
-		return RunResult{}, err
-	}
-	j := m.TotalEnergy()
-	return RunResult{
-		Governor:     g.Name(),
-		Seconds:      sec,
-		Joules:       j,
-		EDP:          stats.EDP(j, sec),
-		AvgUncoreGHz: m.AvgUncoreGHz(),
-		Daemon:       att.Daemon(),
-	}, nil
+// maxSimSeconds is the one deadline rule: ten times the workload's
+// nominal wall time at this scale, plus the daemon warmup and 30 s of
+// headroom. Only a run's last batch can end at the deadline; every
+// other batch ends at a component event, a region boundary or
+// completion. So the cap only decides whether a run fails, and every
+// finished run is bit-identical under any looser cap (DESIGN.md, "One
+// simulation path").
+func (o Options) maxSimSeconds(nominalSec float64) float64 {
+	return nominalSec*o.Scale*10 + o.WarmupSec + 30
 }
 
 // maxRegionSpans caps per-region trace spans for one simulation: past a
@@ -262,62 +237,105 @@ func runSource(name string, nominalSec float64, build func(cores int) (workload.
 // stops being cheap.
 const maxRegionSpans = 64
 
-// simulate runs m to completion. With a trace span it drives the machine
-// through RunBoundaries, recording one child span per region stretch (up
-// to maxRegionSpans) — span names carry the boundary index, so the trace
-// structure is a pure function of the workload's region schedule. With a
-// flight recorder it samples the machine at entry, at every region
-// boundary (the same quiescent cuts the spans use) and after the run;
-// sampling continues past maxRegionSpans even though spans stop. Sources
-// that count no boundaries (or a nil span and recorder) take the plain
-// Run path with identical simulated results.
-func simulate(m *machine.Machine, maxSim float64, sp *obs.Span, rec *timeline.Recorder) float64 {
-	if sp == nil && rec == nil {
-		return m.Run(maxSim)
+// simulate is the single simulation path: every harness runs its
+// machines through it. It boots a machine, arms the flight recorder
+// before the governor attaches (so decision events are recorded),
+// brackets the run with the governor's Attach/Detach, builds the
+// workload source — or, given a memo plan and a resume point fromK > 0,
+// restores the snapshot's machine, governor and schedule state — and
+// runs to completion under maxSimSeconds.
+//
+// Observation never changes simulated results. The flight recorder is
+// sampled at entry, at every region boundary and after the run. A
+// plain run records a simulate span with one child per region stretch
+// (up to maxRegionSpans; names carry the boundary index, so the span
+// structure is a pure function of the region schedule); a memo run's
+// simulate span instead reports where it resumed and how many snapshots
+// it stored at the boundaries its plan selects.
+func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error) {
+	cfg := opt.machineConfig()
+	m, err := machine.New(cfg)
+	if err != nil {
+		return RunResult{}, err
 	}
-	if rec != nil {
-		m.RecordTimeline()
+	defer m.Close()
+	m.SetTimeline(opt.Timeline)
+	att, err := j.gov.Attach(m)
+	if err != nil {
+		return RunResult{}, err
 	}
-	var cur *obs.Span
-	if sp != nil {
-		cur = sp.Child("region-0")
-	}
-	count := 0
-	sec := m.RunBoundaries(maxSim, func(n int) bool {
-		if rec != nil {
-			m.RecordTimeline()
+	defer att.Detach() // uniform cleanup on every early return
+	if j.prerun != nil {
+		if err := j.prerun(m); err != nil {
+			return RunResult{}, err
 		}
-		if cur != nil {
-			cur.Set("end_boundary", n)
-			cur.End()
-			count++
-			if count >= maxRegionSpans {
-				cur = nil
+	}
+	var src workload.Source
+	if mp != nil {
+		src, err = mp.source(m, att, opt, j.seed, fromK)
+	} else {
+		src, err = j.entry.Build(scenario.Params{Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: string(opt.Model)})
+	}
+	if err != nil {
+		return RunResult{}, err
+	}
+	m.SetSource(src)
+
+	maxSim := opt.maxSimSeconds(j.entry.NominalSeconds)
+	start := m.Now()
+	sp := opt.Span.Child("simulate")
+	var region *obs.Span
+	if mp != nil {
+		sp.Set("resume_sim_seconds", start)
+	} else {
+		sp.Set("workload", j.entry.Name)
+		region = sp.Child("region-0")
+	}
+	rec, snapshotting := opt.Timeline != nil, mp != nil
+	spans := 0
+	m.RecordTimeline()
+	m.RunBoundaries(maxSim-start, func(n int) bool {
+		m.RecordTimeline()
+		if region != nil {
+			region.Set("end_boundary", n)
+			region.End()
+			if spans++; spans >= maxRegionSpans {
+				region = nil
 			} else {
-				cur = sp.Child(fmt.Sprintf("region-%d", n))
+				region = sp.Child(fmt.Sprintf("region-%d", n))
 			}
 		}
-		return cur != nil || rec != nil
+		if snapshotting {
+			snapshotting = mp.snapshot(m, att, n)
+		}
+		return rec || region != nil || snapshotting
 	})
-	cur.End()
-	if rec != nil {
-		m.RecordTimeline()
+	region.End()
+	m.RecordTimeline()
+	if mp != nil {
+		sp.Set("snapshots_stored", mp.stored)
 	}
-	return sec
-}
-
-// finishSpan closes a simulate span, attaching the simulated time and —
-// when the machine was built with Profile — the engine's wall-clock
-// accounting (per-phase simulated vs wall time, per-worker busy/idle).
-func finishSpan(sp *obs.Span, m *machine.Machine, simSec float64) {
-	if sp == nil {
-		return
-	}
-	sp.Set("sim_seconds", simSec)
+	sp.Set("sim_seconds", m.Now()-start)
 	if p := m.Profile(); p.Enabled {
 		sp.Set("profile", p)
 	}
 	sp.End()
+	if !m.Finished() {
+		return RunResult{}, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", j.entry.Name, j.gov.Name(), maxSim)
+	}
+	if err := att.Detach(); err != nil {
+		return RunResult{}, err
+	}
+	sec, joules := m.Now(), m.TotalEnergy()
+	return RunResult{
+		Governor:     j.gov.Name(),
+		Seconds:      sec,
+		Joules:       joules,
+		EDP:          stats.EDP(joules, sec),
+		Instructions: m.TotalInstructions(),
+		AvgUncoreGHz: m.AvgUncoreGHz(),
+		Daemon:       att.Daemon(),
+	}, nil
 }
 
 // forEach fans n independent simulations out on the shared runner pool.

@@ -141,12 +141,12 @@ func TestFig2Timelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recs) != len(Fig2Benchmarks) {
-		t.Fatalf("recorders = %d, want %d", len(recs), len(Fig2Benchmarks))
+		t.Fatalf("series = %d, want %d", len(recs), len(Fig2Benchmarks))
 	}
 	// §3.1: within an application JPI tracks TIPI — Heat's TIPI and JPI
 	// both exceed UTS's.
 	avg := func(name string) (tipi, jpi float64) {
-		pts := recs[name].Points()
+		pts := recs[name]
 		if len(pts) == 0 {
 			t.Fatalf("%s: empty timeline", name)
 		}

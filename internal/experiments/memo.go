@@ -10,10 +10,11 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/timeline"
+	"repro/internal/workload"
 )
 
 // maxSnapshotsPerRun caps how many region boundaries one run snapshots.
@@ -30,11 +31,17 @@ const memoContainerMagic = "cfmemo1\n"
 // regions. The base digest covers the machine configuration (with the
 // engine worker count zeroed — work-sharing results are bit-identical
 // across worker counts, so snapshots are shareable across them), the
-// governor name and tuning, the seed and the simulation deadline; each
-// link then absorbs one region's exact values (IEEE-754 bit patterns, so
-// "almost equal" programs never collide). Two runs agree on keys[k] iff
-// they are bit-identical through their first k regions.
-func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, maxSim float64, regions []sched.Region) ([]string, error) {
+// governor name and tuning, and the seed; each link then absorbs one
+// region's exact values (IEEE-754 bit patterns, so "almost equal"
+// programs never collide). Two runs agree on keys[k] iff they are
+// bit-identical through their first k regions.
+//
+// The simulation deadline is deliberately not hashed: it only bounds the
+// batch that would end a run, so the state at boundary k is the same
+// under any deadline the run outlived to reach k. Hashing it would
+// re-key every snapshot of a program whenever an edit to its tail moved
+// Definition.EstimateSeconds.
+func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, regions []sched.Region) ([]string, error) {
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	// Profile, like Workers, is pure wall-clock instrumentation with no
@@ -61,7 +68,6 @@ func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int6
 	h.Write([]byte{byte(t.CF), byte(t.UF), t.DDCMLevel})
 	binary.BigEndian.PutUint64(b[:], uint64(seed))
 	h.Write(b[:])
-	f64(maxSim)
 	prev := h.Sum(nil)
 
 	keys := make([]string, len(regions)+1)
@@ -188,173 +194,152 @@ func decodeContainer(raw []byte) (machineSnap, govBlob []byte, cp sched.WSCheckp
 	return machineSnap, govBlob, cp, nil
 }
 
-// memoRun is RunEntry's prefix-resume path: look up the longest memoized
-// prefix of this run in the snapshot tier, restore it into a freshly
-// booted machine, and simulate only the suffix — storing new snapshots at
-// phase boundaries on the way. handled is false when the entry has no
+// memoPlan is one run's prefix-resume plan: the compiled region schedule
+// the run executes, its snapshot key chain, the boundaries it snapshots
+// and the longest memoized prefix the probe found. Any defect in a
+// cached snapshot — truncation, checksum failure, configuration
+// mismatch — falls back to a fresh full run, whose results are
+// byte-identical to never having had a cache.
+type memoPlan struct {
+	tier      *memo.Tier
+	regions   []sched.Region
+	keys      []string
+	points    map[int]bool
+	resumeK   int    // regions the probed snapshot completed; 0 = none
+	container []byte // the probed snapshot
+	// ws, resumedAt and stored describe the latest simulate call: its
+	// source, the simulated time it restored to and the snapshots it
+	// stored.
+	ws        *sched.WorkSharing
+	resumedAt float64
+	stored    int
+}
+
+// newMemoPlan compiles j's region schedule and probes the tier for its
+// longest memoized prefix. It returns nil when the workload has no
 // deterministic region schedule (task-DAG decompositions, whose stealing
-// schedule depends on engine worker count), sending the caller to the
-// plain path. Any defect in a cached snapshot — truncation, checksum
-// failure, configuration mismatch — falls back to a fresh full run, whose
-// results are byte-identical to never having had a cache.
-func memoRun(e scenario.Entry, g governor.Governor, opt Options, seed int64) (res RunResult, handled bool, err error) {
+// schedule depends on engine worker count), sending run to the plain
+// path.
+func newMemoPlan(j simJob, opt Options) *memoPlan {
 	cfg := opt.machineConfig()
-	regions, phases, err := e.Def.CompiledRegions(scenario.Params{
-		Cores: cfg.Cores, Scale: opt.Scale, Seed: seed, Model: string(opt.Model),
+	regions, phases, err := j.entry.Def.CompiledRegions(scenario.Params{
+		Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: string(opt.Model),
 	})
 	if err != nil {
-		return RunResult{}, false, nil
+		return nil
 	}
-	maxSim := e.NominalSeconds*opt.Scale*6 + opt.WarmupSec + 30
-	keys, err := prefixKeys(cfg, g.Name(), opt.tuning(), seed, maxSim, regions)
+	keys, err := prefixKeys(cfg, j.gov.Name(), opt.tuning(), j.seed, regions)
 	if err != nil {
-		return RunResult{}, false, nil
+		return nil
 	}
-	total := len(regions)
-	gen := func(s int) (sched.Region, bool) {
-		if s >= total {
-			return sched.Region{}, false
-		}
-		return regions[s], true
-	}
-	points := snapshotPoints(phases)
-
-	// Longest memoized prefix: probe from the whole program down. The
-	// common warm cases (identical re-run, extended program) hit on the
-	// first few probes; a cold run walks the chain once against an
-	// in-memory map.
+	p := &memoPlan{tier: opt.Memo, regions: regions, keys: keys, points: snapshotPoints(phases)}
+	// Probe from the whole program down. The common warm cases
+	// (identical re-run, extended program) hit on the first few probes; a
+	// cold run walks the chain once against an in-memory map.
 	probe := opt.Span.Child("memo_probe")
-	resumeK := 0
-	var container []byte
-	for k := total; k >= 1; k-- {
-		if body, ok := opt.Memo.Get(keys[k]); ok {
-			resumeK, container = k, body
+	for k := len(regions); k >= 1; k-- {
+		if body, ok := p.tier.Get(keys[k]); ok {
+			p.resumeK, p.container = k, body
 			break
 		}
 	}
-	probe.Set("resume_k", resumeK)
-	probe.Set("total_regions", total)
+	probe.Set("resume_k", p.resumeK)
+	probe.Set("total_regions", len(regions))
 	probe.End()
+	return p
+}
 
-	// execute boots a machine, optionally restores the container's
-	// boundary state, and simulates to completion, snapshotting the
-	// selected later boundaries. resumeNow is the restored simulation
-	// time (0 for a from-boot run).
-	execute := func(fromK int, container []byte) (RunResult, float64, int, error) {
-		m, err := machine.New(cfg)
-		if err != nil {
-			return RunResult{}, 0, 0, err
-		}
-		defer m.Close()
-		m.SetTimeline(opt.Timeline)
-		att, err := g.Attach(m)
-		if err != nil {
-			return RunResult{}, 0, 0, err
-		}
-		defer att.Detach()
-		var ws *sched.WorkSharing
-		if container != nil {
-			restore := opt.Span.Child("memo_restore")
-			msnap, govBlob, cp, err := decodeContainer(container)
-			if err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			if cp.RegionsDone != fromK {
-				return RunResult{}, 0, 0, fmt.Errorf("experiments: snapshot records %d regions, key position says %d", cp.RegionsDone, fromK)
-			}
-			snap, err := machine.DecodeSnapshot(msnap)
-			if err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			if err := m.Restore(snap); err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			if err := att.StateRestore(govBlob); err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			ws = sched.NewWorkSharingAt(cfg.Cores, gen, seed, cp)
-			restore.Set("from_k", fromK)
-			restore.End()
-			// The prefix-restore marker: a resumed timeline legitimately
-			// starts here rather than at boot, so the marker is what lets a
-			// reader line it up against a fresh run's recording.
-			opt.Timeline.AddEvent(timeline.Event{T: m.Now(), Kind: timeline.KindMemoRestore, From: fromK})
-		} else {
-			ws = sched.NewWorkSharing(cfg.Cores, gen, seed)
-		}
-		m.SetSource(ws)
-		resumeNow := m.Now()
-		stored := 0
-		sim := opt.Span.Child("simulate")
-		sim.Set("resume_sim_seconds", resumeNow)
-		if opt.Timeline != nil {
-			m.RecordTimeline()
-		}
-		m.RunBoundaries(maxSim-resumeNow, func(n int) bool {
-			if opt.Timeline != nil {
-				m.RecordTimeline()
-			}
-			if !points[n] {
-				return true
-			}
-			cp, ok := ws.Checkpoint()
-			if !ok || cp.RegionsDone != n {
-				return true
-			}
-			govBlob, err := att.StateSnapshot()
-			if err != nil {
-				return false // e.g. a latched daemon error; stop snapshotting
-			}
-			opt.Memo.Put(keys[n], encodeContainer(m.Snapshot().Encode(), govBlob, cp))
-			stored++
-			return true
-		})
-		sim.Set("snapshots_stored", stored)
-		if opt.Timeline != nil {
-			m.RecordTimeline()
-		}
-		finishSpan(sim, m, m.Now()-resumeNow)
-		if !m.Finished() {
-			return RunResult{}, resumeNow, stored, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", e.Name, g.Name(), maxSim)
-		}
-		if err := att.Detach(); err != nil {
-			return RunResult{}, resumeNow, stored, err
-		}
-		sec := m.Now()
-		j := m.TotalEnergy()
-		return RunResult{
-			Governor:     g.Name(),
-			Seconds:      sec,
-			Joules:       j,
-			EDP:          stats.EDP(j, sec),
-			AvgUncoreGHz: m.AvgUncoreGHz(),
-			Daemon:       att.Daemon(),
-		}, resumeNow, stored, nil
-	}
-
+// run simulates the job from the probed prefix, or from boot when there
+// is none or its restore fails, and records the memo activity.
+func (p *memoPlan) run(j simJob, opt Options) (RunResult, error) {
+	var res RunResult
 	resumed := false
-	var resumeNow float64
-	var stored int
-	if resumeK > 0 {
-		if r, now, s, err := execute(resumeK, container); err == nil {
-			res, resumeNow, stored, resumed = r, now, s, true
+	if p.resumeK > 0 {
+		// A failed restore discards the tainted machine; fall through to
+		// a clean from-boot run.
+		if r, err := simulate(j, opt, p, p.resumeK); err == nil {
+			res, resumed = r, true
 		}
-		// A failed restore discards the tainted machine; fall through to a
-		// clean from-boot run.
 	}
 	if !resumed {
-		res, _, stored, err = execute(0, nil)
-		if err != nil {
-			return RunResult{}, true, err
+		var err error
+		if res, err = simulate(j, opt, p, 0); err != nil {
+			return RunResult{}, err
 		}
 	}
-	saved := int64(math.Round(resumeNow / cfg.QuantumSec))
-	totalQ := int64(math.Round(res.Seconds / cfg.QuantumSec))
+	quantum := opt.machineConfig().QuantumSec
+	saved := int64(math.Round(p.resumedAt / quantum))
 	if resumed {
-		opt.Memo.RecordResume(saved)
+		p.tier.RecordResume(saved)
 	}
 	if opt.MemoStats != nil {
-		opt.MemoStats.Record(resumed, saved, totalQ, stored)
+		opt.MemoStats.Record(resumed, saved, int64(math.Round(res.Seconds/quantum)), p.stored)
 	}
-	return res, true, nil
+	return res, nil
+}
+
+// source builds the run's work-sharing source over the compiled
+// schedule. For fromK > 0 it first restores the probed snapshot into the
+// freshly booted machine and attached governor, and resumes the schedule
+// at its checkpoint.
+func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Options, seed int64, fromK int) (workload.Source, error) {
+	p.resumedAt, p.stored = 0, 0
+	gen := func(s int) (sched.Region, bool) {
+		if s >= len(p.regions) {
+			return sched.Region{}, false
+		}
+		return p.regions[s], true
+	}
+	cores := m.Config().Cores
+	if fromK == 0 {
+		p.ws = sched.NewWorkSharing(cores, gen, seed)
+		return p.ws, nil
+	}
+	restore := opt.Span.Child("memo_restore")
+	msnap, govBlob, cp, err := decodeContainer(p.container)
+	if err != nil {
+		return nil, err
+	}
+	if cp.RegionsDone != fromK {
+		return nil, fmt.Errorf("experiments: snapshot records %d regions, key position says %d", cp.RegionsDone, fromK)
+	}
+	snap, err := machine.DecodeSnapshot(msnap)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Restore(snap); err != nil {
+		return nil, err
+	}
+	if err := att.StateRestore(govBlob); err != nil {
+		return nil, err
+	}
+	restore.Set("from_k", fromK)
+	restore.End()
+	p.resumedAt = m.Now()
+	// The prefix-restore marker: a resumed timeline legitimately starts
+	// here rather than at boot, so the marker is what lets a reader line
+	// it up against a fresh run's recording.
+	opt.Timeline.AddEvent(timeline.Event{T: m.Now(), Kind: timeline.KindMemoRestore, From: fromK})
+	p.ws = sched.NewWorkSharingAt(cores, gen, seed, cp)
+	return p.ws, nil
+}
+
+// snapshot stores the resumable state at region boundary n when the plan
+// selects it. It returns false once snapshotting must stop (the governor
+// could not export its state, e.g. a latched daemon error).
+func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int) bool {
+	if !p.points[n] {
+		return true
+	}
+	cp, ok := p.ws.Checkpoint()
+	if !ok || cp.RegionsDone != n {
+		return true
+	}
+	govBlob, err := att.StateSnapshot()
+	if err != nil {
+		return false
+	}
+	p.tier.Put(p.keys[n], encodeContainer(m.Snapshot().Encode(), govBlob, cp))
+	p.stored++
+	return true
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -43,7 +45,7 @@ func requireBitEqual(t *testing.T, label string, a, b RunResult) {
 }
 
 // memoKeysAndPoints recomputes the run's prefix-key chain and snapshot
-// boundaries exactly as memoRun does, so tests can seed a tier with a
+// boundaries exactly as newMemoPlan does, so tests can seed a tier with a
 // chosen subset of snapshots.
 func memoKeysAndPoints(t *testing.T, e scenario.Entry, gov string, opt Options, seed int64) (keys []string, points []int) {
 	t.Helper()
@@ -54,8 +56,7 @@ func memoKeysAndPoints(t *testing.T, e scenario.Entry, gov string, opt Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSim := e.NominalSeconds*opt.Scale*6 + opt.WarmupSec + 30
-	keys, err = prefixKeys(cfg, gov, opt.tuning(), seed, maxSim, regions)
+	keys, err = prefixKeys(cfg, gov, opt.tuning(), seed, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +248,57 @@ func TestMemoCorruptSnapshotFallsBack(t *testing.T) {
 			requireBitEqual(t, "fallback re-execute vs plain", res, plain)
 			if v := rs.View(); v.PrefixHits != 0 {
 				t.Errorf("stats = %+v, want no prefix hit for a defective snapshot", v)
+			}
+		})
+	}
+}
+
+// tailProgram is an eight-phase program, alternating compute and memory
+// phases, ending in a tail of the given instruction count.
+func tailProgram(tail float64) *scenario.Definition {
+	d := &scenario.Definition{Name: "tail-edit"}
+	for k := 0; k < 8; k++ {
+		p := scenario.PhaseDef{Name: fmt.Sprintf("compute-%d", k), Instructions: 3e11, MissPerInstr: 0.0005, IPC: 2.0}
+		if k%2 == 1 {
+			p = scenario.PhaseDef{Name: fmt.Sprintf("memory-%d", k), Instructions: 3e11, MissPerInstr: 0.01, IPC: 1.2, RemoteFrac: 0.2}
+		}
+		d.Phases = append(d.Phases, p)
+	}
+	d.Phases = append(d.Phases, scenario.PhaseDef{Name: "tail", Instructions: tail, MissPerInstr: 0.004, IPC: 1.6})
+	return d
+}
+
+// TestMemoResumesAcrossTailEdits memoizes a program, then doubles its
+// tail. The edit moves the program's estimated duration and with it the
+// simulation deadline, which must not re-key the unchanged prefix: every
+// governor resumes at the tail and still reports the fresh run's bytes.
+func TestMemoResumesAcrossTailEdits(t *testing.T) {
+	for _, gov := range governor.Names() {
+		t.Run(gov, func(t *testing.T) {
+			t.Parallel()
+			opt := DefaultOptions()
+			opt.Scale = 0.05
+			opt.Reps = 1
+			opt.WarmupSec = 0.25
+			opt.Governor = gov
+			opt.ScenarioDef = tailProgram(2e11)
+			fresh := runReportBytes(t, opt, "")
+
+			opt.Memo = memo.New(0, nil)
+			opt.ScenarioDef = tailProgram(1e11)
+			runReportBytes(t, opt, "")
+			opt.ScenarioDef = tailProgram(2e11)
+			rs := &memo.RunStats{}
+			opt.MemoStats = rs
+			if got := runReportBytes(t, opt, ""); !bytes.Equal(got, fresh) {
+				t.Error("resumed report differs from a fresh run's")
+			}
+			v := rs.View()
+			if v.PrefixHits != 1 {
+				t.Fatalf("stats = %+v, want the edited program to resume", v)
+			}
+			if saved := float64(v.QuantaSaved) / float64(v.QuantaTotal); saved < 0.8 {
+				t.Errorf("resume skipped %.0f%% of quanta, want the whole unchanged prefix", 100*saved)
 			}
 		})
 	}

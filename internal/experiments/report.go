@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/tipi"
-	"repro/internal/trace"
 )
 
 // meta echoes the options that shape a report's numbers.
@@ -32,16 +31,12 @@ func Table1Report(rows []Table1Row, opt Options) *report.RunReport {
 }
 
 // Fig2Report flattens the per-benchmark TIPI/JPI timelines.
-func Fig2Report(recs map[string]*trace.Recorder, opt Options) *report.RunReport {
+func Fig2Report(recs map[string][]CensusPoint, opt Options) *report.RunReport {
 	r := report.New("fig2", "benchmark", "time_s", "tipi", "jpi", "cf_ghz", "uf_ghz")
 	r.Title = "Figure 2: TIPI and JPI timelines at max CF/UF"
 	r.Meta = opt.meta()
 	for _, name := range Fig2Benchmarks {
-		rec := recs[name]
-		if rec == nil {
-			continue
-		}
-		for _, p := range rec.Points() {
+		for _, p := range recs[name] {
 			r.AddRow(name, p.Time, p.TIPI, p.JPI, p.CF.GHz(), p.UF.GHz())
 		}
 	}

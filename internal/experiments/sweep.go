@@ -47,29 +47,12 @@ func Sweep(name string, opt Options, cfStride, ufStride int) ([]SweepPoint, erro
 	})
 	err := forEach(len(points), opt, func(i int) error {
 		p := &points[i]
-		mcfg := opt.machineConfig()
-		m, err := machine.New(mcfg)
+		res, err := run(simJob{entry: spec.Entry(), gov: governor.NewStatic(p.CF, p.UF), seed: opt.Seed}, opt)
 		if err != nil {
 			return err
 		}
-		defer m.Close()
-		att, err := governor.NewStatic(p.CF, p.UF).Attach(m)
-		if err != nil {
-			return err
-		}
-		defer att.Detach()
-		src, err := spec.Build(bench.Params{Cores: mcfg.Cores, Scale: opt.Scale, Seed: opt.Seed, Model: opt.Model})
-		if err != nil {
-			return err
-		}
-		m.SetSource(src)
-		p.Seconds = m.Run(spec.PaperSeconds*opt.Scale*10 + 30)
-		if !m.Finished() {
-			return fmt.Errorf("experiments: %s sweep point %v/%v did not finish", name, p.CF, p.UF)
-		}
-		p.Joules = m.TotalEnergy()
-		p.EDP = p.Joules * p.Seconds
-		p.JPI = p.Joules / m.TotalInstructions()
+		p.Seconds, p.Joules, p.EDP = res.Seconds, res.Joules, res.EDP
+		p.JPI = res.Joules / res.Instructions
 		return nil
 	})
 	return points, err

@@ -20,11 +20,11 @@ func timelineTestOptions() Options {
 	return o
 }
 
-// runReportBytes builds the "run" report for the bursty scenario and
-// returns its canonical encoding.
-func runReportBytes(t *testing.T, opt Options) []byte {
+// runReportBytes builds the "run" report for a workload and returns its
+// canonical encoding.
+func runReportBytes(t *testing.T, opt Options, workload string) []byte {
 	t.Helper()
-	rep, err := RunOneReport("bursty", opt)
+	rep, err := RunOneReport(workload, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestTimelineInvisibleToReports(t *testing.T) {
 		t.Run(gov, func(t *testing.T) {
 			opt := timelineTestOptions()
 			opt.Governor = gov
-			plain := runReportBytes(t, opt)
+			plain := runReportBytes(t, opt, "bursty")
 
 			ton := opt
 			ton.Timeline = timeline.New("test")
-			if got := runReportBytes(t, ton); !bytes.Equal(plain, got) {
+			if got := runReportBytes(t, ton, "bursty"); !bytes.Equal(plain, got) {
 				t.Error("timeline-on report bytes differ from timeline-off")
 			}
 
@@ -58,11 +58,11 @@ func TestTimelineInvisibleToReports(t *testing.T) {
 			mopt := opt
 			mopt.Memo = memo.New(0, nil)
 			mopt.Timeline = timeline.New("cold")
-			if got := runReportBytes(t, mopt); !bytes.Equal(plain, got) {
+			if got := runReportBytes(t, mopt, "bursty"); !bytes.Equal(plain, got) {
 				t.Error("cold memo run with timeline diverges from plain")
 			}
 			mopt.Timeline = timeline.New("warm")
-			if got := runReportBytes(t, mopt); !bytes.Equal(plain, got) {
+			if got := runReportBytes(t, mopt, "bursty"); !bytes.Equal(plain, got) {
 				t.Error("warm memo resume with timeline diverges from plain")
 			}
 			// The warm recorder saw the restore marker.

@@ -271,6 +271,43 @@ func TestBaselineDiff(t *testing.T) {
 	}
 }
 
+// TestCommittedBaselineHolds regenerates the committed n=50, seed=7
+// baseline through the real simulator, exactly as `cuttlefish fuzz -n 50
+// -seed 7 -write-baseline` does, and requires the bytes to match the
+// committed file. This is stricter than the tolerance-based Diff: any
+// drift in a cell's metrics or in the findings fails, and an intended
+// behaviour change must refresh the file in the same change.
+func TestCommittedBaselineHolds(t *testing.T) {
+	committed := filepath.Join("testdata", "baseline-n50-seed7.json")
+	want, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{N: 50, Seed: 7}
+	corpus, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{QueueDepth: 64})
+	t.Cleanup(svc.Close)
+	rep, err := Run(context.Background(), []orchestrator.Backend{&orchestrator.LocalBackend{Service: svc}}, corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(t.TempDir(), "baseline.json")
+	if err := BaselineOf(rep, cfg).Save(fresh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("regenerated baseline differs from %s; if the change is intended, refresh it with "+
+			"`cuttlefish fuzz -n 50 -seed 7 -write-baseline %s`", committed, committed)
+	}
+}
+
 func TestMinimizeShrinksWhileReproducing(t *testing.T) {
 	corpus, err := Generate(Config{N: 40, Seed: 9})
 	if err != nil {

@@ -2,7 +2,7 @@
 // simulates — the paper's three Cuttlefish variants, the Default
 // environment, the fixed-frequency oracle settings, the DDCM baseline and
 // the reactive Linux-style governors — is one registered implementation of
-// a single Governor interface. Harnesses, the cluster and both CLIs
+// a single Governor interface. Harnesses, the cluster and the CLI
 // construct strategies only through this registry, so adding a scenario is
 // one Register call, never another hand-wired daemon/governor branch.
 package governor

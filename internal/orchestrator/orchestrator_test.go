@@ -43,19 +43,35 @@ func specExecutor(_ context.Context, spec service.RunSpec) (*report.RunReport, e
 // call) after a set number of successes — the kill-one-mid-sweep case.
 // dieAfter < 0 means dead from the start.
 type stubBackend struct {
-	name      string
-	dieAfter  int64         // 0 = immortal
-	latency   time.Duration // keeps runs in flight so load spreads
+	name     string
+	dieAfter int64         // 0 = immortal
+	latency  time.Duration // keeps runs in flight so load spreads
+	// died, when non-nil, is closed by the first failed call.
+	died    chan struct{}
+	dieOnce sync.Once
+	// hold, when non-nil, parks every call until it is closed, pinning
+	// this backend's in-flight count so dispatch goes elsewhere.
+	hold      <-chan struct{}
 	calls     atomic.Int64
 	successes atomic.Int64
 }
 
 func (b *stubBackend) Name() string { return b.name }
 
-func (b *stubBackend) Run(_ context.Context, spec service.RunSpec) (service.Result, error) {
+func (b *stubBackend) Run(ctx context.Context, spec service.RunSpec) (service.Result, error) {
 	n := b.calls.Add(1)
 	if b.dieAfter != 0 && n > b.dieAfter {
+		if b.died != nil {
+			b.dieOnce.Do(func() { close(b.died) })
+		}
 		return service.Result{}, errors.New("connection refused (backend down)")
+	}
+	if b.hold != nil {
+		select {
+		case <-b.hold:
+		case <-ctx.Done():
+			return service.Result{}, ctx.Err()
+		}
 	}
 	if b.latency > 0 {
 		time.Sleep(b.latency)
@@ -106,8 +122,13 @@ func TestSweepSpreadsAcrossBackends(t *testing.T) {
 // completes, and its aggregated report is byte-identical to a
 // single-backend run of the same sweep.
 func TestFailoverWhenBackendDiesMidSweep(t *testing.T) {
-	dying := &stubBackend{name: "dying", dieAfter: 3}
-	healthy := &stubBackend{name: "healthy"}
+	// The healthy backend holds its calls until the dying one has failed
+	// once. While it holds a call its in-flight count stays above the
+	// dying backend's, so least-loaded dispatch must hand the dying
+	// backend its fatal 4th call however the goroutines are scheduled.
+	died := make(chan struct{})
+	dying := &stubBackend{name: "dying", dieAfter: 3, died: died}
+	healthy := &stubBackend{name: "healthy", hold: died}
 	o, err := New(Config{Backends: []Backend{dying, healthy}, Concurrency: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@
 //
 // The registry decouples what runs (a workload.Source generator) from
 // how it is named and served: the experiment harnesses, the service
-// layer's RunSpec hashing, the sweep orchestrator's axes and both CLIs
+// layer's RunSpec hashing, the sweep orchestrator's axes and the CLI
 // resolve workloads only through this registry, so opening a new
 // scenario is one Register call (or one JSON file), never another
 // hand-wired benchmark list.
