@@ -224,10 +224,10 @@ func run(j simJob, opt Options) (RunResult, error) {
 // maxSimSeconds is the one deadline rule: ten times the workload's
 // nominal wall time at this scale, plus the daemon warmup and 30 s of
 // headroom. Only a run's last batch can end at the deadline; every
-// other batch ends at a component event, a region boundary or
-// completion. So the cap only decides whether a run fails, and every
-// finished run is bit-identical under any looser cap (DESIGN.md, "One
-// simulation path").
+// other batch ends at a component event, a region boundary, the
+// BatchQuanta cap or completion, none of which depends on the deadline.
+// So the cap only decides whether a run fails, and every finished run is
+// bit-identical under any looser cap (DESIGN.md, "One simulation path").
 func (o Options) maxSimSeconds(nominalSec float64) float64 {
 	return nominalSec*o.Scale*10 + o.WarmupSec + 30
 }
