@@ -12,6 +12,7 @@ package cuttlefish
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -325,17 +326,27 @@ func BenchmarkDaemonTick(b *testing.B) {
 }
 
 // BenchmarkWorkStealingNextSegment measures the scheduler's task-dispatch
-// path under steady stealing pressure.
+// and expansion path under steady stealing pressure: every round unfolds a
+// binary DAG over 1024 leaves from one expand function, so the reported
+// allocations are the runtime's own.
 func BenchmarkWorkStealingNextSegment(b *testing.B) {
 	leaf := workload.Segment{Instructions: 1000, IPC: 2}
-	gen := func(round int) ([]sched.Task, bool) {
-		tasks := make([]sched.Task, 1024)
-		for i := range tasks {
-			tasks[i] = sched.Task{Seg: leaf}
+	spawn := workload.Segment{Instructions: 100, IPC: 2}
+	var expand func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task
+	node := func(lo, hi int) sched.Task {
+		if hi-lo <= 1 {
+			return sched.Task{Seg: leaf}
 		}
-		return tasks, true // endless rounds
+		return sched.Task{Seg: spawn, Lo: lo, Hi: hi, Expand: expand}
 	}
+	expand = func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
+		mid := t.Lo + (t.Hi-t.Lo)/2
+		return append(kids, node(t.Lo, mid), node(mid, t.Hi))
+	}
+	roots := []sched.Task{node(0, 1024)}
+	gen := func(int) ([]sched.Task, bool) { return roots, true } // endless rounds
 	ws := sched.NewWorkStealing(20, gen, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core := i % 20

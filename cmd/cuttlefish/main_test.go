@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/governor"
+	"repro/internal/report"
 	"repro/internal/store"
 )
 
@@ -35,28 +38,45 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 // TestTable1ReportEncodesAcrossGovernors backs the acceptance criterion:
-// `cuttlefish -governor=<name> table1 -format json` must produce valid
-// JSON for every registered environment the comparison covers.
+// `cuttlefish [-governor=<name>] table1 -format json` must print valid JSON
+// for every registered governor and without the flag. It decodes the exact
+// bytes -format json prints (rep.Write with "json") with encoding/json.
 func TestTable1ReportEncodesAcrossGovernors(t *testing.T) {
-	for _, gov := range []string{"cuttlefish", "cuttlefish-core", "cuttlefish-uncore", "default", "static", "ddcm"} {
+	for _, gov := range append([]string{""}, governor.Names()...) {
 		o := tinyOptions()
 		o.Governor = gov
 		rep, err := build("table1", o)
 		if err != nil {
-			t.Fatalf("%s: %v", gov, err)
+			t.Fatalf("%q: %v", gov, err)
 		}
-		if rep.Governor != gov {
-			t.Errorf("report governor = %q, want %q", rep.Governor, gov)
+		var out bytes.Buffer
+		if err := rep.Write(&out, "json"); err != nil {
+			t.Fatalf("%q: write: %v", gov, err)
 		}
-		if len(rep.Rows) != 10 {
-			t.Errorf("%s: rows = %d, want 10", gov, len(rep.Rows))
+		var got report.RunReport
+		dec := json.NewDecoder(&out)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("%q: -format json printed invalid JSON: %v", gov, err)
 		}
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", gov, err)
+		if dec.More() {
+			t.Errorf("%q: trailing data after the report", gov)
 		}
-		if !json.Valid(raw) {
-			t.Errorf("%s: invalid JSON", gov)
+		if got.Experiment != "table1" {
+			t.Errorf("%q: experiment = %q, want table1", gov, got.Experiment)
+		}
+		if gov != "" && got.Governor != gov {
+			t.Errorf("report governor = %q, want %q", got.Governor, gov)
+		}
+		if len(got.Rows) != 10 {
+			t.Errorf("%q: rows = %d, want 10", gov, len(got.Rows))
+		}
+		for i, row := range got.Rows {
+			for _, col := range got.Columns {
+				if _, ok := row[col]; !ok {
+					t.Errorf("%q: row %d lacks column %q", gov, i, col)
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/machine"
+	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 // runDefault executes a spec under the Default environment (performance
@@ -161,5 +163,69 @@ func TestDeterministicUnderSameSeed(t *testing.T) {
 	t2, tipi2, j2 := runDefault(t, spec, 0.01, 7)
 	if t1 != t2 || tipi1 != tipi2 || j1 != j2 {
 		t.Error("same seed must reproduce the run exactly (serial driver)")
+	}
+}
+
+// pairs returns a function that makes n NextSegment+Complete pairs on src,
+// polling its cores in turn the way the machine does.
+func pairs(src workload.Source, cores, n int) func() {
+	c := 0
+	return func() {
+		for range n {
+			if _, ok := src.NextSegment(c, 0); ok {
+				src.Complete(c, 0)
+			}
+			c = (c + 1) % cores
+		}
+	}
+}
+
+// TestUTSAllocatesNothingPerTask: once the deques and the runtime's child
+// buffer have grown, dispatching and expanding UTS nodes allocates nothing.
+func TestUTSAllocatesNothingPerTask(t *testing.T) {
+	const cores = 4
+	spec, _ := Get("UTS")
+	src, err := spec.Build(Params{Cores: cores, Scale: 0.03, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive := pairs(src, cores, 1000)
+	for range 10 {
+		drive()
+	}
+	// runs == 1 counts exactly, where a larger runs would truncate.
+	if n := testing.AllocsPerRun(1, drive); n != 0 {
+		t.Errorf("1000 UTS task pairs allocated %v times, want 0", n)
+	}
+	if src.Done() {
+		t.Fatal("the tree ran out inside the measured window")
+	}
+}
+
+// TestStencilRoundAllocatesNothingPerTask: inside an -irt finish scope,
+// whose DAG one expand function unfolds from each node's tile range,
+// dispatching and expanding tasks allocates nothing.
+func TestStencilRoundAllocatesNothingPerTask(t *testing.T) {
+	const cores = 4
+	sp := heatParams()
+	leaf := sp.seg
+	leaf.Instructions = 1e5
+	spawn := workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5}
+	rounds := 0
+	gen := func(int) ([]sched.Task, bool) {
+		rounds++
+		return []sched.Task{stencilDAG(IrregularTasks, leaf, spawn, 0, stencilTiles)}, true
+	}
+	ws := sched.NewWorkStealing(cores, gen, 7)
+	step, drive := pairs(ws, cores, 1), pairs(ws, cores, 1000)
+	// Three whole rounds grow the deques; round 4 has just been released.
+	for rounds < 4 {
+		step()
+	}
+	if n := testing.AllocsPerRun(1, drive); n != 0 {
+		t.Errorf("1000 Heat-irt task pairs allocated %v times, want 0", n)
+	}
+	if rounds != 4 {
+		t.Fatalf("the measured window crossed into round %d", rounds)
 	}
 }

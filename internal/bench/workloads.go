@@ -59,16 +59,16 @@ func utsSpec() Spec {
 				RemoteFrac:   remoteFrac,
 				Exposure:     1.0,
 			}
-			// All nodes share one Expand closure over the common budget —
-			// millions of tasks per run, so per-node closure allocations
-			// would dominate the scheduler's footprint.
-			var expand func(r *rand.Rand) []sched.Task
+			// All nodes share one Expand closure over the common budget,
+			// and children go into the runtime's buffer: millions of tasks
+			// per run allocate nothing per node.
+			var expand func(kids []sched.Task, _ sched.Task, r *rand.Rand) []sched.Task
 			mkNode := func() sched.Task {
 				return sched.Task{Seg: nodeSeg, Expand: expand}
 			}
-			expand = func(r *rand.Rand) []sched.Task {
+			expand = func(kids []sched.Task, _ sched.Task, r *rand.Rand) []sched.Task {
 				if budget <= 0 {
-					return nil
+					return kids
 				}
 				// Geometric-flavoured branching: 0–7 children with a long
 				// tail of leaves, the UTS imbalance source.
@@ -80,9 +80,8 @@ func utsSpec() Spec {
 					n = budget
 				}
 				budget -= n
-				kids := make([]sched.Task, n)
-				for i := range kids {
-					kids[i] = mkNode()
+				for range n {
+					kids = append(kids, mkNode())
 				}
 				return kids
 			}
@@ -158,42 +157,39 @@ func heatParams() stencilParams {
 // averages that swamp the few-percent deltas exploration compares.
 const stencilTiles = 4096
 
-// stencilDAG builds one iteration's task tree over the tile range, in the
-// Chen et al. construction of Fig. 1: regular variants split the range
-// evenly (binary, degree-3 interior counting the parent edge), irregular
-// variants split it unevenly into three parts so subtree sizes — and hence
-// steal targets — vary wildly.
+// stencilDAG builds the root of one iteration's task tree over the tile
+// range, in the Chen et al. construction of Fig. 1: regular variants split
+// the range evenly (binary, degree-3 interior counting the parent edge),
+// irregular variants split it unevenly into three parts so subtree sizes —
+// and hence steal targets — vary wildly. One expand function unfolds every
+// interior node from its own [Lo, Hi) tile range.
 func stencilDAG(style Style, leaf workload.Segment, spawn workload.Segment, lo, hi int) sched.Task {
-	n := hi - lo
 	const leafTiles = 2
-	if n <= leafTiles {
-		seg := leaf
-		seg.Instructions *= float64(n)
-		return sched.Task{Seg: seg}
+	var expand func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task
+	node := func(lo, hi int) sched.Task {
+		if n := hi - lo; n <= leafTiles {
+			seg := leaf
+			seg.Instructions *= float64(n)
+			return sched.Task{Seg: seg}
+		}
+		return sched.Task{Seg: spawn, Lo: lo, Hi: hi, Expand: expand}
 	}
-	return sched.Task{
-		Seg: spawn,
-		Expand: func(r *rand.Rand) []sched.Task {
-			if style == RegularTasks {
-				mid := lo + n/2
-				return []sched.Task{
-					stencilDAG(style, leaf, spawn, lo, mid),
-					stencilDAG(style, leaf, spawn, mid, hi),
-				}
-			}
-			// Irregular: 1/6, 1/3, remainder — skewed ternary.
-			a := lo + max(1, n/6)
-			b := a + max(1, n/3)
-			if b >= hi {
-				b = hi - 1
-			}
-			return []sched.Task{
-				stencilDAG(style, leaf, spawn, lo, a),
-				stencilDAG(style, leaf, spawn, a, b),
-				stencilDAG(style, leaf, spawn, b, hi),
-			}
-		},
+	expand = func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
+		lo, hi := t.Lo, t.Hi
+		n := hi - lo
+		if style == RegularTasks {
+			mid := lo + n/2
+			return append(kids, node(lo, mid), node(mid, hi))
+		}
+		// Irregular: 1/6, 1/3, remainder — skewed ternary.
+		a := lo + max(1, n/6)
+		b := a + max(1, n/3)
+		if b >= hi {
+			b = hi - 1
+		}
+		return append(kids, node(lo, a), node(a, b), node(b, hi))
 	}
+	return node(lo, hi)
 }
 
 // stencilTaskSpec builds the irt/rt variants of a stencil benchmark.

@@ -99,9 +99,8 @@ func (r *Report) FindingsDigest() string {
 // CellSpec maps one corpus entry × governor onto the RunSpec its cell
 // executes: an inline scenario_def "run" spec with the fuzzer's run
 // parameters. SimWorkers and BatchQuanta stay at their serial defaults
-// no matter how the host is configured — engine worker counts change
-// task-DAG schedules (they are part of the spec hash for exactly that
-// reason), and a findings report must not depend on host parallelism.
+// no matter how the host is configured — both are part of the spec hash,
+// and a findings report must not depend on host parallelism.
 func CellSpec(e Entry, gov string, cfg Config) service.RunSpec {
 	cfg = cfg.withDefaults()
 	def := e.Def

@@ -31,9 +31,10 @@ type Config struct {
 	Power power.Params
 	// Workers > 1 shards cores across that many persistent engine worker
 	// goroutines. 0 or 1 selects the serial driver. Both drivers walk the
-	// same arithmetic in the same order; results are bit-identical for
-	// sources whose scheduling does not depend on same-quantum call order
-	// across cores (see the engine's concurrency notes).
+	// same arithmetic in the same order, and a source whose scheduling
+	// depends on same-quantum call order (workload.OrderDependent) always
+	// gets the serial driver, so results are bit-identical for any Workers
+	// (see the engine's concurrency notes).
 	Workers int
 	// BatchQuanta caps how many quanta the engine executes per dispatch
 	// when Run batches between component deadlines. 0 means unbounded

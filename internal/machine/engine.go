@@ -28,6 +28,12 @@ import (
 // firmware uncore governor — is updated once per quantum by whichever
 // participant reaches the quantum barrier last, in deterministic core-index
 // order, so Workers=1 and Workers=N walk bit-identical arithmetic.
+//
+// The engine owns source locking: the machine never calls a source
+// concurrently. The serial loop calls it directly; the worker pool calls it
+// through one lock (lockedSource). A source whose schedule depends on the
+// order cores call it within a quantum (workload.OrderDependent) always
+// runs on the serial loop, so every source is bit-identical across Workers.
 type engine struct {
 	cfg  Config
 	pmu  *perfmon.PMU
@@ -35,6 +41,8 @@ type engine struct {
 
 	// Batch inputs, written by the snapshot and read by all participants.
 	src       workload.Source
+	stepSrc   workload.Source // src as core stepping calls it: bare, or via locked
+	locked    lockedSource
 	firmware  UncoreFirmware
 	boundary  BoundarySource // src when it counts boundaries, else nil
 	boundaryN int            // boundary count when the batch started
@@ -132,7 +140,8 @@ func newEngine(cfg Config, pmu *perfmon.PMU, rapl *power.Rapl) *engine {
 
 // run executes the prepared batch to completion.
 func (e *engine) run() {
-	if e.workers <= 1 || e.closed() {
+	e.stepSrc = e.src
+	if e.workers <= 1 || orderDependent(e.src) || e.closed() {
 		for !e.batchOver {
 			first := e.quantum == 0
 			var t0 time.Time
@@ -148,6 +157,10 @@ func (e *engine) run() {
 			e.reduce()
 		}
 		return
+	}
+	if e.src != nil {
+		e.locked.Source = e.src
+		e.stepSrc = &e.locked
 	}
 	e.ensureWorkers()
 	e.wg.Add(e.workers - 1)
@@ -259,8 +272,8 @@ func (e *engine) reduce() {
 }
 
 // stepCoreFree executes core i for one quantum, writing its accounting to
-// d. It touches only engine-local state and the (concurrency-safe) workload
-// source — no machine locks on this path.
+// d. It touches only engine-local state and the workload source through
+// stepSrc — no machine locks on this path.
 func (e *engine) stepCoreFree(i int, first bool, d *quantumDelta) {
 	s := &e.snaps[i]
 	r := &e.runs[i]
@@ -275,7 +288,7 @@ func (e *engine) stepCoreFree(i int, first bool, d *quantumDelta) {
 		return
 	}
 	now := e.now
-	src := e.src
+	src := e.stepSrc
 	stallPerMiss := e.stall
 	for budget > 1e-12 {
 		if !r.haveSeg {
@@ -334,6 +347,33 @@ func (e *engine) stepCoreFree(i int, first bool, d *quantumDelta) {
 	if budget > 0 {
 		d.idleSec += budget
 	}
+}
+
+// orderDependent reports whether s declares that its schedule depends on
+// the order cores call it within a quantum; such a source always steps on
+// the serial loop.
+func orderDependent(s workload.Source) bool {
+	o, ok := s.(workload.OrderDependent)
+	return ok && o.OrderDependent()
+}
+
+// lockedSource is the worker pool's view of the batch's source: shards step
+// concurrently, and one lock keeps their calls into the source serial.
+type lockedSource struct {
+	workload.Source
+	mu sync.Mutex
+}
+
+func (l *lockedSource) NextSegment(core int, now float64) (workload.Segment, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.Source.NextSegment(core, now)
+}
+
+func (l *lockedSource) Complete(core int, now float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.Source.Complete(core, now)
 }
 
 // ensureWorkers spawns the persistent pool on first use: workers-1

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -14,7 +13,6 @@ import (
 // which cores are stepped. This is the determinism contract the engine
 // preserves across worker counts.
 type laneSource struct {
-	mu    sync.Mutex
 	lanes [][]workload.Segment
 	pos   []int
 }
@@ -38,8 +36,6 @@ func newLaneSource(cores, perCore int, seg workload.Segment) *laneSource {
 }
 
 func (s *laneSource) NextSegment(core int, now float64) (workload.Segment, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.pos[core] >= len(s.lanes[core]) {
 		return workload.Segment{}, false
 	}
@@ -51,8 +47,6 @@ func (s *laneSource) NextSegment(core int, now float64) (workload.Segment, bool)
 func (s *laneSource) Complete(core int, now float64) {}
 
 func (s *laneSource) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for c := range s.pos {
 		if s.pos[c] < len(s.lanes[c]) {
 			return false
@@ -156,18 +150,16 @@ func TestStepMatchesRun(t *testing.T) {
 }
 
 // stealingSource hands out segments from a single shared pool, so parallel
-// workers contend on NextSegment/Complete — the concurrency shape the
-// engine must drive race-free (run under -race in CI).
+// workers all reach the same counters from NextSegment/Complete. It takes
+// no lock: the machine never calls a source concurrently, and under -race
+// (CI) any concurrent call from the sharded engine is reported.
 type stealingSource struct {
-	mu       sync.Mutex
 	remain   int
 	inFlight int
 	seg      workload.Segment
 }
 
 func (s *stealingSource) NextSegment(core int, now float64) (workload.Segment, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.remain == 0 {
 		return workload.Segment{}, false
 	}
@@ -176,21 +168,14 @@ func (s *stealingSource) NextSegment(core int, now float64) (workload.Segment, b
 	return s.seg, true
 }
 
-func (s *stealingSource) Complete(core int, now float64) {
-	s.mu.Lock()
-	s.inFlight--
-	s.mu.Unlock()
-}
+func (s *stealingSource) Complete(core int, now float64) { s.inFlight-- }
 
-func (s *stealingSource) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.remain == 0 && s.inFlight == 0
-}
+func (s *stealingSource) Done() bool { return s.remain == 0 && s.inFlight == 0 }
 
 // TestEngineParallelSharedSource exercises the sharded engine against a
-// contended source and checks work conservation. Under -race this is the
-// regression test for the snapshot/commit protocol and the quantum barrier.
+// shared source and checks work conservation. Under -race this is the
+// regression test for the snapshot/commit protocol, the quantum barrier and
+// the engine's source lock.
 func TestEngineParallelSharedSource(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 8

@@ -621,6 +621,8 @@ func (m *Machine) runBatch(quanta int) {
 	// from the engine and defeat the runtime.AddCleanup safety net that
 	// releases the worker pool.
 	e.src = nil
+	e.stepSrc = nil
+	e.locked.Source = nil
 	e.firmware = nil
 	e.boundary = nil
 

@@ -328,8 +328,8 @@ func (d Definition) regionFor(p Params, globalStep int, st step) sched.Region {
 // paths size regions through the same regionFor.
 //
 // Only work-sharing definitions compile to a region schedule; the
-// work-stealing runtime's interleaving depends on engine worker count,
-// so task-DAG definitions have no worker-independent prefix to key on.
+// work-stealing runtime counts no region boundaries, so task-DAG
+// definitions have no prefix to key on.
 func (d Definition) CompiledRegions(p Params) ([]sched.Region, []int, error) {
 	n := d.Normalized()
 	if err := n.Validate(); err != nil {
@@ -392,35 +392,34 @@ func (d Definition) buildTaskDAG(p Params) workload.Source {
 		}
 		region := d.regionFor(p, round, prog[round%len(prog)])
 		spawn := workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5, RemoteFrac: region.Seg.RemoteFrac}
-		return []sched.Task{dagOver(region, spawn, p.Seed, round, 0, region.Chunks)}, true
+		return []sched.Task{dagOver(region, spawn, p.Seed, round)}, true
 	}
 	ws := sched.NewWorkStealing(p.Cores, gen, p.Seed)
 	ws.StealOverheadInstr = stealOverheadInstr(p.Model)
 	return ws
 }
 
-// dagOver builds a regular binary task tree whose leaves carry the
-// region's chunks [lo, hi); leaf instruction counts take the region's
+// dagOver builds the root of a regular binary task tree whose leaves carry
+// the region's chunks; one expand function unfolds every interior node from
+// its own [Lo, Hi) chunk range. Leaf instruction counts take the region's
 // jitter through the same pure hash the work-sharing path uses, so the
 // DAG's work distribution depends only on (definition, seed), never on
 // expansion order.
-func dagOver(region sched.Region, spawn workload.Segment, seed int64, round, lo, hi int) sched.Task {
-	n := hi - lo
-	if n <= 1 {
-		seg := region.Seg
-		if j := region.JitterFrac; j > 0 {
-			seg.Instructions *= 1 + (jitter(seed, round, lo)*2-1)*j
-		}
-		return sched.Task{Seg: seg}
-	}
-	mid := lo + n/2
-	return sched.Task{
-		Seg: spawn,
-		Expand: func(*rand.Rand) []sched.Task {
-			return []sched.Task{
-				dagOver(region, spawn, seed, round, lo, mid),
-				dagOver(region, spawn, seed, round, mid, hi),
+func dagOver(region sched.Region, spawn workload.Segment, seed int64, round int) sched.Task {
+	var expand func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task
+	node := func(lo, hi int) sched.Task {
+		if hi-lo <= 1 {
+			seg := region.Seg
+			if j := region.JitterFrac; j > 0 {
+				seg.Instructions *= 1 + (jitter(seed, round, lo)*2-1)*j
 			}
-		},
+			return sched.Task{Seg: seg}
+		}
+		return sched.Task{Seg: spawn, Lo: lo, Hi: hi, Expand: expand}
 	}
+	expand = func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
+		mid := t.Lo + (t.Hi-t.Lo)/2
+		return append(kids, node(t.Lo, mid), node(mid, t.Hi))
+	}
+	return node(0, region.Chunks)
 }

@@ -289,3 +289,40 @@ func TestEstimateSecondsPositive(t *testing.T) {
 		t.Errorf("memory-bound estimate %g s implausible", est)
 	}
 }
+
+// TestTaskDAGRoundAllocatesNothingPerTask: inside a task-dag finish scope,
+// whose DAG one expand function unfolds from each node's chunk range,
+// dispatching and expanding tasks allocates nothing.
+func TestTaskDAGRoundAllocatesNothingPerTask(t *testing.T) {
+	const cores = 4
+	region := sched.Region{Seg: workload.Segment{Instructions: 1e5, MissPerInstr: 0.01, IPC: 1.5}, Chunks: 4096, JitterFrac: 0.1}
+	spawn := workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5}
+	rounds := 0
+	gen := func(round int) ([]sched.Task, bool) {
+		rounds++
+		return []sched.Task{dagOver(region, spawn, 7, round)}, true
+	}
+	ws := sched.NewWorkStealing(cores, gen, 7)
+	pair := func() {
+		for c := range cores {
+			if _, ok := ws.NextSegment(c, 0); ok {
+				ws.Complete(c, 0)
+			}
+		}
+	}
+	// Three whole rounds grow the deques; round 4 has just been released.
+	for rounds < 4 {
+		pair()
+	}
+	// runs == 1 counts exactly, where a larger runs would truncate.
+	if n := testing.AllocsPerRun(1, func() {
+		for range 250 {
+			pair()
+		}
+	}); n != 0 {
+		t.Errorf("1000 task-dag task pairs allocated %v times, want 0", n)
+	}
+	if rounds != 4 {
+		t.Fatalf("the measured window crossed into round %d", rounds)
+	}
+}

@@ -3,9 +3,9 @@ package sched
 // deque is a grow-able double-ended work queue in the Chase–Lev layout:
 // the owning worker pushes and pops at the bottom (LIFO, cache-friendly
 // depth-first execution), thieves steal from the top (FIFO, stealing the
-// oldest and typically largest subtree). The simulator serialises access
-// under the runtime's lock, so the structure carries the semantics rather
-// than the lock-freedom of the original.
+// oldest and typically largest subtree). The machine never calls a runtime
+// concurrently, so the structure carries the semantics rather than the
+// lock-freedom of the original.
 type deque struct {
 	buf    []Task
 	top    int // next steal position

@@ -121,6 +121,32 @@ func TestWorkSharingJitterPerturbsWithinBounds(t *testing.T) {
 	}
 }
 
+// TestWorkSharingAdvanceAllocatesNothing: crossing a region barrier reuses
+// the per-core claim counters instead of allocating new ones.
+func TestWorkSharingAdvanceAllocatesNothing(t *testing.T) {
+	const cores = 4
+	regions := []Region{{Seg: seg(10), Chunks: cores}, {Seg: seg(20), Chunks: 3 * cores, JitterFrac: 0.1}}
+	ws := NewWorkSharing(cores, StaticProgram(regions, 1000), 1)
+	now := 0.0
+	region := func() {
+		now++ // past the barrier's release latency
+		for c := 0; c < cores; c++ {
+			for {
+				if _, ok := ws.NextSegment(c, now); !ok {
+					break
+				}
+				ws.Complete(c, now)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, region); n != 0 {
+		t.Errorf("a region advance allocated %v times, want 0", n)
+	}
+	if r, _ := ws.Stats(); r != 102 {
+		t.Fatalf("ran %d regions, want one per call (102)", r)
+	}
+}
+
 func TestWorkSharingEmptyProgram(t *testing.T) {
 	ws := NewWorkSharing(2, StaticProgram(nil, 5), 1)
 	if !ws.Done() {
@@ -179,18 +205,19 @@ func TestDequeEmpty(t *testing.T) {
 	}
 }
 
-// binaryTree builds an Expand hook producing a binary tree of the given
-// depth; returns total node count.
+// binaryTree builds the root of a binary tree of the given depth, whose
+// nodes carry their remaining depth in Lo; returns total node count.
 func binaryTree(depth int) (Task, int) {
-	var mk func(d int) Task
-	mk = func(d int) Task {
-		t := Task{Seg: seg(100)}
+	var expand func(kids []Task, t Task, r *rand.Rand) []Task
+	mk := func(d int) Task {
+		t := Task{Seg: seg(100), Lo: d}
 		if d > 0 {
-			t.Expand = func(r *rand.Rand) []Task {
-				return []Task{mk(d - 1), mk(d - 1)}
-			}
+			t.Expand = expand
 		}
 		return t
+	}
+	expand = func(kids []Task, t Task, r *rand.Rand) []Task {
+		return append(kids, mk(t.Lo-1), mk(t.Lo-1))
 	}
 	return mk(depth), 1<<(depth+1) - 1
 }
@@ -253,7 +280,7 @@ func TestWorkStealingStealOverheadCharged(t *testing.T) {
 	tasks := []Task{{Seg: seg(100)}, {Seg: seg(100)}}
 	// Both roots land on different deques (round-robin); force both onto
 	// deque 0 by using 1 root that expands into 2.
-	root := Task{Seg: seg(1), Expand: func(r *rand.Rand) []Task { return tasks }}
+	root := Task{Seg: seg(1), Expand: func(kids []Task, _ Task, _ *rand.Rand) []Task { return append(kids, tasks...) }}
 	ws := NewWorkStealing(2, SingleRound([]Task{root}), 3)
 	s0, ok := ws.NextSegment(0, 0)
 	if !ok || s0.Instructions != 1 {

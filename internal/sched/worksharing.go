@@ -12,7 +12,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/workload"
 )
@@ -54,15 +53,16 @@ func StaticProgram(regions []Region, iterations int) RegionGen {
 // order cores step in within a quantum — the engine's sharded workers and
 // the serial driver observe identical state transitions, so results are
 // bit-identical across engine worker counts.
+//
+// The runtime holds no lock: the machine never calls a source concurrently.
 type WorkSharing struct {
-	mu        sync.Mutex
 	cores     int
 	gen       RegionGen
 	seed      int64
 	step      int
 	cur       Region
 	curOK     bool
-	claimed   []int // per-core chunks taken in the current region
+	claimed   []int // per-core chunks taken in the current region, reused across regions
 	completed int
 	inFlight  int
 	done      bool
@@ -86,13 +86,13 @@ type WorkSharing struct {
 // jittered one is too — each chunk's jitter is a pure function of
 // (seed, region, chunk), never a sequential draw, so results are
 // independent of the order cores claim chunks in (the engine's sharded
-// workers call NextSegment concurrently).
+// workers step cores in any order).
 func NewWorkSharing(cores int, gen RegionGen, seed int64) *WorkSharing {
 	if cores <= 0 {
 		panic(fmt.Sprintf("sched: invalid core count %d", cores))
 	}
-	ws := &WorkSharing{cores: cores, gen: gen, seed: seed, openAt: -1}
-	ws.advanceLocked()
+	ws := &WorkSharing{cores: cores, gen: gen, seed: seed, openAt: -1, claimed: make([]int, cores)}
+	ws.advance()
 	return ws
 }
 
@@ -119,12 +119,12 @@ func chunkJitter(seed int64, step, chunk int) float64 {
 	return IndexJitter(seed, step, chunk)
 }
 
-// advanceLocked loads the next region or marks the program done.
-func (w *WorkSharing) advanceLocked() {
+// advance loads the next region or marks the program done.
+func (w *WorkSharing) advance() {
 	w.cur, w.curOK = w.gen(w.step)
 	w.step++
 	w.completed = 0
-	w.claimed = make([]int, w.cores)
+	clear(w.claimed)
 	if !w.curOK {
 		w.done = true
 		return
@@ -140,8 +140,6 @@ func (w *WorkSharing) advanceLocked() {
 // region is exhausted wait at the barrier (ok == false) until every chunk
 // has completed.
 func (w *WorkSharing) NextSegment(core int, now float64) (workload.Segment, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.done {
 		return workload.Segment{}, false
 	}
@@ -164,8 +162,6 @@ func (w *WorkSharing) NextSegment(core int, now float64) (workload.Segment, bool
 
 // Complete retires one chunk; the last chunk of a region opens the barrier.
 func (w *WorkSharing) Complete(core int, now float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.done {
 		return
 	}
@@ -173,9 +169,8 @@ func (w *WorkSharing) Complete(core int, now float64) {
 	w.completed++
 	if w.completed == w.cur.Chunks {
 		w.regionsDone++
-		w.claimed = nil
 		w.openAt = now
-		w.advanceLocked()
+		w.advance()
 	}
 }
 
@@ -184,11 +179,7 @@ func (w *WorkSharing) Complete(core int, now float64) {
 // to end batches exactly at barrier boundaries, which is what makes
 // region-boundary machine snapshots land on identical floating-point
 // state whether or not a run was resumed.
-func (w *WorkSharing) BoundaryCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.regionsDone
-}
+func (w *WorkSharing) BoundaryCount() int { return w.regionsDone }
 
 // WSCheckpoint is the runtime's complete mutable state at a region
 // boundary: how many regions have completed, the barrier-release
@@ -205,8 +196,6 @@ type WSCheckpoint struct {
 // when the runtime is mid-region (chunks claimed or in flight), where the
 // state is not reconstructible from a checkpoint.
 func (w *WorkSharing) Checkpoint() (WSCheckpoint, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.inFlight != 0 || w.completed != 0 {
 		return WSCheckpoint{}, false
 	}
@@ -222,8 +211,8 @@ func NewWorkSharingAt(cores int, gen RegionGen, seed int64, cp WSCheckpoint) *Wo
 	if cores <= 0 {
 		panic(fmt.Sprintf("sched: invalid core count %d", cores))
 	}
-	ws := &WorkSharing{cores: cores, gen: gen, seed: seed, step: cp.RegionsDone, openAt: cp.OpenAt}
-	ws.advanceLocked()
+	ws := &WorkSharing{cores: cores, gen: gen, seed: seed, step: cp.RegionsDone, openAt: cp.OpenAt, claimed: make([]int, cores)}
+	ws.advance()
 	ws.regionsDone = cp.RegionsDone
 	ws.regionsRun = cp.RegionsDone
 	if ws.curOK {
@@ -234,15 +223,7 @@ func NewWorkSharingAt(cores int, gen RegionGen, seed int64, cp WSCheckpoint) *Wo
 }
 
 // Done reports whether every region has run to completion.
-func (w *WorkSharing) Done() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.done
-}
+func (w *WorkSharing) Done() bool { return w.done }
 
 // Stats returns regions and chunks executed so far.
-func (w *WorkSharing) Stats() (regions, chunks int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.regionsRun, w.chunksRun
-}
+func (w *WorkSharing) Stats() (regions, chunks int) { return w.regionsRun, w.chunksRun }

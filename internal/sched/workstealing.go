@@ -3,18 +3,24 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/workload"
 )
 
 // Task is one async task in the async–finish model: a segment of work plus
-// an optional Expand hook that produces the children spawned by the task's
-// body. Expansion happens when the task completes, which unfolds the same
-// DAG as body-time spawning with slightly coarser interleaving.
+// an optional Expand hook that spawns the children of the task's body.
+// Expansion happens when the task completes, which unfolds the same DAG as
+// body-time spawning with slightly coarser interleaving.
+//
+// Expand receives the task itself and appends its children to kids, a
+// buffer the runtime owns and reuses, returning the extended slice. Lo and
+// Hi belong to the DAG builder: a node that carries its own index range
+// lets one Expand function unfold a whole tree, so spawning allocates
+// nothing per task.
 type Task struct {
 	Seg    workload.Segment
-	Expand func(r *rand.Rand) []Task
+	Lo, Hi int
+	Expand func(kids []Task, t Task, r *rand.Rand) []Task
 }
 
 // RoundGen supplies the root task set of each finish scope ("round"), or
@@ -48,8 +54,9 @@ const (
 // top of random victims when empty. A finish scope joins each round: the
 // next round's roots are released only when every task of the current round
 // has completed.
+//
+// The runtime holds no lock: the machine never calls a source concurrently.
 type WorkStealing struct {
-	mu      sync.Mutex
 	cores   int
 	gen     RoundGen
 	rng     *rand.Rand
@@ -60,6 +67,7 @@ type WorkStealing struct {
 	pending int // tasks released but not completed in this round
 	round   int
 	done    bool
+	kids    []Task // Expand's reused child buffer
 
 	// StealOverheadInstr is charged as extra instructions on every
 	// successful steal, modelling deque CAS traffic and cache misses on the
@@ -86,14 +94,14 @@ func NewWorkStealing(cores int, gen RoundGen, seed int64) *WorkStealing {
 		running:            make([]bool, cores),
 		StealOverheadInstr: 400,
 	}
-	w.startRoundLocked()
+	w.startRound()
 	return w
 }
 
-// startRoundLocked releases the next round's roots, distributing them
+// startRound releases the next round's roots, distributing them
 // round-robin across the deques (HClib seeds the root at worker 0; we
 // spread multi-root rounds to shorten ramp-up the way its loop-fork does).
-func (w *WorkStealing) startRoundLocked() {
+func (w *WorkStealing) startRound() {
 	roots, ok := w.gen(w.round)
 	w.round++
 	if !ok {
@@ -102,7 +110,7 @@ func (w *WorkStealing) startRoundLocked() {
 	}
 	if len(roots) == 0 {
 		// An empty round completes immediately; recurse to the next.
-		w.startRoundLocked()
+		w.startRound()
 		return
 	}
 	for i, t := range roots {
@@ -116,8 +124,6 @@ func (w *WorkStealing) startRoundLocked() {
 // worker found nothing this attempt (it will retry next quantum) or the
 // round is draining toward its finish barrier.
 func (w *WorkStealing) NextSegment(core int, now float64) (workload.Segment, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.done || w.queued == 0 {
 		// Nothing anywhere to pop or steal: fail fast without burning RNG
 		// draws on victim selection. Idle cores poll every quantum, so this
@@ -127,7 +133,7 @@ func (w *WorkStealing) NextSegment(core int, now float64) (workload.Segment, boo
 	t, ok := w.deques[core].popBottom()
 	stole := false
 	if !ok {
-		t, ok = w.stealLocked(core)
+		t, ok = w.steal(core)
 		stole = ok
 	}
 	if !ok {
@@ -144,8 +150,8 @@ func (w *WorkStealing) NextSegment(core int, now float64) (workload.Segment, boo
 	return seg, true
 }
 
-// stealLocked tries up to cores-1 random victims.
-func (w *WorkStealing) stealLocked(thief int) (Task, bool) {
+// steal tries up to cores-1 random victims.
+func (w *WorkStealing) steal(thief int) (Task, bool) {
 	if w.cores == 1 {
 		return Task{}, false
 	}
@@ -167,8 +173,6 @@ func (w *WorkStealing) stealLocked(thief int) (Task, bool) {
 // core's own deque, and the finish barrier releases the next round when the
 // last task of this round retires.
 func (w *WorkStealing) Complete(core int, now float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.running[core] {
 		return
 	}
@@ -176,30 +180,30 @@ func (w *WorkStealing) Complete(core int, now float64) {
 	w.current[core] = Task{}
 	w.running[core] = false
 	if t.Expand != nil {
-		children := t.Expand(w.rng)
-		for _, c := range children {
+		w.kids = t.Expand(w.kids[:0], t, w.rng)
+		for _, c := range w.kids {
 			w.deques[core].pushBottom(c)
 		}
-		w.queued += len(children)
-		w.pending += len(children)
+		w.queued += len(w.kids)
+		w.pending += len(w.kids)
 	}
 	w.pending--
 	if w.pending == 0 {
-		w.startRoundLocked()
+		w.startRound()
 	}
 }
 
+// OrderDependent reports true: every core draws its steal victims from the
+// one runtime RNG, so the order cores poll in within a quantum decides who
+// steals what. It implements workload.OrderDependent, which keeps the
+// machine stepping this runtime serially whatever its engine worker count.
+func (w *WorkStealing) OrderDependent() bool { return true }
+
 // Done reports whether every round has completed.
-func (w *WorkStealing) Done() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.done
-}
+func (w *WorkStealing) Done() bool { return w.done }
 
 // Stats returns scheduler counters: tasks executed, successful steals and
 // failed steal attempts.
 func (w *WorkStealing) Stats() (tasks, steals, failed int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.tasksRun, w.steals, w.failedTries
 }

@@ -145,8 +145,8 @@ func TestScenarioCachedEqualsFreshByteIdentical(t *testing.T) {
 // the engine determinism contract: a work-sharing DSL scenario — whose
 // jitter is pure index hashing, never a sequential draw — must produce
 // bit-identical reports whether the simulated machine runs serial or
-// sharded across engine workers. (The specs still hash separately;
-// sim_workers stays in the content hash for the stealing runtimes.)
+// sharded across engine workers. (The specs still hash separately:
+// sim_workers stays in the content hash until caches are re-keyed.)
 func TestScenarioDeterministicAcrossEngineWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation")
@@ -176,11 +176,10 @@ func TestScenarioDeterministicAcrossEngineWorkers(t *testing.T) {
 }
 
 // TestShardedSpecIsDistinctButDeterministic pins the two halves of the
-// execution-knob decision. SimWorkers is part of the content hash because
-// stealing benchmarks (like realSpec's Heat-irt) are order-dependent
-// across engine workers; for a work-sharing source the engine's
-// determinism contract does hold, and a sharded execution reproduces the
-// serial bytes even though it lives under its own cache key.
+// execution-knob decision. SimWorkers stays part of the content hash, so a
+// sharded spec lives under its own cache key; and the engine's determinism
+// contract holds, so a sharded execution of a work-sharing source — which
+// really runs on the worker pool — reproduces the serial bytes.
 func TestShardedSpecIsDistinctButDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation")

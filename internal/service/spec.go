@@ -32,12 +32,11 @@ var ErrInvalidSpec = errors.New("service: invalid spec")
 
 // RunSpec is one simulation request as a value. Every field — including
 // the engine execution knobs SimWorkers and BatchQuanta — is part of the
-// canonical form and therefore of the content hash. The knobs stay in
-// deliberately: the engine's bit-determinism across worker counts is
-// guaranteed only for order-independent (work-sharing) sources, and the
-// work-stealing task runtimes are the documented exception, so folding a
-// sharded run and a serial run of a stealing benchmark into one cache
-// entry would serve bytes the other configuration never produces.
+// canonical form and therefore of the content hash. BatchQuanta regroups
+// lifetime-total additions, which is visible in the last bits. SimWorkers
+// changes no result (the engine steps order-dependent sources serially),
+// but it stays in the hash: taking it out would re-key every stored
+// result, a change of its own.
 type RunSpec struct {
 	// Experiment names the harness: "run" (single benchmark, the
 	// default), or any cuttlefish subcommand ("table1", "fig10", …).

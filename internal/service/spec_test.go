@@ -51,10 +51,10 @@ func TestHashTreatsDefaultsAsExplicit(t *testing.T) {
 	}
 }
 
-// TestHashIncludesExecutionKnobs: the engine's bit-determinism across
-// worker counts only covers order-independent (work-sharing) sources —
-// the stealing runtimes are the documented exception — so a sharded run
-// and a serial run must NOT share a cache entry.
+// TestHashIncludesExecutionKnobs: both engine knobs stay in the content
+// hash — batch_quanta changes lifetime totals in the last bits, and
+// dropping sim_workers would re-key every stored result — so a sharded
+// run and a serial run must NOT share a cache entry.
 func TestHashIncludesExecutionKnobs(t *testing.T) {
 	serial := RunSpec{Benchmark: "UTS"}
 	sharded := RunSpec{Benchmark: "UTS", SimWorkers: 8}

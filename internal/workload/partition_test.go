@@ -89,3 +89,26 @@ func TestPartitionDoneRequiresAllComponents(t *testing.T) {
 		t.Error("partition not done after all components drained")
 	}
 }
+
+// orderedFake is a fakeSource that declares an order-dependent schedule.
+type orderedFake struct{ *fakeSource }
+
+func (orderedFake) OrderDependent() bool { return true }
+
+// TestPartitionForwardsOrderDependence: a partition is order dependent as
+// soon as one component is, so the machine steps the whole socket serially.
+func TestPartitionForwardsOrderDependence(t *testing.T) {
+	p := NewPartition()
+	if err := p.Assign(newFake(Segment{IPC: 1}, 1), 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if p.OrderDependent() {
+		t.Error("a partition of order-independent sources reported order dependence")
+	}
+	if err := p.Assign(orderedFake{newFake(Segment{IPC: 1}, 1)}, 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	if !p.OrderDependent() {
+		t.Error("a partition with an order-dependent component must report it")
+	}
+}

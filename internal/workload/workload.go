@@ -86,13 +86,22 @@ func (s Segment) Scale(k float64) Segment {
 // barriers (work-sharing) and to spawn child tasks (async–finish).
 //
 // Both methods receive the simulation time so runtimes can account for
-// scheduling overheads or time-based phase changes. Implementations must be
-// safe for concurrent calls when the machine runs its parallel driver.
+// scheduling overheads or time-based phase changes. The machine never calls
+// a source concurrently, so implementations need no locks.
 type Source interface {
 	NextSegment(core int, now float64) (Segment, bool)
 	Complete(core int, now float64)
 	// Done reports whether the program has no further work anywhere.
 	Done() bool
+}
+
+// OrderDependent is implemented by sources whose schedule depends on the
+// order in which cores call them within one quantum, such as a work-stealing
+// runtime drawing steal victims from one shared RNG. The machine steps the
+// cores of such a source serially, in core-index order, whatever its engine
+// worker count, so its results stay bit-identical across worker counts.
+type OrderDependent interface {
+	OrderDependent() bool
 }
 
 // Phase pairs a segment template with a count, describing "n tasks that
