@@ -53,7 +53,7 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkTable1Timeline regenerates the census with the flight
 // recorder armed. Compare against BenchmarkTable1 for the recorder's
-// overhead; BENCH_obs.json records the reference delta (< 3%).
+// overhead (target < 3%).
 func BenchmarkTable1Timeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOptions()

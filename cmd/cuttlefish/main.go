@@ -14,9 +14,15 @@
 // executes against a cfserve instance instead of in-process. The remaining
 // flags select the run scale (1.0 = the paper's 60–80 s executions),
 // repetition count and seeds; defaults finish the full set in minutes.
+//
+// Every experiment takes one path: the flags form a service.RunSpec, which
+// is submitted to an orchestrator.Backend — an in-process service.Service,
+// or a cfserve instance with -remote — and the canonical report bytes that
+// come back are rendered in -format.
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -24,9 +30,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
-	"repro/internal/experiments"
 	"repro/internal/fuzz"
 	"repro/internal/governor"
 	"repro/internal/memo"
@@ -40,34 +46,37 @@ import (
 )
 
 var (
-	format       = "text"
-	remote       = ""
-	benchName    = ""
-	scenarioFile = ""
-	sweepSpec    = ""
-	storeDir     = ""
-	memoFlag     = false
-	memoDir      = ""
-	memoMaxBytes = int64(0)
-	traceOut     = ""
-	timelineOut  = ""
-	profileFlag  = false
+	format       string
+	remote       string
+	scenarioFile string
+	sweepSpec    string
+	storeDir     string
+	memoFlag     bool
+	memoDir      string
+	memoMaxBytes int64
+	traceOut     string
+	timelineOut  string
+	profileFlag  bool
+	workers      int
 	backends     stringList
 	listGov      bool
 	listScen     bool
 
-	fuzzN         = 100
-	baselineFile  = ""
-	writeBaseline = ""
-	replayPath    = ""
-	corpusOut     = ""
-	minimizeFlag  = false
+	fuzzN         int
+	baselineFile  string
+	writeBaseline string
+	replayPath    string
+	corpusOut     string
+	minimizeFlag  bool
 
 	// setFlags records which flags the user spelled out, accumulated
 	// across parseArgs's Parse calls; runFuzz consults it to override the
 	// fuzzer's own scale/cores/reps defaults only on explicit request.
-	setFlags = map[string]bool{}
+	setFlags map[string]bool
 )
+
+// allExperiments is what `cuttlefish all` runs, in order.
+var allExperiments = []string{"table1", "fig2", "fig3a", "fig3b", "fig10", "fig11", "table2", "table3", "ablation", "ddcm"}
 
 // stringList collects a repeatable flag (-backend may be given once per
 // cfserve instance).
@@ -79,44 +88,55 @@ func (l *stringList) Set(v string) error {
 	return nil
 }
 
-// newFlagSet registers every CLI flag on a fresh flag set bound to the
-// package-level option variables. ContinueOnError makes Parse return an
-// error naming the offending flag instead of exiting, so the two-stage
-// parse below can report it uniformly wherever the flag appeared.
-func newFlagSet(opt *experiments.Options) *flag.FlagSet {
+// defaultSpec is the spec the flags start from: every default made
+// explicit, except the experiment (the positional argument) and the
+// governor (empty means each experiment's paper environment).
+func defaultSpec() service.RunSpec {
+	s := service.RunSpec{}.Normalized()
+	s.Experiment, s.Governor = "", ""
+	return s
+}
+
+// newFlagSet registers every CLI flag on a fresh flag set: the run's
+// identity binds to spec, everything else to the package-level options,
+// each reset to its default. ContinueOnError makes Parse return an error
+// naming the offending flag instead of exiting, so the parse below can
+// report it uniformly wherever the flag appeared.
+func newFlagSet(spec *service.RunSpec) *flag.FlagSet {
 	fs := flag.NewFlagSet("cuttlefish", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // main prints the error and usage itself
-	fs.Float64Var(&opt.Scale, "scale", opt.Scale, "benchmark length relative to the paper's runs (1.0 ≈ 60-80s each)")
-	fs.IntVar(&opt.Reps, "reps", opt.Reps, "repetitions per data point (paper: 10)")
-	fs.IntVar(&opt.Cores, "cores", opt.Cores, "simulated core count")
-	fs.Int64Var(&opt.Seed, "seed", opt.Seed, "base RNG seed")
-	fs.Float64Var(&opt.TinvSec, "tinv", opt.TinvSec, "daemon profiling interval in seconds")
-	fs.Float64Var(&opt.WarmupSec, "warmup", opt.WarmupSec, "cuttlefish daemon warmup before its first wake, in simulated seconds (negative = none; part of the spec identity)")
-	fs.IntVar(&opt.Workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&opt.SimWorkers, "simworkers", 0, "engine workers sharding each simulated machine's cores (0/1 = serial)")
-	fs.IntVar(&opt.BatchQuanta, "batch", 0, "max quanta per engine dispatch (0 = run to next event)")
-	fs.StringVar(&opt.Governor, "governor", "", "registered governor for single-environment experiments (default: each experiment's paper environment; see -list-governors)")
-	fs.StringVar(&format, "format", format, "report format: text | json | csv")
-	fs.StringVar(&remote, "remote", remote, "execute against a cfserve instance at this URL instead of in-process (e.g. http://localhost:8080)")
-	fs.StringVar(&benchName, "bench", benchName, "workload for the \"run\" experiment: a Table 1 benchmark or a registered scenario (see -list-scenarios)")
-	fs.StringVar(&scenarioFile, "scenario", scenarioFile, "scenario definition file (JSON phase program) for the \"run\" experiment")
-	fs.StringVar(&sweepSpec, "spec", sweepSpec, "sweep spec file (JSON) for the \"sweep\" subcommand")
-	fs.Var(&backends, "backend", "cfserve URL the \"sweep\" subcommand dispatches to (repeatable; default: run in-process)")
-	fs.StringVar(&storeDir, "store", storeDir, "persistent result store directory for in-process sweeps")
-	fs.BoolVar(&memoFlag, "memo", memoFlag, "enable prefix-snapshot memoization for in-process runs: shared schedule prefixes simulate once and resume")
-	fs.StringVar(&memoDir, "memo-dir", memoDir, "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
-	fs.Int64Var(&memoMaxBytes, "memo-max-bytes", memoMaxBytes, "memo LRU byte budget (0 = 64 MiB)")
-	fs.StringVar(&traceOut, "trace-out", traceOut, "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
-	fs.StringVar(&timelineOut, "timeline-out", timelineOut, "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
-	fs.BoolVar(&profileFlag, "profile", profileFlag, "record per-phase and per-worker wall time into the trace's simulate spans")
+	fs.SetOutput(io.Discard) // cli prints the error and usage itself
+	backends, setFlags = nil, map[string]bool{}
+	fs.Float64Var(&spec.Scale, "scale", spec.Scale, "benchmark length relative to the paper's runs (1.0 ≈ 60-80s each)")
+	fs.IntVar(&spec.Reps, "reps", spec.Reps, "repetitions per data point (paper: 10)")
+	fs.IntVar(&spec.Cores, "cores", spec.Cores, "simulated core count")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base RNG seed")
+	fs.Float64Var(&spec.TinvSec, "tinv", spec.TinvSec, "daemon profiling interval in seconds")
+	fs.Float64Var(&spec.WarmupSec, "warmup", spec.WarmupSec, "cuttlefish daemon warmup before its first wake, in simulated seconds (negative = none; part of the spec identity)")
+	fs.IntVar(&workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	fs.IntVar(&spec.SimWorkers, "simworkers", 0, "engine workers sharding each simulated machine's cores (0/1 = serial)")
+	fs.IntVar(&spec.BatchQuanta, "batch", 0, "max quanta per engine dispatch (0 = run to next event)")
+	fs.StringVar(&spec.Governor, "governor", "", "registered governor for single-environment experiments (default: each experiment's paper environment; see -list-governors)")
+	fs.StringVar(&format, "format", "text", "report format: text | json | csv")
+	fs.StringVar(&remote, "remote", "", "execute against a cfserve instance at this URL instead of in-process (e.g. http://localhost:8080)")
+	fs.StringVar(&spec.Benchmark, "bench", "", "workload for the \"run\" experiment: a Table 1 benchmark or a registered scenario (see -list-scenarios)")
+	fs.StringVar(&scenarioFile, "scenario", "", "scenario definition file (JSON phase program) for the \"run\" experiment")
+	fs.StringVar(&sweepSpec, "spec", "", "sweep spec file (JSON) for the \"sweep\" subcommand")
+	fs.Var(&backends, "backend", "cfserve URL to dispatch to (repeatable; sweep and fuzz spread over all, other experiments use the first; default: run in-process)")
+	fs.StringVar(&storeDir, "store", "", "persistent result store directory for in-process runs: results survive invocations and repeats are served from it")
+	fs.BoolVar(&memoFlag, "memo", false, "enable prefix-snapshot memoization for in-process runs: shared schedule prefixes simulate once and resume")
+	fs.StringVar(&memoDir, "memo-dir", "", "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
+	fs.Int64Var(&memoMaxBytes, "memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
+	fs.StringVar(&traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
+	fs.StringVar(&timelineOut, "timeline-out", "", "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
+	fs.BoolVar(&profileFlag, "profile", false, "record per-phase and per-worker wall time into the trace's simulate spans")
 	fs.BoolVar(&listGov, "list-governors", false, "list registered governors and exit")
 	fs.BoolVar(&listScen, "list-scenarios", false, "list registered workloads (benchmarks and scenarios) and exit")
-	fs.IntVar(&fuzzN, "n", fuzzN, "scenarios the fuzz subcommand generates before hash-dedup")
-	fs.StringVar(&baselineFile, "baseline", baselineFile, "baseline file the fuzz findings are diffed against (new findings or metric regressions exit 1)")
-	fs.StringVar(&writeBaseline, "write-baseline", writeBaseline, "write the fuzz pass's snapshot (corpus digest, cells, findings) to this file")
-	fs.StringVar(&replayPath, "replay", replayPath, "replay a corpus entry file or directory instead of generating (fuzz)")
-	fs.StringVar(&corpusOut, "corpus-out", corpusOut, "write every corpus entry as a replayable JSON file into this directory (fuzz)")
-	fs.BoolVar(&minimizeFlag, "minimize", minimizeFlag, "greedily shrink each finding-bearing scenario and persist the minimized form to -corpus-out (fuzz)")
+	fs.IntVar(&fuzzN, "n", 100, "scenarios the fuzz subcommand generates before hash-dedup")
+	fs.StringVar(&baselineFile, "baseline", "", "baseline file the fuzz findings are diffed against (new findings or metric regressions exit 1)")
+	fs.StringVar(&writeBaseline, "write-baseline", "", "write the fuzz pass's snapshot (corpus digest, cells, findings) to this file")
+	fs.StringVar(&replayPath, "replay", "", "replay a corpus entry file or directory instead of generating (fuzz)")
+	fs.StringVar(&corpusOut, "corpus-out", "", "write every corpus entry as a replayable JSON file into this directory (fuzz)")
+	fs.BoolVar(&minimizeFlag, "minimize", false, "greedily shrink each finding-bearing scenario and persist the minimized form to -corpus-out (fuzz)")
 	return fs
 }
 
@@ -145,47 +165,60 @@ func parseArgs(fs *flag.FlagSet, args []string) (experiment string, err error) {
 }
 
 func main() {
-	opt := experiments.DefaultOptions()
-	fs := newFlagSet(&opt)
-	name, err := parseArgs(fs, os.Args[1:])
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli is the whole command: it parses args, runs the experiment and
+// returns the exit status (0 ok, 1 failed, 2 usage).
+func cli(args []string, stdout, stderr io.Writer) int {
+	spec := defaultSpec()
+	fs := newFlagSet(&spec)
+	name, err := parseArgs(fs, args)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			usage(fs)
-			return
+			usage(fs, stderr)
+			return 0
 		}
-		fmt.Fprintf(os.Stderr, "cuttlefish: %v\n", err)
-		usage(fs)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "cuttlefish: %v\n", err)
+		usage(fs, stderr)
+		return 2
 	}
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	if listGov {
 		for _, info := range governor.List() {
-			fmt.Printf("%-18s %s\n", info.Name, info.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", info.Name, info.Description)
 		}
-		return
+		return 0
 	}
 	if listScen {
 		for _, info := range scenario.List() {
-			fmt.Printf("%-16s %-10s %s\n", info.Name, info.Kind, info.Description)
+			fmt.Fprintf(stdout, "%-16s %-10s %s\n", info.Name, info.Kind, info.Description)
 		}
-		return
+		return 0
 	}
 	if name == "" {
-		usage(fs)
-		os.Exit(2)
+		usage(fs, stderr)
+		return 2
 	}
 	if !report.ValidFormat(format) {
-		fmt.Fprintf(os.Stderr, "cuttlefish: unknown format %q (want text, json or csv)\n", format)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "cuttlefish: unknown format %q (want text, json or csv)\n", format)
+		return 2
 	}
-	if err := run(name, opt, format); err != nil {
-		fmt.Fprintf(os.Stderr, "cuttlefish: %v\n", err)
-		os.Exit(1)
+	if workers > 0 {
+		// The in-process service and every harness pool size themselves
+		// from GOMAXPROCS, so this bounds concurrent simulations
+		// everywhere; results do not depend on it.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	}
+	if err := run(name, spec, format, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "cuttlefish: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func usage(fs *flag.FlagSet) {
-	fmt.Fprintf(os.Stderr, `usage: cuttlefish [flags] <experiment> [flags]
+func usage(fs *flag.FlagSet, w io.Writer) {
+	fmt.Fprintf(w, `usage: cuttlefish [flags] <experiment> [flags]
 
 experiments:
   table1   benchmark census (time, TIPI range, slab counts)
@@ -216,8 +249,9 @@ synthetic scenarios (-list-scenarios) and JSON phase programs:
   cuttlefish run -bench bursty
   cuttlefish run -scenario examples/scenarios/bursty.json
 
--remote <url> ships any experiment to a cfserve instance instead of
-running in-process; identical specs are served from the server's
+every experiment is a run spec submitted to a service: in-process by
+default (-store persists its results across invocations), or a cfserve
+instance with -remote <url>; identical specs are served from the
 content-addressed result cache:
   cuttlefish -remote http://localhost:8080 run -bench Heat-irt -format json
 
@@ -239,10 +273,11 @@ committed snapshot (new findings or regressions exit 1);
   cuttlefish fuzz -n 50 -seed 7 -baseline internal/fuzz/testdata/baseline-n50-seed7.json
   cuttlefish fuzz -replay internal/fuzz/testdata/corpus
 
--trace-out records the in-process run as a span tree — per-repetition
-lanes, per-region simulate spans, per-worker busy time — and writes it
-as Chrome trace-event JSON (open at chrome://tracing or
-ui.perfetto.dev). Tracing never changes report bytes:
+-trace-out writes the in-process service's span tree for the run —
+admission, cache probe, queue wait, execute, per-repetition lanes,
+per-region simulate spans, per-worker busy time, report encode — as
+Chrome trace-event JSON (open at chrome://tracing or ui.perfetto.dev).
+Tracing never changes report bytes:
   cuttlefish run -bench bursty -trace-out trace.json
 
 -timeline-out arms the deterministic flight recorder: the simulated
@@ -251,7 +286,8 @@ frequency, IPC, instructions, RAPL energy) and every governor decision
 (DVFS/UFS transitions, TIPI slab inserts, exploration phases) lands as
 an event. The JSON file is a pure function of the spec — two runs
 produce byte-identical timelines — and with -trace-out the counters are
-also folded into the Chrome trace as Perfetto value tracks:
+also folded into the Chrome trace as Perfetto value tracks. A run served
+from -store executes nothing and so has no timeline:
   cuttlefish run -bench bursty -timeline-out timeline.json
   cuttlefish run -bench bursty -trace-out trace.json -timeline-out timeline.json
 
@@ -265,27 +301,25 @@ persists snapshots across invocations:
 
 flags (before or after the experiment):
 `, strings.Join(governor.Names(), ", "))
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(w)
 	fs.PrintDefaults()
 	fs.SetOutput(io.Discard)
 }
 
-// run executes one experiment — in-process, or against a cfserve
-// instance when -remote is set — and renders its report in the chosen
-// format.
-func run(name string, opt experiments.Options, format string) error {
-	if opt.Governor != "" {
-		// Fail fast on typos before burning simulation time.
-		if _, err := governor.New(opt.Governor, governor.Tuning{}); err != nil {
+// run executes the named experiment — or, for all, each experiment in
+// turn; sweep and fuzz fan out their own specs — over the backend pool
+// and renders the reports in the chosen format.
+func run(name string, spec service.RunSpec, format string, stdout, stderr io.Writer) error {
+	if spec.Governor != "" {
+		// Fail fast on typos before burning simulation time, also for
+		// experiments whose harness picks its own governors.
+		if _, err := governor.New(spec.Governor, governor.Tuning{}); err != nil {
 			return err
 		}
 	}
 	if scenarioFile != "" {
 		if name != "run" {
 			return fmt.Errorf("-scenario only applies to the run experiment, not %q", name)
-		}
-		if benchName != "" {
-			return fmt.Errorf("-bench and -scenario are mutually exclusive")
 		}
 		raw, err := os.ReadFile(scenarioFile)
 		if err != nil {
@@ -295,157 +329,104 @@ func run(name string, opt experiments.Options, format string) error {
 		if err != nil {
 			return err
 		}
-		opt.ScenarioDef = &def
+		spec.ScenarioDef = &def
 	}
-	if name == "run" && benchName == "" && opt.ScenarioDef == nil {
-		return fmt.Errorf("the run experiment needs -bench <name> or -scenario <file.json>")
-	}
-	if name == "sweep" {
-		return runSweep(opt, format)
-	}
-	if name == "fuzz" {
-		return runFuzz(opt, format)
-	}
-	if name == "all" {
-		for _, e := range []string{"table1", "fig2", "fig3a", "fig3b", "fig10", "fig11", "table2", "table3", "ablation", "ddcm"} {
-			if err := run(e, opt, format); err != nil {
-				return err
-			}
-			fmt.Println()
+	if traceOut != "" || timelineOut != "" {
+		switch {
+		case name == "all" || name == "sweep" || name == "fuzz":
+			return fmt.Errorf("-trace-out and -timeline-out record one experiment at a time, not %q", name)
+		case remote != "" || len(backends) > 0:
+			return fmt.Errorf("-trace-out and -timeline-out record in-process runs; fetch a remote run's trace or timeline from GET /v1/runs/{id}/trace or /timeline on a cfserve started with -traces or -timelines")
 		}
-		return nil
 	}
-	if remote != "" {
-		if timelineOut != "" {
-			return fmt.Errorf("-timeline-out records in-process runs; fetch a remote run's timeline from GET /v1/runs/{id}/timeline on a cfserve started with -timelines")
-		}
-		return runRemote(name, opt, format)
-	}
-	tier, err := buildMemoTier()
-	if err != nil {
-		return err
-	}
-	if tier != nil {
-		rs := &memo.RunStats{}
-		opt.Memo, opt.MemoStats = tier, rs
-		defer func() {
-			if v := rs.View(); v.Runs > 0 {
-				fmt.Fprintf(os.Stderr, "cuttlefish: memo: %s\n", service.FormatMemoHeader(v))
-			}
-		}()
-	}
-	var tr *obs.Trace
+	// One-entry stores: the in-process service records the run into them
+	// and runOne writes their bytes out.
+	var traces *obs.TraceStore
 	if traceOut != "" {
-		if name == "all" {
-			return fmt.Errorf("-trace-out traces one experiment at a time, not %q", name)
-		}
-		// The trace ID is the spec's content hash — the same ID cfserve
-		// would assign this run — so a file traced locally and one fetched
-		// from GET /v1/runs/{id}/trace name the same execution.
-		tr = obs.NewTrace(service.SpecFromOptions(name, benchName, opt).Hash())
-		opt.Span = tr.Root()
-		opt.Profile = true
+		traces = obs.NewTraceStore(1, "")
 	}
-	opt.Profile = opt.Profile || profileFlag
-	var rec *timeline.Recorder
+	var timelines *timeline.Store
 	if timelineOut != "" {
+		timelines = timeline.NewStore(1)
+	}
+	pool, cleanup, err := buildBackendPool(traces, timelines)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	switch name {
+	case "sweep":
+		return runSweep(pool, format, stdout, stderr)
+	case "fuzz":
+		return runFuzz(pool, spec, format, stdout, stderr)
+	}
+	names := []string{name}
+	if name == "all" {
+		names = allExperiments
+	}
+	for _, e := range names {
+		spec.Experiment = e
+		if err := runOne(pool[0], spec.Normalized(), traces, timelines, format, stdout, stderr); err != nil {
+			return err
+		}
 		if name == "all" {
-			return fmt.Errorf("-timeline-out records one experiment at a time, not %q", name)
-		}
-		// The recorder's ID is the spec's content hash, same as the trace
-		// ID — the timeline written here is byte-identical to the one a
-		// cfserve started with -timelines would serve for this spec.
-		rec = timeline.New(service.SpecFromOptions(name, benchName, opt).Hash())
-		opt.Timeline = rec
-	}
-	rep, err := build(name, opt)
-	if tr != nil {
-		if err != nil {
-			tr.Root().Set("error", err.Error())
-		}
-		tr.Root().End()
-		// Fold the timeline's counter tracks and decision markers into
-		// the span trace so one Perfetto file tells the whole story.
-		obs.MergeTimeline(tr, rec)
-		if werr := writeTrace(tr, traceOut); werr != nil && err == nil {
-			err = werr
+			fmt.Fprintln(stdout)
 		}
 	}
-	if rec != nil && err == nil {
-		if werr := writeTimeline(rec, timelineOut); werr != nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return rep.Write(os.Stdout, format)
-}
-
-// writeTrace dumps the completed trace as Chrome trace-event JSON
-// (load it at chrome://tracing or ui.perfetto.dev).
-func writeTrace(tr *obs.Trace, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cuttlefish: trace written to %s\n", path)
 	return nil
 }
 
-// writeTimeline dumps the flight recorder's export as indented JSON.
-// The bytes are a pure function of the spec: two runs of one spec
-// produce byte-identical files (the CI timeline-smoke job cmp's them).
-func writeTimeline(rec *timeline.Recorder, path string) error {
-	f, err := os.Create(path)
+// runOne submits one normalized spec to the backend and renders what
+// comes back: the serving note and memo activity on stderr, the recorded
+// trace and timeline to their files, the report on stdout.
+func runOne(b orchestrator.Backend, spec service.RunSpec, traces *obs.TraceStore, timelines *timeline.Store, format string, stdout, stderr io.Writer) error {
+	hash := spec.Hash()
+	res, err := b.Run(context.Background(), spec)
+	if tr, ok := traces.Get(hash); ok {
+		// Written on failure too: the root span carries the error.
+		var buf bytes.Buffer
+		werr := tr.WriteChrome(&buf)
+		if werr == nil {
+			werr = os.WriteFile(traceOut, buf.Bytes(), 0o644)
+		}
+		if werr != nil {
+			return errors.Join(err, werr)
+		}
+		fmt.Fprintf(stderr, "cuttlefish: trace written to %s\n", traceOut)
+	}
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	note := fmt.Sprintf("cuttlefish: %s via %s (%s)", spec.Experiment, b.Name(), res.Outcome)
+	if res.Convergence != nil {
+		note += " [" + service.FormatTimelineHeader(*res.Convergence) + "]"
 	}
-	if err := f.Close(); err != nil {
-		return err
+	fmt.Fprintln(stderr, note)
+	if res.Memo != nil && res.Memo.Runs > 0 {
+		fmt.Fprintf(stderr, "cuttlefish: memo: %s\n", service.FormatMemoHeader(*res.Memo))
 	}
-	conv := rec.Convergence()
-	fmt.Fprintf(os.Stderr, "cuttlefish: timeline written to %s (%s)\n", path, service.FormatTimelineHeader(conv))
-	return nil
-}
-
-// buildMemoTier constructs the prefix-snapshot tier the -memo flags ask
-// for; nil when memoization is off. With -memo-dir the tier persists
-// snapshots across invocations, so a tweaked re-run of a long scenario
-// resumes from the last shared phase boundary instead of re-simulating
-// its whole prefix.
-func buildMemoTier() (*memo.Tier, error) {
-	if !memoFlag && memoDir == "" {
-		return nil, nil
-	}
-	var disk *store.Store
-	if memoDir != "" {
-		var err error
-		if disk, err = store.Open(memoDir, 0); err != nil {
-			return nil, err
+	if timelineOut != "" {
+		data, ok := timelines.Get(hash)
+		if !ok {
+			return fmt.Errorf("-timeline-out: %s was served from the result cache (%s), so no simulation ran to record; drop -store or change the spec", spec.Experiment, res.Outcome)
 		}
+		if err := os.WriteFile(timelineOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "cuttlefish: timeline written to %s\n", timelineOut)
 	}
-	return memo.New(memoMaxBytes, disk), nil
+	rep, err := report.Decode(res.Body)
+	if err != nil {
+		return err
+	}
+	return rep.Write(stdout, format)
 }
 
-// runSweep expands a sweep spec and dispatches it over the configured
-// backends — every -backend URL, plus -remote for symmetry with the
-// other subcommands; with none it runs in-process (optionally with a
-// persistent -store, so warm re-runs cost nothing there too). Progress
-// and the operational summary go to stderr; the aggregated report —
-// deterministic across backend topologies — goes to stdout in -format.
-func runSweep(opt experiments.Options, format string) error {
+// runSweep expands a sweep spec and dispatches it over the backend pool.
+// Progress and the operational summary go to stderr; the aggregated
+// report — deterministic across backend topologies — goes to stdout in
+// -format.
+func runSweep(pool []orchestrator.Backend, format string, stdout, stderr io.Writer) error {
 	if sweepSpec == "" {
 		return fmt.Errorf("the sweep subcommand needs -spec <file.json>")
 	}
@@ -457,18 +438,13 @@ func runSweep(opt experiments.Options, format string) error {
 	if err != nil {
 		return err
 	}
-	pool, cleanup, err := buildBackendPool(opt)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
 	var dupNoted bool // OnEvent calls are serialized by the orchestrator
 	o, err := orchestrator.New(orchestrator.Config{
 		Backends: pool,
 		OnEvent: func(ev orchestrator.Event) {
 			if ev.Duplicates > 0 && !dupNoted {
 				dupNoted = true
-				fmt.Fprintf(os.Stderr, "sweep: %d duplicate grid cell(s) collapsed by hash-dedup (cross-product %d)\n",
+				fmt.Fprintf(stderr, "sweep: %d duplicate grid cell(s) collapsed by hash-dedup (cross-product %d)\n",
 					ev.Duplicates, ev.Total+ev.Duplicates)
 			}
 			target := ev.Spec.Experiment
@@ -484,7 +460,7 @@ func runSweep(opt experiments.Options, format string) error {
 				target += "/" + ev.Spec.Governor
 			}
 			if ev.Err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: attempt %d for %s failed on %s: %v\n", ev.Attempt, target, ev.Backend, ev.Err)
+				fmt.Fprintf(stderr, "sweep: attempt %d for %s failed on %s: %v\n", ev.Attempt, target, ev.Backend, ev.Err)
 				return
 			}
 			line := fmt.Sprintf("sweep: %d/%d %s seed=%d (%s via %s)",
@@ -492,7 +468,7 @@ func runSweep(opt experiments.Options, format string) error {
 			if ev.Memo != nil && ev.Memo.PrefixHits > 0 {
 				line += fmt.Sprintf(" [memo: %d/%d quanta skipped]", ev.Memo.QuantaSaved, ev.Memo.QuantaTotal)
 			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(stderr, line)
 		},
 	})
 	if err != nil {
@@ -500,7 +476,7 @@ func runSweep(opt experiments.Options, format string) error {
 	}
 	res, err := o.Run(context.Background(), sweep)
 	if res != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %s\n", res.Summary)
+		fmt.Fprintf(stderr, "sweep: %s\n", res.Summary)
 	}
 	if err != nil {
 		return err
@@ -509,14 +485,15 @@ func runSweep(opt experiments.Options, format string) error {
 	if err != nil {
 		return err
 	}
-	return rep.Write(os.Stdout, format)
+	return rep.Write(stdout, format)
 }
 
-// buildBackendPool assembles the execution backends the sweep and fuzz
-// subcommands dispatch over: every -backend URL plus -remote, or — with
-// neither — one in-process service wired with the -store and -memo cache
-// tiers. The cleanup func tears down whatever was built.
-func buildBackendPool(opt experiments.Options) ([]orchestrator.Backend, func(), error) {
+// buildBackendPool assembles the backends every experiment runs on:
+// every -backend URL plus -remote, or — with neither — one in-process
+// service wired with the -store and -memo cache tiers, -profile, and the
+// trace and timeline stores the recording flags read back (nil when
+// off). The cleanup func tears down whatever was built.
+func buildBackendPool(traces *obs.TraceStore, timelines *timeline.Store) ([]orchestrator.Backend, func(), error) {
 	urls := append(stringList(nil), backends...)
 	if remote != "" {
 		urls = append(urls, remote)
@@ -528,7 +505,13 @@ func buildBackendPool(opt experiments.Options) ([]orchestrator.Backend, func(), 
 		}
 		return pool, func() {}, nil
 	}
-	cfg := service.Config{Workers: opt.Workers, QueueDepth: 64}
+	cfg := service.Config{
+		Workers:    workers,
+		QueueDepth: 64,
+		Profile:    profileFlag || traceOut != "",
+		Traces:     traces,
+		Timelines:  timelines,
+	}
 	if storeDir != "" {
 		st, err := store.Open(storeDir, 0)
 		if err != nil {
@@ -536,11 +519,19 @@ func buildBackendPool(opt experiments.Options) ([]orchestrator.Backend, func(), 
 		}
 		cfg.Store = st
 	}
-	tier, err := buildMemoTier()
-	if err != nil {
-		return nil, nil, err
+	if memoFlag || memoDir != "" {
+		// With -memo-dir the tier persists snapshots across invocations,
+		// so a tweaked re-run of a long scenario resumes from the last
+		// shared phase boundary instead of re-simulating its whole prefix.
+		var disk *store.Store
+		if memoDir != "" {
+			var err error
+			if disk, err = store.Open(memoDir, 0); err != nil {
+				return nil, nil, err
+			}
+		}
+		cfg.Memo = memo.New(memoMaxBytes, disk)
 	}
-	cfg.Memo = tier
 	svc := service.New(cfg)
 	return []orchestrator.Backend{&orchestrator.LocalBackend{Service: svc}}, svc.Close, nil
 }
@@ -552,22 +543,22 @@ func buildBackendPool(opt experiments.Options) ([]orchestrator.Backend, func(), 
 // baseline verdict go to stderr. Findings alone do not fail the command
 // (they are the fuzzer's product); new findings or metric regressions
 // against a -baseline do.
-func runFuzz(opt experiments.Options, format string) error {
-	cfg := fuzz.Config{N: fuzzN, Seed: opt.Seed, Workers: opt.Workers}
+func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, format string, stdout, stderr io.Writer) error {
+	cfg := fuzz.Config{N: fuzzN, Seed: spec.Seed, Workers: workers}
 	// The fuzzer's own defaults (8 cores, 0.05 scale, 1 rep) are sized
 	// for breadth, not paper fidelity; the shared flags override them
 	// only when the user spelled them out.
 	if setFlags["scale"] {
-		cfg.Scale = opt.Scale
+		cfg.Scale = spec.Scale
 	}
 	if setFlags["cores"] {
-		cfg.Cores = opt.Cores
+		cfg.Cores = spec.Cores
 	}
 	if setFlags["reps"] {
-		cfg.Reps = opt.Reps
+		cfg.Reps = spec.Reps
 	}
 	if setFlags["tinv"] {
-		cfg.TinvSec = opt.TinvSec
+		cfg.TinvSec = spec.TinvSec
 	}
 	var corpus *fuzz.Corpus
 	var err error
@@ -575,12 +566,12 @@ func runFuzz(opt experiments.Options, format string) error {
 		if corpus, err = fuzz.LoadCorpus(replayPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "fuzz: replaying %d scenario(s) from %s\n", len(corpus.Entries), replayPath)
+		fmt.Fprintf(stderr, "fuzz: replaying %d scenario(s) from %s\n", len(corpus.Entries), replayPath)
 	} else {
 		if corpus, err = fuzz.Generate(cfg); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "fuzz: corpus: %d scenario(s) from seed %d (%d duplicate(s) collapsed), digest %.12s…\n",
+		fmt.Fprintf(stderr, "fuzz: corpus: %d scenario(s) from seed %d (%d duplicate(s) collapsed), digest %.12s…\n",
 			len(corpus.Entries), cfg.Seed, corpus.Duplicates, corpus.Digest())
 	}
 	if corpusOut != "" {
@@ -592,13 +583,8 @@ func runFuzz(opt experiments.Options, format string) error {
 				return err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "fuzz: wrote %d corpus entr(ies) to %s\n", len(corpus.Entries), corpusOut)
+		fmt.Fprintf(stderr, "fuzz: wrote %d corpus entr(ies) to %s\n", len(corpus.Entries), corpusOut)
 	}
-	pool, cleanup, err := buildBackendPool(opt)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
 	ctx := context.Background()
 	rep, err := fuzz.Run(ctx, pool, corpus, cfg)
 	if err != nil {
@@ -610,21 +596,21 @@ func runFuzz(opt experiments.Options, format string) error {
 			outcomes[c.Outcome]++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "fuzz: %d cell(s) executed (%s), %d finding(s)\n",
+	fmt.Fprintf(stderr, "fuzz: %d cell(s) executed (%s), %d finding(s)\n",
 		len(rep.Cells), formatOutcomes(outcomes), len(rep.Findings))
 	if minimizeFlag {
-		if err := minimizeFindings(ctx, pool, rep, corpus, cfg); err != nil {
+		if err := minimizeFindings(ctx, pool, rep, corpus, cfg, stderr); err != nil {
 			return err
 		}
 	}
-	if err := rep.RunReport().Write(os.Stdout, format); err != nil {
+	if err := rep.RunReport().Write(stdout, format); err != nil {
 		return err
 	}
 	if writeBaseline != "" {
 		if err := fuzz.BaselineOf(rep, cfg).Save(writeBaseline); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "fuzz: baseline written to %s\n", writeBaseline)
+		fmt.Fprintf(stderr, "fuzz: baseline written to %s\n", writeBaseline)
 	}
 	if baselineFile != "" {
 		base, err := fuzz.LoadBaseline(baselineFile)
@@ -636,15 +622,15 @@ func runFuzz(opt experiments.Options, format string) error {
 			return err
 		}
 		for _, f := range resolved {
-			fmt.Fprintf(os.Stderr, "fuzz: resolved vs baseline (refresh it with -write-baseline): %s/%s %s\n", f.Scenario, f.Kind, f.Detail)
+			fmt.Fprintf(stderr, "fuzz: resolved vs baseline (refresh it with -write-baseline): %s/%s %s\n", f.Scenario, f.Kind, f.Detail)
 		}
 		if len(violations) > 0 {
 			for _, f := range violations {
-				fmt.Fprintf(os.Stderr, "fuzz: VIOLATION %s %s governor=%s ref=%s: %s\n", f.Scenario, f.Kind, f.Governor, f.Reference, f.Detail)
+				fmt.Fprintf(stderr, "fuzz: VIOLATION %s %s governor=%s ref=%s: %s\n", f.Scenario, f.Kind, f.Governor, f.Reference, f.Detail)
 			}
 			return fmt.Errorf("%d violation(s) vs baseline %s", len(violations), baselineFile)
 		}
-		fmt.Fprintf(os.Stderr, "fuzz: baseline %s holds (%d finding(s) match, no metric regressions)\n", baselineFile, len(base.Findings))
+		fmt.Fprintf(stderr, "fuzz: baseline %s holds (%d finding(s) match, no metric regressions)\n", baselineFile, len(base.Findings))
 	}
 	return nil
 }
@@ -652,7 +638,7 @@ func runFuzz(opt experiments.Options, format string) error {
 // minimizeFindings greedily shrinks every finding-bearing scenario (one
 // per scenario, all its finding kinds at once) and persists the minimized
 // entries to -corpus-out, or describes them on stderr without it.
-func minimizeFindings(ctx context.Context, pool []orchestrator.Backend, rep *fuzz.Report, corpus *fuzz.Corpus, cfg fuzz.Config) error {
+func minimizeFindings(ctx context.Context, pool []orchestrator.Backend, rep *fuzz.Report, corpus *fuzz.Corpus, cfg fuzz.Config, stderr io.Writer) error {
 	kindsByScenario := map[string]map[string]bool{}
 	for _, f := range rep.Findings {
 		if kindsByScenario[f.Scenario] == nil {
@@ -674,7 +660,7 @@ func minimizeFindings(ctx context.Context, pool []orchestrator.Backend, rep *fuz
 		}
 		min, spent := fuzz.Minimize(ctx, e, kinds, runOne, 64)
 		min.Note = fmt.Sprintf("minimized from %s (%d evaluation(s))", e.Def.Name, spent)
-		fmt.Fprintf(os.Stderr, "fuzz: minimized %s -> %s: %d phase(s) x %d iteration(s) (%d evaluation(s))\n",
+		fmt.Fprintf(stderr, "fuzz: minimized %s -> %s: %d phase(s) x %d iteration(s) (%d evaluation(s))\n",
 			e.Def.Name, min.Def.Name, len(min.Def.Phases), min.Def.Iterations, spent)
 		if corpusOut != "" {
 			if err := fuzz.WriteEntry(filepath.Join(corpusOut, "min-"+min.Def.Name+".json"), min); err != nil {
@@ -697,50 +683,4 @@ func formatOutcomes(counts map[string]int) string {
 		return "none"
 	}
 	return strings.Join(parts, ", ")
-}
-
-// runRemote ships the experiment to a cfserve instance: the same flags
-// become a RunSpec, the server's canonical report renders locally in any
-// -format. The cache outcome goes to stderr so json/csv stay clean.
-// With -trace-out the client records its own request span and
-// propagates it as X-Trace-Parent, so the local trace file and the
-// server's GET /v1/runs/{id}/trace stitch into one tree.
-func runRemote(name string, opt experiments.Options, format string) error {
-	spec := service.SpecFromOptions(name, benchName, opt)
-	c := &service.Client{BaseURL: remote}
-	var tr *obs.Trace
-	if traceOut != "" {
-		tr = obs.NewTrace(spec.Hash())
-		c.Trace = tr
-	}
-	res, err := c.RunResult(context.Background(), spec)
-	if tr != nil {
-		if err != nil {
-			tr.Root().Set("error", err.Error())
-		}
-		tr.Root().End()
-		if werr := writeTrace(tr, traceOut); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	rep, err := report.Decode(res.Body)
-	if err != nil {
-		return err
-	}
-	note := fmt.Sprintf("cuttlefish: %s via %s (%s)", name, remote, res.Outcome)
-	if res.Convergence != nil {
-		note += " [" + service.FormatTimelineHeader(*res.Convergence) + "]"
-	}
-	fmt.Fprintln(os.Stderr, note)
-	return rep.Write(os.Stdout, format)
-}
-
-// build runs the named experiment in-process and converts its rows to a
-// report; the dispatch itself lives in experiments.BuildReport, shared
-// with the cfserve executor.
-func build(name string, opt experiments.Options) (*report.RunReport, error) {
-	return experiments.BuildReport(name, benchName, opt)
 }

@@ -3,36 +3,52 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/governor"
 	"repro/internal/report"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
-func tinyOptions() experiments.Options {
-	o := experiments.DefaultOptions()
-	o.Scale = 0.02
-	o.Reps = 1
-	return o
+func tinySpec() service.RunSpec {
+	s := defaultSpec()
+	s.Scale = 0.02
+	s.Reps = 1
+	return s
+}
+
+// runReport runs one experiment through the CLI path with -format json
+// and decodes the exact bytes it prints.
+func runReport(t *testing.T, name string, spec service.RunSpec) *report.RunReport {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(name, spec, "json", &out, io.Discard); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	rep, err := report.Decode(out.Bytes())
+	if err != nil {
+		t.Fatalf("%s: -format json printed an undecodable report: %v", name, err)
+	}
+	return rep
 }
 
 // TestRunRejectsUnknownGovernor is the CLI-side registry check: a typo in
 // -governor must fail fast, before any simulation runs.
 func TestRunRejectsUnknownGovernor(t *testing.T) {
-	o := tinyOptions()
-	o.Governor = "turbo-boost"
-	if err := run("table1", o, "json"); err == nil {
+	s := tinySpec()
+	s.Governor = "turbo-boost"
+	if err := run("table1", s, "json", io.Discard, io.Discard); err == nil {
 		t.Error("unknown -governor must error")
 	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if err := run("table9", tinyOptions(), "text"); err == nil {
+	if err := run("table9", tinySpec(), "text", io.Discard, io.Discard); err == nil {
 		t.Error("unknown experiment must error")
 	}
 }
@@ -40,18 +56,14 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 // TestTable1ReportEncodesAcrossGovernors backs the acceptance criterion:
 // `cuttlefish [-governor=<name>] table1 -format json` must print valid JSON
 // for every registered governor and without the flag. It decodes the exact
-// bytes -format json prints (rep.Write with "json") with encoding/json.
+// bytes -format json prints with encoding/json.
 func TestTable1ReportEncodesAcrossGovernors(t *testing.T) {
 	for _, gov := range append([]string{""}, governor.Names()...) {
-		o := tinyOptions()
-		o.Governor = gov
-		rep, err := build("table1", o)
-		if err != nil {
-			t.Fatalf("%q: %v", gov, err)
-		}
+		s := tinySpec()
+		s.Governor = gov
 		var out bytes.Buffer
-		if err := rep.Write(&out, "json"); err != nil {
-			t.Fatalf("%q: write: %v", gov, err)
+		if err := run("table1", s, "json", &out, io.Discard); err != nil {
+			t.Fatalf("%q: %v", gov, err)
 		}
 		var got report.RunReport
 		dec := json.NewDecoder(&out)
@@ -84,8 +96,7 @@ func TestTable1ReportEncodesAcrossGovernors(t *testing.T) {
 // TestRunExperimentRequiresBench: the "run" experiment must fail fast
 // without a -bench, before any simulation time.
 func TestRunExperimentRequiresBench(t *testing.T) {
-	benchName = ""
-	if err := run("run", tinyOptions(), "text"); err == nil {
+	if err := run("run", tinySpec(), "text", io.Discard, io.Discard); err == nil {
 		t.Error("run without -bench must error")
 	}
 }
@@ -94,11 +105,11 @@ func TestRunExperimentRequiresBench(t *testing.T) {
 // -spec file, and on an unreadable or invalid one.
 func TestSweepRequiresSpec(t *testing.T) {
 	sweepSpec = ""
-	if err := run("sweep", tinyOptions(), "text"); err == nil {
+	if err := run("sweep", tinySpec(), "text", io.Discard, io.Discard); err == nil {
 		t.Error("sweep without -spec must error")
 	}
 	sweepSpec = filepath.Join(t.TempDir(), "nope.json")
-	if err := run("sweep", tinyOptions(), "text"); err == nil {
+	if err := run("sweep", tinySpec(), "text", io.Discard, io.Discard); err == nil {
 		t.Error("sweep with a missing spec file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
@@ -107,7 +118,7 @@ func TestSweepRequiresSpec(t *testing.T) {
 	}
 	sweepSpec = bad
 	defer func() { sweepSpec = "" }()
-	if err := run("sweep", tinyOptions(), "text"); err == nil {
+	if err := run("sweep", tinySpec(), "text", io.Discard, io.Discard); err == nil {
 		t.Error("sweep with a typoed axis must error")
 	}
 }
@@ -132,12 +143,11 @@ func TestSweepInProcessEndToEnd(t *testing.T) {
 	sweepSpec = specFile
 	storeDir = filepath.Join(dir, "store")
 	defer func() { sweepSpec, storeDir = "", "" }()
-	o := tinyOptions()
-	if err := run("sweep", o, "json"); err != nil {
+	if err := run("sweep", tinySpec(), "json", io.Discard, io.Discard); err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
 	// Warm re-run: everything must come from the persistent store.
-	if err := run("sweep", o, "json"); err != nil {
+	if err := run("sweep", tinySpec(), "json", io.Discard, io.Discard); err != nil {
 		t.Fatalf("warm sweep: %v", err)
 	}
 	st, err := store.Open(storeDir, 0)
@@ -149,22 +159,15 @@ func TestSweepInProcessEndToEnd(t *testing.T) {
 	}
 }
 
-// parseForTest runs the CLI's two-stage parse on a fresh flag set,
-// returning the experiment, the options and the globals it set.
-func parseForTest(t *testing.T, args ...string) (name, gotBench string, opt experiments.Options, err error) {
+// parseForTest runs the CLI's parse on a fresh flag set, returning the
+// experiment and the spec the flags built.
+func parseForTest(t *testing.T, args ...string) (name string, spec service.RunSpec, err error) {
 	t.Helper()
-	benchName, scenarioFile, format, remote = "", "", "text", ""
-	listGov, listScen = false, false
-	backends = nil
-	t.Cleanup(func() {
-		benchName, scenarioFile, format, remote = "", "", "text", ""
-		listGov, listScen = false, false
-		backends = nil
-	})
-	opt = experiments.DefaultOptions()
-	fs := newFlagSet(&opt)
+	spec = defaultSpec()
+	fs := newFlagSet(&spec)
+	t.Cleanup(func() { newFlagSet(&service.RunSpec{}) })
 	name, err = parseArgs(fs, args)
-	return name, benchName, opt, err
+	return name, spec, err
 }
 
 // TestFlagsAcceptedBeforeAndAfterSubcommand is the regression test for
@@ -178,12 +181,12 @@ func TestFlagsAcceptedBeforeAndAfterSubcommand(t *testing.T) {
 		{"run", "-seed", "7", "-bench", "UTS", "-format", "text"},
 	}
 	for _, args := range cases {
-		name, gotBench, opt, err := parseForTest(t, args...)
+		name, spec, err := parseForTest(t, args...)
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
-		if name != "run" || gotBench != "UTS" || opt.Seed != 7 {
-			t.Errorf("%v: name=%q bench=%q seed=%d, want run/UTS/7", args, name, gotBench, opt.Seed)
+		if name != "run" || spec.Benchmark != "UTS" || spec.Seed != 7 {
+			t.Errorf("%v: name=%q bench=%q seed=%d, want run/UTS/7", args, name, spec.Benchmark, spec.Seed)
 		}
 	}
 }
@@ -197,19 +200,19 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{"run", "-sed", "7"},
 		{"-seed", "7", "run", "-sed", "9"},
 	} {
-		_, _, _, err := parseForTest(t, args...)
+		_, _, err := parseForTest(t, args...)
 		if err == nil || !strings.Contains(err.Error(), "-sed") {
 			t.Errorf("%v: err = %v, want the offending flag named", args, err)
 		}
 	}
-	if _, _, _, err := parseForTest(t, "run", "UTS"); err == nil ||
+	if _, _, err := parseForTest(t, "run", "UTS"); err == nil ||
 		!strings.Contains(err.Error(), "unexpected argument") {
 		t.Errorf("second positional: err = %v, want unexpected-argument", err)
 	}
 }
 
 // TestRunScenarioFile drives a JSON-only scenario through the CLI run
-// path: parse, build, one report row named after the definition.
+// path: parse, submit, one report row named after the definition.
 func TestRunScenarioFile(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "probe.json")
@@ -223,17 +226,17 @@ func TestRunScenarioFile(t *testing.T) {
 	}
 	scenarioFile = file
 	defer func() { scenarioFile = "" }()
-	o := tinyOptions()
-	if err := run("run", o, "text"); err != nil {
-		t.Fatalf("scenario run: %v", err)
+	s := tinySpec()
+	rep := runReport(t, "run", s)
+	if len(rep.Rows) != 1 || rep.Rows[0]["benchmark"] != "cli-probe" {
+		t.Errorf("rows = %+v", rep.Rows)
 	}
 	// -scenario is run-only and exclusive with -bench.
-	if err := run("table1", o, "text"); err == nil {
+	if err := run("table1", s, "text", io.Discard, io.Discard); err == nil {
 		t.Error("-scenario with table1 must error")
 	}
-	benchName = "UTS"
-	defer func() { benchName = "" }()
-	if err := run("run", o, "text"); err == nil {
+	s.Benchmark = "UTS"
+	if err := run("run", s, "text", io.Discard, io.Discard); err == nil {
 		t.Error("-bench with -scenario must error")
 	}
 }
@@ -241,30 +244,22 @@ func TestRunScenarioFile(t *testing.T) {
 // TestRunRegisteredScenarioByName: -bench accepts registry names beyond
 // Table 1, so synthetic scenarios run through the same subcommand.
 func TestRunRegisteredScenarioByName(t *testing.T) {
-	benchName = "compute-bound"
-	defer func() { benchName = "" }()
-	o := tinyOptions()
-	o.Scale = 0.005
-	rep, err := build("run", o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := tinySpec()
+	s.Benchmark = "compute-bound"
+	s.Scale = 0.005
+	rep := runReport(t, "run", s)
 	if len(rep.Rows) != 1 || rep.Rows[0]["benchmark"] != "compute-bound" {
 		t.Errorf("rows = %+v", rep.Rows)
 	}
 }
 
 // TestRunExperimentReport drives the single-benchmark experiment behind
-// POST /v1/runs through the same build path the CLI uses.
+// POST /v1/runs through the CLI's run path.
 func TestRunExperimentReport(t *testing.T) {
-	benchName = "Heat-irt"
-	defer func() { benchName = "" }()
-	o := tinyOptions()
-	o.Reps = 2
-	rep, err := build("run", o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := tinySpec()
+	s.Benchmark = "Heat-irt"
+	s.Reps = 2
+	rep := runReport(t, "run", s)
 	if rep.Experiment != "run" || rep.Governor != "default" {
 		t.Errorf("experiment=%q governor=%q", rep.Experiment, rep.Governor)
 	}
@@ -272,7 +267,7 @@ func TestRunExperimentReport(t *testing.T) {
 		t.Fatalf("rows = %d, want one per rep", len(rep.Rows))
 	}
 	for i, row := range rep.Rows {
-		if row["benchmark"] != "Heat-irt" || row["rep"] != i {
+		if row["benchmark"] != "Heat-irt" || row["rep"] != float64(i) {
 			t.Errorf("row %d = %v", i, row)
 		}
 		if s, ok := row["seconds"].(float64); !ok || s <= 0 {

@@ -103,7 +103,8 @@ func Ablation(names []string, opt Options) ([]AblationRow, error) {
 			return err
 		}
 		g := governor.NewCuttlefishFromConfig(dcfg)
-		res, err := run(simJob{entry: specs[j.bench].Entry(), gov: g, seed: opt.Seed + int64(j.rep)}, opt)
+		lopt := opt.lane(fmt.Sprintf("%s/%s/rep-%d", specs[j.bench].Name, j.variant, j.rep), i)
+		res, err := run(simJob{entry: specs[j.bench].Entry(), gov: g, seed: opt.Seed + int64(j.rep)}, lopt)
 		outcomes[i] = res
 		return err
 	})
@@ -111,7 +112,7 @@ func Ablation(names []string, opt Options) ([]AblationRow, error) {
 		return nil, err
 	}
 	// Defaults for the savings baseline.
-	defaults, err := runReps(specs, governor.Default, opt)
+	defaults, err := runReps(specs, governor.Default, opt.lane(governor.Default, len(jobs)))
 	if err != nil {
 		return nil, err
 	}

@@ -101,8 +101,8 @@ func BuildReport(name, benchName string, opt Options) (*report.RunReport, error)
 		return DDCMReport(rows, opt), nil
 	case "oracle":
 		var rows []OracleResult
-		for _, b := range OracleBenchmarks {
-			r, err := Oracle(b, opt, 1, 2)
+		for i, b := range OracleBenchmarks {
+			r, err := Oracle(b, opt.lane(b, i), 1, 2)
 			if err != nil {
 				return nil, err
 			}

@@ -97,15 +97,11 @@ func Table1(opt Options) ([]Table1Row, error) {
 	rows := make([]Table1Row, len(specs))
 	err := forEach(len(specs), opt, func(i int) error {
 		spec := specs[i]
-		// Each benchmark samples into its own lane, keyed by name with
-		// the census index for deterministic export order.
-		lopt := opt
-		lopt.Timeline = opt.Timeline.Lane(spec.Name, i)
 		g, err := governor.New(opt.governorName(governor.Default), opt.tuning())
 		if err != nil {
 			return err
 		}
-		pts, sec, err := sampleRun(spec, lopt, g)
+		pts, sec, err := sampleRun(spec, opt.lane(spec.Name, i), g)
 		if err != nil {
 			return err
 		}
@@ -150,7 +146,7 @@ func Fig2(opt Options) (map[string][]CensusPoint, error) {
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %q", Fig2Benchmarks[i])
 		}
-		pts, _, err := sampleRun(spec, opt, governor.NewStatic(spec22CF(), spec22UF()))
+		pts, _, err := sampleRun(spec, opt.lane(spec.Name, i), governor.NewStatic(spec22CF(), spec22UF()))
 		recs[i] = pts
 		return err
 	})
@@ -203,7 +199,7 @@ func fig3Sweep(opt Options, settings []freq.Ratio, sweepCF bool) ([]Fig3Point, e
 		} else {
 			uf = j.setting
 		}
-		pts, _, err := sampleRun(spec, opt, governor.NewStatic(cf, uf))
+		pts, _, err := sampleRun(spec, opt.lane(fmt.Sprintf("%s/%v", spec.Name, j.setting), i), governor.NewStatic(cf, uf))
 		if err != nil {
 			return err
 		}

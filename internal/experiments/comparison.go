@@ -75,7 +75,8 @@ func Compare(names []string, opt Options) (Comparison, error) {
 	var mu sync.Mutex
 	err := forEach(len(keys), opt, func(i int) error {
 		k := keys[i]
-		res, err := RunOne(specs[k.bench], k.governor, opt, opt.Seed+int64(k.rep))
+		lopt := opt.lane(fmt.Sprintf("%s/%s/rep-%d", specs[k.bench].Name, k.governor, k.rep), i)
+		res, err := RunOne(specs[k.bench], k.governor, lopt, opt.Seed+int64(k.rep))
 		if err != nil {
 			return err
 		}
@@ -168,14 +169,14 @@ func Table3(opt Options, tinvs []float64) ([]Table3Row, error) {
 	}
 
 	// The baseline is Tinv-independent; run it once.
-	defaults, err := runReps(specs, governor.Default, opt)
+	defaults, err := runReps(specs, governor.Default, opt.lane(governor.Default, 0))
 	if err != nil {
 		return nil, err
 	}
 
 	rows := make([]Table3Row, len(tinvs))
 	for ti, tinv := range tinvs {
-		o := opt
+		o := opt.lane(fmt.Sprintf("%s/tinv-%gms", governor.Cuttlefish, tinv*1e3), ti+1)
 		o.TinvSec = tinv
 		runs, err := runReps(specs, governor.Cuttlefish, o)
 		if err != nil {
@@ -203,12 +204,14 @@ func Table3(opt Options, tinvs []float64) ([]Table3Row, error) {
 
 // runReps runs every spec Reps times under gov. Result b*Reps+r is spec
 // b's repetition r, seeded Seed+r like the matching repetition of every
-// other governor, so ratios compare like with like.
+// other governor, so ratios compare like with like. Each run samples into
+// its own lane of opt's recorder, which the caller scopes to this call.
 func runReps(specs []bench.Spec, gov string, opt Options) ([]RunResult, error) {
 	out := make([]RunResult, len(specs)*opt.Reps)
 	err := forEach(len(out), opt, func(i int) error {
+		spec, r := specs[i/opt.Reps], i%opt.Reps
 		var err error
-		out[i], err = RunOne(specs[i/opt.Reps], gov, opt, opt.Seed+int64(i%opt.Reps))
+		out[i], err = RunOne(spec, gov, opt.lane(fmt.Sprintf("%s/rep-%d", spec.Name, r), i), opt.Seed+int64(r))
 		return err
 	})
 	return out, err

@@ -44,15 +44,16 @@ func DDCMStudy(names []string, opt Options) ([]DDCMRow, error) {
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %q", names[i])
 		}
-		base, err := runThrottled(spec, opt, 23, 0)
+		bopt := opt.lane(spec.Name, i)
+		base, err := runThrottled(spec, bopt.lane("base", 0), 23, 0)
 		if err != nil {
 			return err
 		}
-		dvfs, err := runThrottled(spec, opt, dvfsRatio, 0)
+		dvfs, err := runThrottled(spec, bopt.lane("dvfs", 1), dvfsRatio, 0)
 		if err != nil {
 			return err
 		}
-		ddcm, err := runThrottled(spec, opt, 23, ddcmLevel)
+		ddcm, err := runThrottled(spec, bopt.lane("ddcm", 2), 23, ddcmLevel)
 		if err != nil {
 			return err
 		}

@@ -106,6 +106,16 @@ type Options struct {
 	Timeline *timeline.Recorder
 }
 
+// lane narrows the options' flight recorder to the named child lane.
+// Harnesses give every job of a concurrent fan-out its own lane, ordered
+// by job index, so no two simulations sample into one lane in host
+// scheduling order and the exported timeline is a pure function of the
+// spec. Nil-safe like the recorder: a disabled run stays disabled.
+func (o Options) lane(name string, order int) Options {
+	o.Timeline = o.Timeline.Lane(name, order)
+	return o
+}
+
 // pool returns the shared bounded-concurrency pool every harness fans its
 // independent simulations out on.
 func (o Options) pool() runner.Pool { return runner.Pool{Workers: o.Workers} }

@@ -1,34 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
-	"time"
 
 	"repro/internal/governor"
 	"repro/internal/memo"
 	"repro/internal/scenario"
 )
-
-// sweepAllGovernors runs the bursty scenario under every registered
-// governor against one memo tier, returning the wall time and the
-// accumulated memo counters.
-func sweepAllGovernors(t *testing.T, tier *memo.Tier) (time.Duration, memo.RunStatsView) {
-	t.Helper()
-	opt := memoTestOptions()
-	opt.Memo = tier
-	rs := &memo.RunStats{}
-	opt.MemoStats = rs
-	e := burstyEntry(t)
-	start := time.Now()
-	for _, gov := range governor.Names() {
-		if _, err := RunEntry(e, gov, opt, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return time.Since(start), rs.View()
-}
 
 // BenchmarkPrefixResume measures the warm path: an 8-governor sweep
 // against a tier populated by an identical cold sweep, so every run
@@ -54,50 +32,4 @@ func BenchmarkPrefixResume(b *testing.B) {
 			}
 		}
 	}
-}
-
-// TestEmitMemoBaseline writes the BENCH_memo.json baseline when
-// BENCH_MEMO_OUT names a path; CI regenerates it and the committed copy
-// records the reference numbers: a warm 8-governor sweep must re-simulate
-// strictly less than 100% of the cold sweep's quanta and run faster.
-func TestEmitMemoBaseline(t *testing.T) {
-	out := os.Getenv("BENCH_MEMO_OUT")
-	if out == "" {
-		t.Skip("set BENCH_MEMO_OUT=<path> to emit the baseline")
-	}
-	tier := memo.New(0, nil)
-	coldWall, coldStats := sweepAllGovernors(t, tier)
-	warmWall, warmStats := sweepAllGovernors(t, tier)
-	if warmStats.QuantaSaved <= 0 {
-		t.Fatal("warm sweep resumed nothing")
-	}
-	resim := float64(warmStats.QuantaTotal-warmStats.QuantaSaved) / float64(warmStats.QuantaTotal)
-	if resim >= 1.0 {
-		t.Fatalf("warm sweep re-simulated %.0f%% of its quanta", resim*100)
-	}
-	baseline := map[string]any{
-		"benchmark":           "BenchmarkPrefixResume: 8-governor bursty sweep, cold vs warm memo tier",
-		"scenario":            "bursty",
-		"governors":           governor.Names(),
-		"scale":               memoTestOptions().Scale,
-		"cold_ms":             float64(coldWall.Microseconds()) / 1e3,
-		"warm_ms":             float64(warmWall.Microseconds()) / 1e3,
-		"speedup":             float64(coldWall) / float64(warmWall),
-		"cold_quanta":         coldStats.QuantaTotal,
-		"warm_quanta_total":   warmStats.QuantaTotal,
-		"warm_quanta_saved":   warmStats.QuantaSaved,
-		"warm_resim_fraction": resim,
-		"snapshots_stored":    coldStats.SnapshotsStored,
-		"snapshot_bytes":      tier.Bytes(),
-	}
-	raw, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: cold %v, warm %v, %d/%d quanta skipped",
-		out, coldWall, warmWall, warmStats.QuantaSaved, warmStats.QuantaTotal)
 }

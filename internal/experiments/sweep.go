@@ -47,7 +47,8 @@ func Sweep(name string, opt Options, cfStride, ufStride int) ([]SweepPoint, erro
 	})
 	err := forEach(len(points), opt, func(i int) error {
 		p := &points[i]
-		res, err := run(simJob{entry: spec.Entry(), gov: governor.NewStatic(p.CF, p.UF), seed: opt.Seed}, opt)
+		lopt := opt.lane(fmt.Sprintf("%v/%v", p.CF, p.UF), i)
+		res, err := run(simJob{entry: spec.Entry(), gov: governor.NewStatic(p.CF, p.UF), seed: opt.Seed}, lopt)
 		if err != nil {
 			return err
 		}
@@ -89,7 +90,7 @@ func Oracle(name string, opt Options, cfStride, ufStride int) (OracleResult, err
 	if !ok {
 		return OracleResult{}, fmt.Errorf("experiments: unknown benchmark %q", name)
 	}
-	res, err := RunOne(spec, governor.Cuttlefish, opt, opt.Seed)
+	res, err := RunOne(spec, governor.Cuttlefish, opt.lane(governor.Cuttlefish, 0), opt.Seed)
 	if err != nil {
 		return OracleResult{}, err
 	}
@@ -104,7 +105,7 @@ func Oracle(name string, opt Options, cfStride, ufStride int) (OracleResult, err
 	if bestHits == 0 {
 		return OracleResult{}, fmt.Errorf("experiments: %s resolved no slab to compare", name)
 	}
-	grid, err := Sweep(name, opt, cfStride, ufStride)
+	grid, err := Sweep(name, opt.lane(fmt.Sprintf("sweep-%dx%d", cfStride, ufStride), 1), cfStride, ufStride)
 	if err != nil {
 		return OracleResult{}, err
 	}
@@ -125,7 +126,7 @@ func Oracle(name string, opt Options, cfStride, ufStride int) (OracleResult, err
 	if !haveChosen {
 		// The daemon's choice fell between sweep strides; rerun that exact
 		// point.
-		exact, err := Sweep(name, opt, 1, 1)
+		exact, err := Sweep(name, opt.lane("sweep-1x1", 2), 1, 1)
 		if err != nil {
 			return OracleResult{}, err
 		}

@@ -43,11 +43,12 @@ func Table2(opt Options) ([]Table2Row, error) {
 	rows := make([]Table2Row, len(specs))
 	err := forEach(len(specs), opt, func(i int) error {
 		spec := specs[i]
-		cf, err := RunOne(spec, governor.Cuttlefish, opt, opt.Seed)
+		bopt := opt.lane(spec.Name, i)
+		cf, err := RunOne(spec, governor.Cuttlefish, bopt.lane(governor.Cuttlefish, 0), opt.Seed)
 		if err != nil {
 			return err
 		}
-		def, err := RunOne(spec, governor.Default, opt, opt.Seed)
+		def, err := RunOne(spec, governor.Default, bopt.lane(governor.Default, 1), opt.Seed)
 		if err != nil {
 			return err
 		}

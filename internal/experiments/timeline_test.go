@@ -151,3 +151,34 @@ func TestTimelineConvergenceNonzero(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutTimelinesDeterministic records every harness except oracle
+// (it resolves nothing at test scale) twice with concurrent simulations
+// and requires byte-identical timeline documents: each job of a fan-out
+// samples into its own lane, so host scheduling cannot reorder samples.
+func TestFanOutTimelinesDeterministic(t *testing.T) {
+	record := func(name string) []byte {
+		opt := DefaultOptions()
+		opt.Scale = 0.01
+		opt.Reps = 2
+		opt.Workers = 4
+		rec := timeline.New(name)
+		opt.Timeline = rec
+		if _, err := BuildReport(name, "UTS", opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := rec.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, name := range Names {
+		if name == "oracle" {
+			continue
+		}
+		if a, b := record(name), record(name); !bytes.Equal(a, b) {
+			t.Errorf("%s: two recordings of one spec wrote different timelines", name)
+		}
+	}
+}

@@ -2,10 +2,7 @@ package fuzz
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
-	"time"
 
 	"repro/internal/orchestrator"
 	"repro/internal/service"
@@ -22,8 +19,8 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkDifferentialWarm measures the differential pass over a cached
-// service: every cell a content-address hit, the floor the fuzz-smoke CI
-// job's second run sits on.
+// service: every cell a content-address hit (TestWarmPassServedFromCache
+// pins that outcome).
 func BenchmarkDifferentialWarm(b *testing.B) {
 	corpus, err := Generate(Config{N: 5, Seed: 1})
 	if err != nil {
@@ -42,74 +39,4 @@ func BenchmarkDifferentialWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestEmitFuzzBaseline writes BENCH_fuzz.json when BENCH_FUZZ_OUT names
-// a path: the corpus generation rate and the wall clock of one
-// differential pass cold (every cell simulated) vs warm (every cell a
-// cache hit), over the committed baseline's (n, seed).
-func TestEmitFuzzBaseline(t *testing.T) {
-	out := os.Getenv("BENCH_FUZZ_OUT")
-	if out == "" {
-		t.Skip("set BENCH_FUZZ_OUT=<path> to emit the baseline")
-	}
-	cfg := Config{N: 50, Seed: 7}
-	genStart := time.Now()
-	corpus, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genWall := time.Since(genStart)
-
-	// The LRU must hold the whole cell grid or the warm pass cycles it
-	// back to misses (400 cells vs the 256-entry default).
-	svc := service.New(service.Config{Workers: 0, QueueDepth: 64, CacheEntries: 4096})
-	defer svc.Close()
-	pool := []orchestrator.Backend{&orchestrator.LocalBackend{Service: svc}}
-	coldStart := time.Now()
-	rep, err := Run(context.Background(), pool, corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldWall := time.Since(coldStart)
-	warmStart := time.Now()
-	rep2, err := Run(context.Background(), pool, corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmWall := time.Since(warmStart)
-	if rep.FindingsDigest() != rep2.FindingsDigest() {
-		t.Fatal("cold and warm passes disagree on findings")
-	}
-	hits := 0
-	for _, c := range rep2.Cells {
-		if c.Outcome == string(service.OutcomeHit) {
-			hits++
-		}
-	}
-	baseline := map[string]any{
-		"benchmark":            "fuzz: n=50 seed=7 corpus generation + differential pass, cold vs cache-warm",
-		"n":                    cfg.N,
-		"seed":                 cfg.Seed,
-		"scenarios":            len(corpus.Entries),
-		"cells":                len(rep.Cells),
-		"findings":             len(rep.Findings),
-		"corpus_digest":        corpus.Digest(),
-		"generate_ms":          float64(genWall.Microseconds()) / 1e3,
-		"generate_per_sec":     float64(cfg.N) / genWall.Seconds(),
-		"differential_cold_ms": float64(coldWall.Microseconds()) / 1e3,
-		"differential_warm_ms": float64(warmWall.Microseconds()) / 1e3,
-		"speedup":              float64(coldWall) / float64(warmWall),
-		"warm_cache_hits":      hits,
-	}
-	raw, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: generate %v, cold %v, warm %v (%d/%d hits)",
-		out, genWall, coldWall, warmWall, hits, len(rep2.Cells))
 }

@@ -273,8 +273,8 @@ func analyze(corpus *Corpus, cells []Cell, cfg Config) []Finding {
 // RunReport renders the findings as the structured report `cuttlefish
 // fuzz` prints: one row per finding, digests and corpus statistics in
 // Meta. It contains no timing, host or cache-outcome data, so two passes
-// over the same corpus emit byte-identical documents — the property the
-// fuzz-smoke CI job compares directly.
+// over the same corpus emit byte-identical documents — the property
+// cmd/cuttlefish's TestFuzzPassDeterministic compares directly.
 func (r *Report) RunReport() *report.RunReport {
 	rep := report.New("fuzz", "scenario", "kind", "governor", "reference", "delta_pct", "detail")
 	rep.Title = fmt.Sprintf("fuzz: %d scenario(s) × %d governor(s), %d finding(s)",

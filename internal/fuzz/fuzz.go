@@ -175,8 +175,8 @@ type Corpus struct {
 
 // Digest is the corpus's content address: the hex SHA-256 over every
 // entry's (seed, canonical definition) in order. Two fuzz invocations
-// agree on their whole corpus iff their digests are equal — the
-// bit-determinism gate CI compares across back-to-back runs.
+// agree on their whole corpus iff their digests are equal, the
+// corpus half of the fuzzer's bit-determinism contract.
 func (c *Corpus) Digest() string {
 	h := sha256.New()
 	for _, e := range c.Entries {

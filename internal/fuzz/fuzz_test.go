@@ -442,7 +442,7 @@ func TestCorpusReplay(t *testing.T) {
 
 // TestDifferentialRealExecutorSmoke runs a tiny generated corpus through
 // the real simulator twice and demands identical findings — the
-// in-process version of the CI fuzz-smoke byte-identity gate.
+// library-level twin of cmd/cuttlefish's TestFuzzPassDeterministic.
 func TestDifferentialRealExecutorSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-executor differential pass in -short mode")
@@ -480,5 +480,41 @@ func TestDifferentialRealExecutorSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(ba, bb) {
 		t.Fatal("two real-executor passes emit different report bytes")
+	}
+}
+
+// TestWarmPassServedFromCache: a second differential pass over the same
+// in-process service serves every cell from the result cache and finds
+// exactly what the cold pass found — the cache is invisible in the
+// findings.
+func TestWarmPassServedFromCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-executor differential pass in -short mode")
+	}
+	cfg := Config{N: 50, Seed: 7}
+	corpus, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The LRU must hold the whole cell grid, or the warm pass cycles it
+	// back to misses (400 cells vs the 256-entry default).
+	svc := service.New(service.Config{QueueDepth: 64, CacheEntries: 4096})
+	t.Cleanup(svc.Close)
+	pool := []orchestrator.Backend{&orchestrator.LocalBackend{Service: svc}}
+	cold, err := Run(context.Background(), pool, corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Run(context.Background(), pool, corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.FindingsDigest() != warm.FindingsDigest() {
+		t.Error("cold and warm passes disagree on findings")
+	}
+	for _, c := range warm.Cells {
+		if c.Outcome != string(service.OutcomeHit) {
+			t.Errorf("warm cell %s/%s was served %q, want a cache hit", c.Scenario, c.Governor, c.Outcome)
+		}
 	}
 }

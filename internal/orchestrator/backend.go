@@ -17,9 +17,9 @@ type Backend interface {
 }
 
 // LocalBackend wraps an in-process service.Service: the zero-setup
-// backend `cuttlefish sweep` uses when no -backend URL is given. With a
-// store-backed service it persists results exactly like a cfserve
-// instance would.
+// backend every cuttlefish experiment runs on when no -remote or
+// -backend URL is given. With a store-backed service it persists results
+// exactly like a cfserve instance would.
 type LocalBackend struct {
 	Service *service.Service
 	// Label names the backend in progress output ("" = "local").

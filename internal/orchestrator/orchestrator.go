@@ -254,11 +254,6 @@ func (o *Orchestrator) Run(ctx context.Context, sweep SweepSpec) (*SweepResult, 
 	return o.run(ctx, specs, dropped)
 }
 
-// RunSpecs executes an already-expanded spec list (normalized RunSpecs).
-func (o *Orchestrator) RunSpecs(ctx context.Context, specs []service.RunSpec) (*SweepResult, error) {
-	return o.run(ctx, specs, 0)
-}
-
 // run drives an expanded spec list; dropped is the expansion's
 // duplicate-cell count, carried into every event and the summary.
 func (o *Orchestrator) run(ctx context.Context, specs []service.RunSpec, dropped int) (*SweepResult, error) {

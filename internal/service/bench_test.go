@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 )
@@ -94,32 +92,4 @@ func TestServiceCacheHitSpeedup(t *testing.T) {
 	if speedup < 50 {
 		t.Errorf("cache hit speedup = %.1f×, want >= 50×", speedup)
 	}
-}
-
-// TestEmitServiceBaseline writes the BENCH_service.json throughput
-// baseline when BENCH_SERVICE_OUT names a path; CI regenerates it and the
-// committed copy records the reference numbers.
-func TestEmitServiceBaseline(t *testing.T) {
-	out := os.Getenv("BENCH_SERVICE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SERVICE_OUT=<path> to emit the baseline")
-	}
-	cold, hit := measureColdAndHit(t, 500)
-	baseline := map[string]any{
-		"benchmark":    "BenchmarkServiceCacheHit vs cold execution",
-		"spec":         realSpec(),
-		"cold_ms":      float64(cold.Microseconds()) / 1e3,
-		"hit_us":       float64(hit.Nanoseconds()) / 1e3,
-		"speedup":      float64(cold) / float64(hit),
-		"hits_per_sec": float64(time.Second) / float64(hit),
-	}
-	raw, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: cold %v, hit %v", out, cold, hit)
 }

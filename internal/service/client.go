@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/scenario"
 )
 
@@ -22,9 +21,9 @@ import (
 // "http://localhost:8080".
 //
 // HTTP 429 (queue-full backpressure) is not an error but a "come back
-// in a moment": Run retries it with jittered exponential backoff up to
-// MaxAttempts, honouring the request context, instead of failing the
-// whole experiment. Every other failure surfaces immediately.
+// in a moment": RunResult retries it with jittered exponential backoff
+// up to MaxAttempts, honouring the request context, instead of failing
+// the whole experiment. Every other failure surfaces immediately.
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
@@ -120,33 +119,12 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.BaseURL, "/") + path
 }
 
-// Run submits a spec synchronously and decodes the report. The second
-// return is the server's cache outcome (hit / disk / miss / coalesced).
-// 429 responses are retried with jittered backoff; see Client.
-func (c *Client) Run(ctx context.Context, spec RunSpec) (*report.RunReport, Outcome, error) {
-	body, outcome, err := c.RunRaw(ctx, spec)
-	if err != nil {
-		return nil, "", err
-	}
-	rep, err := report.Decode(body)
-	if err != nil {
-		return nil, "", err
-	}
-	return rep, outcome, nil
-}
-
-// RunRaw is Run without decoding: it returns the canonical report bytes
-// exactly as the server sent them. The orchestrator aggregates from
-// these so a disk hit, an LRU hit and a fresh execution of one spec are
-// indistinguishable byte for byte.
-func (c *Client) RunRaw(ctx context.Context, spec RunSpec) ([]byte, Outcome, error) {
-	res, err := c.RunResult(ctx, spec)
-	return res.Body, res.Outcome, err
-}
-
-// RunResult is RunRaw with the full response detail: the spec's content
-// hash, the cache outcome, the canonical bytes, and — when the server
-// executed the spec with prefix memoization — the parsed X-Memo detail.
+// RunResult submits a spec synchronously and returns the full response
+// detail: the spec's content hash, the cache outcome (hit / disk / miss /
+// coalesced), the canonical report bytes exactly as the server sent them,
+// and — when the server executed the spec — the parsed X-Memo and
+// X-Timeline detail. 429 responses are retried with jittered backoff; see
+// Client.
 func (c *Client) RunResult(ctx context.Context, spec RunSpec) (Result, error) {
 	raw, err := json.Marshal(spec)
 	if err != nil {
@@ -233,43 +211,6 @@ func (c *Client) Scenarios(ctx context.Context) ([]scenario.Info, error) {
 		return nil, err
 	}
 	return out.Scenarios, nil
-}
-
-// Stats fetches the server's operational snapshot.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	err := c.get(ctx, "/v1/stats", &out)
-	return out, err
-}
-
-// CacheInfo fetches the server's cache-tier snapshot.
-func (c *Client) CacheInfo(ctx context.Context) (CacheInfo, error) {
-	var out CacheInfo
-	err := c.get(ctx, "/v1/cache", &out)
-	return out, err
-}
-
-// PurgeCache empties the server's LRU and persistent store, returning
-// the post-purge snapshot.
-func (c *Client) PurgeCache(ctx context.Context) (CacheInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.url("/v1/cache"), nil)
-	if err != nil {
-		return CacheInfo{}, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return CacheInfo{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return CacheInfo{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return CacheInfo{}, remoteError(resp.StatusCode, body)
-	}
-	var out CacheInfo
-	return out, json.Unmarshal(body, &out)
 }
 
 func (c *Client) get(ctx context.Context, path string, v any) error {

@@ -52,12 +52,12 @@ func TestClientRetries429ThenSucceeds(t *testing.T) {
 	var calls atomic.Int64
 	srv := flakyBackend(t, 3, &calls)
 	c := &Client{BaseURL: srv.URL, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
-	rep, outcome, err := c.Run(context.Background(), testSpec(1))
+	res, err := c.RunResult(context.Background(), testSpec(1))
 	if err != nil {
-		t.Fatalf("Run after 429s: %v", err)
+		t.Fatalf("RunResult after 429s: %v", err)
 	}
-	if outcome != OutcomeMiss || rep == nil {
-		t.Errorf("outcome = %s, report nil = %v", outcome, rep == nil)
+	if res.Outcome != OutcomeMiss || len(res.Body) == 0 {
+		t.Errorf("outcome = %s, body %d bytes", res.Outcome, len(res.Body))
 	}
 	if got := calls.Load(); got != 4 {
 		t.Errorf("backend saw %d attempts, want 4 (three 429s + success)", got)
@@ -70,7 +70,7 @@ func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
 	var calls atomic.Int64
 	srv := flakyBackend(t, 1<<30, &calls)
 	c := &Client{BaseURL: srv.URL, MaxAttempts: 3, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}
-	_, _, err := c.Run(context.Background(), testSpec(1))
+	_, err := c.RunResult(context.Background(), testSpec(1))
 	if err == nil {
 		t.Fatal("want an error after exhausting attempts")
 	}
@@ -91,7 +91,7 @@ func TestClientRetryHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Run(ctx, testSpec(1))
+		_, err := c.RunResult(ctx, testSpec(1))
 		done <- err
 	}()
 	// Let the first attempt land, then cancel mid-backoff.
@@ -105,7 +105,7 @@ func TestClientRetryHonoursContext(t *testing.T) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancellation")
+		t.Fatal("RunResult did not return after cancellation")
 	}
 }
 
@@ -172,7 +172,7 @@ func TestClientDoesNotRetryNonBackpressureErrors(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	c := &Client{BaseURL: srv.URL, RetryBase: time.Millisecond}
-	if _, _, err := c.Run(context.Background(), testSpec(1)); err == nil {
+	if _, err := c.RunResult(context.Background(), testSpec(1)); err == nil {
 		t.Fatal("want error")
 	}
 	if got := calls.Load(); got != 1 {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/report"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -213,11 +215,16 @@ func TestHTTPGovernorsAndStats(t *testing.T) {
 		t.Errorf("governors = %v, want cuttlefish included", govs)
 	}
 
-	if _, _, err := c.Run(context.Background(), testSpec(1)); err != nil {
+	if _, err := c.RunResult(context.Background(), testSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats(context.Background())
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Misses != 1 || st.Workers != 1 {
@@ -247,33 +254,36 @@ func TestHTTPScenarios(t *testing.T) {
 	}
 }
 
-// TestClientRunRoundTrip: the remote client decodes the canonical report
-// and surfaces the cache outcome.
+// TestClientRunRoundTrip: the remote client returns the canonical report
+// bytes and surfaces the cache outcome.
 func TestClientRunRoundTrip(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1, Executor: (&stubExecutor{}).exec})
 	c := &Client{BaseURL: srv.URL}
 	ctx := context.Background()
 
-	rep, outcome, err := c.Run(ctx, testSpec(1))
+	res, err := c.RunResult(ctx, testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcome != OutcomeMiss {
-		t.Errorf("first outcome = %s, want miss", outcome)
+	if res.Outcome != OutcomeMiss {
+		t.Errorf("first outcome = %s, want miss", res.Outcome)
+	}
+	rep, err := report.Decode(res.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if rep.Experiment != "run" || len(rep.Rows) != 1 {
 		t.Errorf("report = %+v", rep)
 	}
-	_, outcome, err = c.Run(ctx, testSpec(1))
-	if err != nil {
+	if res, err = c.RunResult(ctx, testSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if outcome != OutcomeHit {
-		t.Errorf("second outcome = %s, want hit", outcome)
+	if res.Outcome != OutcomeHit {
+		t.Errorf("second outcome = %s, want hit", res.Outcome)
 	}
 
 	// Server-side errors surface with the server's message.
-	if _, _, err := c.Run(ctx, RunSpec{Benchmark: "LINPACK"}); err == nil ||
+	if _, err := c.RunResult(ctx, RunSpec{Benchmark: "LINPACK"}); err == nil ||
 		!strings.Contains(err.Error(), "LINPACK") {
 		t.Errorf("remote validation error = %v, want benchmark named", err)
 	}

@@ -247,25 +247,3 @@ func (s RunSpec) Options() experiments.Options {
 	opt.ScenarioDef = s.ScenarioDef
 	return opt
 }
-
-// SpecFromOptions builds the RunSpec equivalent of an in-process
-// experiment invocation; cuttlefish -remote uses it so a remote run means
-// exactly what the same flags mean locally.
-func SpecFromOptions(experiment, benchmark string, opt experiments.Options) RunSpec {
-	return RunSpec{
-		Experiment:  experiment,
-		Benchmark:   benchmark,
-		Scenario:    opt.Scenario,
-		ScenarioDef: opt.ScenarioDef,
-		Governor:    opt.Governor,
-		Cores:       opt.Cores,
-		Scale:       opt.Scale,
-		Reps:        opt.Reps,
-		Seed:        opt.Seed,
-		TinvSec:     opt.TinvSec,
-		WarmupSec:   opt.WarmupSec,
-		Model:       string(opt.Model),
-		SimWorkers:  opt.SimWorkers,
-		BatchQuanta: opt.BatchQuanta,
-	}.Normalized()
-}

@@ -232,22 +232,19 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestSpecFromOptionsRoundTrip: the remote client's spec must map back to
-// options that mean the same run.
-func TestSpecFromOptionsRoundTrip(t *testing.T) {
-	opt := experiments.DefaultOptions()
-	opt.Governor = "powersave"
-	opt.Scale = 0.07
-	opt.Seed = 42
-	opt.SimWorkers = 4
-	spec := SpecFromOptions("table1", "", opt)
+// TestSpecOptionsCarriesTheSpec: the harness options a spec maps to mean
+// the same run — every identity field arrives unchanged.
+func TestSpecOptionsCarriesTheSpec(t *testing.T) {
+	spec := RunSpec{Experiment: "table1", Governor: "powersave", Scale: 0.07, Seed: 42,
+		SimWorkers: 4, BatchQuanta: 8, TinvSec: 0.04, WarmupSec: -1}.Normalized()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	back := spec.Options()
-	if back.Governor != opt.Governor || back.Scale != opt.Scale ||
-		back.Seed != opt.Seed || back.SimWorkers != opt.SimWorkers ||
-		back.Cores != opt.Cores || back.Reps != opt.Reps {
-		t.Errorf("round trip lost fields: sent %+v, got %+v", opt, back)
+	opt := spec.Options()
+	if opt.Governor != spec.Governor || opt.Scale != spec.Scale || opt.Seed != spec.Seed ||
+		opt.SimWorkers != spec.SimWorkers || opt.BatchQuanta != spec.BatchQuanta ||
+		opt.Cores != spec.Cores || opt.Reps != spec.Reps || opt.TinvSec != spec.TinvSec ||
+		opt.WarmupSec != spec.WarmupSec || string(opt.Model) != spec.Model {
+		t.Errorf("options lost fields: spec %+v, options %+v", spec, opt)
 	}
 }

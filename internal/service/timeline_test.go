@@ -143,7 +143,7 @@ func TestHTTPTimelineEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation")
 	}
-	_, srv := newTestServer(t, Config{Workers: 1, Timelines: timeline.NewStore(4)})
+	_, srv := newTestServer(t, Config{Workers: 1, Timelines: timeline.NewStore(4), Traces: obs.NewTraceStore(4, "")})
 	spec := memoSpec(1)
 
 	r1 := postRun(t, srv.URL, spec)
@@ -158,6 +158,31 @@ func TestHTTPTimelineEndpoints(t *testing.T) {
 		t.Fatalf("X-Timeline = %q parsed %+v ok=%v", r1.Header.Get(HeaderTimeline), conv, ok)
 	}
 
+	// The execution's trace carries the timeline's counter tracks. Fetch
+	// it before the hit below, whose own trace replaces it under the
+	// same ID.
+	resp, err := http.Get(srv.URL + "/v1/runs/" + hash + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&tr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, e := range tr.TraceEvents {
+		names[e.Name] = true
+	}
+	for _, counter := range []string{"uncore_ratio", "ipc", "energy_j"} {
+		if !names["rep-0/"+counter] {
+			t.Errorf("trace lacks counter track rep-0/%s", counter)
+		}
+	}
+
 	// A hit response must not claim a convergence summary.
 	r2 := postRun(t, srv.URL, spec)
 	io.Copy(io.Discard, r2.Body)
@@ -170,7 +195,7 @@ func TestHTTPTimelineEndpoints(t *testing.T) {
 	}
 
 	// Fetch the timeline (short hash prefix, like the trace route).
-	resp, err := http.Get(srv.URL + "/v1/runs/" + hash[:12] + "/timeline")
+	resp, err = http.Get(srv.URL + "/v1/runs/" + hash[:12] + "/timeline")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -403,8 +403,8 @@ func (r *Recorder) Export() Export {
 
 // JSON renders the export as indented JSON. The encoding is
 // deterministic — fixed field order, strconv float formatting — so equal
-// timelines render to equal bytes (the property the CI timeline-smoke
-// job cmp-checks).
+// timelines render to equal bytes (the property cmd/cuttlefish's
+// TestTimelineOutDeterministic compares).
 func (r *Recorder) JSON() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
