@@ -15,7 +15,8 @@
 // result cache but shares a schedule prefix with an earlier run resumes
 // from the longest memoized snapshot and simulates only the suffix,
 // producing byte-identical reports. -memo-dir persists snapshots across
-// restarts; -memo-max-bytes bounds the in-memory snapshot LRU.
+// restarts, one pack of snapshots per executed run; -memo-max-bytes
+// bounds the in-memory snapshot LRU.
 //
 // Observability is on by default and strictly out of band — it never
 // touches report bytes or cache keys. Every request records a span tree
@@ -161,7 +162,9 @@ func run(rc runConfig) error {
 			if disk, err = store.Open(rc.memoDir, 0); err != nil {
 				return err
 			}
-			log.Printf("cfserve: memo dir %s: %d snapshot(s), %d bytes", rc.memoDir, disk.Len(), disk.Bytes())
+			// Packs, one per executed run; the snapshot index loads on
+			// the first disk probe, not here.
+			log.Printf("cfserve: memo dir %s: %d pack(s), %d bytes", rc.memoDir, disk.Len(), disk.Bytes())
 		}
 		cfg.Memo = memo.New(rc.memoMax, disk)
 		log.Printf("cfserve: prefix-snapshot memoization on")

@@ -261,7 +261,7 @@ const maxRegionSpans = 64
 // (up to maxRegionSpans; names carry the boundary index, so the span
 // structure is a pure function of the region schedule); a memo run's
 // simulate span instead reports where it resumed and how many snapshots
-// it stored at the boundaries its plan selects.
+// it stored, as one pack, at the boundaries its plan selects.
 func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error) {
 	cfg := opt.machineConfig()
 	m, err := machine.New(cfg)
@@ -323,7 +323,8 @@ func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error)
 	region.End()
 	m.RecordTimeline()
 	if mp != nil {
-		sp.Set("snapshots_stored", mp.stored)
+		mp.tier.PutPack(mp.pack)
+		sp.Set("snapshots_stored", len(mp.pack))
 	}
 	sp.Set("sim_seconds", m.Now()-start)
 	if p := m.Profile(); p.Enabled {

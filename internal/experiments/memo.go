@@ -207,12 +207,12 @@ type memoPlan struct {
 	points    map[int]bool
 	resumeK   int    // regions the probed snapshot completed; 0 = none
 	container []byte // the probed snapshot
-	// ws, resumedAt and stored describe the latest simulate call: its
+	// ws, resumedAt and pack describe the latest simulate call: its
 	// source, the simulated time it restored to and the snapshots it
-	// stored.
+	// took, which simulate stores as one pack when the run ends.
 	ws        *sched.WorkSharing
 	resumedAt float64
-	stored    int
+	pack      []memo.Entry
 }
 
 // newMemoPlan compiles j's region schedule and probes the tier for its
@@ -273,7 +273,7 @@ func (p *memoPlan) run(j simJob, opt Options) (RunResult, error) {
 		p.tier.RecordResume(saved)
 	}
 	if opt.MemoStats != nil {
-		opt.MemoStats.Record(resumed, saved, int64(math.Round(res.Seconds/quantum)), p.stored)
+		opt.MemoStats.Record(resumed, saved, int64(math.Round(res.Seconds/quantum)), len(p.pack))
 	}
 	return res, nil
 }
@@ -283,7 +283,7 @@ func (p *memoPlan) run(j simJob, opt Options) (RunResult, error) {
 // freshly booted machine and attached governor, and resumes the schedule
 // at its checkpoint.
 func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Options, seed int64, fromK int) (workload.Source, error) {
-	p.resumedAt, p.stored = 0, 0
+	p.resumedAt, p.pack = 0, nil
 	gen := func(s int) (sched.Region, bool) {
 		if s >= len(p.regions) {
 			return sched.Region{}, false
@@ -324,9 +324,10 @@ func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Opti
 	return p.ws, nil
 }
 
-// snapshot stores the resumable state at region boundary n when the plan
-// selects it. It returns false once snapshotting must stop (the governor
-// could not export its state, e.g. a latched daemon error).
+// snapshot takes the resumable state at region boundary n into the
+// run's pack when the plan selects it. It returns false once
+// snapshotting must stop (the governor could not export its state, e.g.
+// a latched daemon error).
 func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int) bool {
 	if !p.points[n] {
 		return true
@@ -339,7 +340,6 @@ func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int)
 	if err != nil {
 		return false
 	}
-	p.tier.Put(p.keys[n], encodeContainer(m.Snapshot().Encode(), govBlob, cp))
-	p.stored++
+	p.pack = append(p.pack, memo.Entry{Key: p.keys[n], Body: encodeContainer(m.Snapshot().Encode(), govBlob, cp)})
 	return true
 }

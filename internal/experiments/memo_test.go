@@ -10,6 +10,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/memo"
 	"repro/internal/scenario"
+	"repro/internal/store"
 )
 
 // memoTestOptions shrink runs enough that resuming every governor stays
@@ -250,6 +251,112 @@ func TestMemoCorruptSnapshotFallsBack(t *testing.T) {
 				t.Errorf("stats = %+v, want no prefix hit for a defective snapshot", v)
 			}
 		})
+	}
+}
+
+// openStore opens a store over dir, failing the test on error.
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestMemoColdRunWritesOnePack pins the disk tier's cold-path I/O: a
+// cold run over an empty memo dir fails no disk read and leaves one
+// object, the pack of every snapshot it took, and a fresh tier over the
+// reopened dir resumes from that pack bit-identically.
+func TestMemoColdRunWritesOnePack(t *testing.T) {
+	e := burstyEntry(t)
+	const gov = "cuttlefish"
+	opt := memoTestOptions()
+	plain, err := RunEntry(e, gov, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	disk := openStore(t, dir)
+	opt.Memo = memo.New(0, disk)
+	rs := &memo.RunStats{}
+	opt.MemoStats = rs
+	cold, err := RunEntry(e, gov, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitEqual(t, "cold vs plain", cold, plain)
+	_, points := memoKeysAndPoints(t, e, gov, opt, 1)
+	if v := rs.View(); v.SnapshotsStored != len(points) {
+		t.Errorf("cold run stored %d snapshots, want one per snapshot point (%d)", v.SnapshotsStored, len(points))
+	}
+	if info := disk.Info(); info.Entries != 1 || info.Misses != 0 {
+		t.Errorf("cold run left %d objects after %d failed reads, want 1 pack and none", info.Entries, info.Misses)
+	}
+
+	opt.Memo = memo.New(0, openStore(t, dir))
+	rs = &memo.RunStats{}
+	opt.MemoStats = rs
+	warm, err := RunEntry(e, gov, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitEqual(t, "resumed from the pack vs plain", warm, plain)
+	if v := rs.View(); v.PrefixHits != 1 || v.QuantaSaved != v.QuantaTotal {
+		t.Errorf("stats = %+v, want a full-program resume from the pack", v)
+	}
+}
+
+// TestMemoOneObjectPerSnapshotDirReadsAsMisses plants a memo dir in the
+// older layout, one raw snapshot container per key, and requires a fresh
+// tier to read every key as a miss: the run re-executes bit-identically
+// and writes its snapshots as a pack beside the old objects.
+func TestMemoOneObjectPerSnapshotDirReadsAsMisses(t *testing.T) {
+	e := burstyEntry(t)
+	const gov = "cuttlefish"
+	opt := memoTestOptions()
+	plain, err := RunEntry(e, gov, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := memo.New(0, nil)
+	opt.Memo = mem
+	if _, err := RunEntry(e, gov, opt, 1); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	old := openStore(t, dir)
+	keys, points := memoKeysAndPoints(t, e, gov, opt, 1)
+	for _, k := range points {
+		body, ok := mem.Get(keys[k])
+		if !ok {
+			t.Fatalf("cold run stored no snapshot at boundary %d", k)
+		}
+		if err := old.Put(keys[k], body); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	disk := openStore(t, dir)
+	tier := memo.New(0, disk)
+	for _, k := range points {
+		if _, ok := tier.Get(keys[k]); ok {
+			t.Fatalf("one-object-per-snapshot entry at boundary %d read as a hit", k)
+		}
+	}
+	opt.Memo = tier
+	rs := &memo.RunStats{}
+	opt.MemoStats = rs
+	res, err := RunEntry(e, gov, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitEqual(t, "re-execution over an old memo dir vs plain", res, plain)
+	if v := rs.View(); v.PrefixHits != 0 || v.SnapshotsStored != len(points) {
+		t.Errorf("stats = %+v, want a full re-execution storing %d snapshots", v, len(points))
+	}
+	if got := disk.Len(); got != len(points)+1 {
+		t.Errorf("memo dir holds %d objects, want the %d old ones plus one pack", got, len(points))
 	}
 }
 

@@ -15,12 +15,18 @@
 //
 // The tier has its own size budget, separate from the result store's, so
 // result pruning can never evict hot snapshots and vice versa. The
-// optional disk tier reuses internal/store's checksummed object format:
-// a corrupted or truncated snapshot file verifies false, reads as a
-// miss, and is deleted — the run falls back to simulating from t=0.
+// optional disk tier holds one pack per PutPack (one per executed run):
+// a key table followed by the snapshots, stored as one of
+// internal/store's checksummed objects. Disk probes are answered from an
+// in-memory index of raw 32-byte keys to packs, built once, on the first
+// probe, from the key tables alone, so a cold probe touches no file. A
+// corrupted or truncated pack verifies false on Get, reads as a miss for
+// all of its snapshots, and is deleted — the run falls back to
+// simulating from t=0.
 package memo
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 
@@ -48,6 +54,14 @@ type Tier struct {
 	quantaSaved uint64
 	stored      uint64
 	evicted     uint64
+
+	// The disk index, loaded on the first disk probe. packs names each
+	// pack once, by ordinal; packOf maps every indexed snapshot key to
+	// its pack's ordinal.
+	idxMu   sync.Mutex
+	indexed bool
+	packs   []string
+	packOf  map[packKey]uint32
 }
 
 type entry struct {
@@ -72,7 +86,7 @@ func New(maxBytes int64, disk *store.Store) *Tier {
 
 // Get returns the snapshot stored under key, consulting memory first and
 // the disk tier second (promoting disk hits into memory). Corrupt disk
-// objects read as misses.
+// packs read as misses.
 func (t *Tier) Get(key string) ([]byte, bool) {
 	t.mu.Lock()
 	t.lookups++
@@ -83,12 +97,11 @@ func (t *Tier) Get(key string) ([]byte, bool) {
 		t.mu.Unlock()
 		return body, true
 	}
-	disk := t.disk
 	t.mu.Unlock()
-	if disk == nil {
+	if t.disk == nil {
 		return nil, false
 	}
-	body, ok := disk.Get(key)
+	body, ok := t.diskGet(key)
 	if !ok {
 		return nil, false
 	}
@@ -99,18 +112,125 @@ func (t *Tier) Get(key string) ([]byte, bool) {
 	return body, true
 }
 
-// Put stores a snapshot under key in memory and, when configured, writes
-// it through to the disk tier. Disk write failures are absorbed — the
-// store counts them, and a missing snapshot only costs re-simulation.
-func (t *Tier) Put(key string, body []byte) {
-	t.mu.Lock()
-	t.stored++
-	t.addLocked(key, body)
-	disk := t.disk
-	t.mu.Unlock()
-	if disk != nil {
-		_ = disk.Put(key, body)
+// diskGet reads key's snapshot from the pack the index names, verifying
+// the whole pack first. A pack that fails to verify is deleted by the
+// store, so its snapshots miss until a re-execution writes them again.
+func (t *Tier) diskGet(key string) ([]byte, bool) {
+	k, ok := rawKey(key)
+	if !ok {
+		return nil, false
 	}
+	t.idxMu.Lock()
+	t.loadIndexLocked()
+	ord, ok := t.packOf[k]
+	var name string
+	if ok {
+		name = t.packs[ord]
+	}
+	t.idxMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	raw, ok := t.disk.Get(name)
+	if !ok {
+		return nil, false
+	}
+	keys, bodies, err := decodePack(raw)
+	if err != nil {
+		return nil, false
+	}
+	for i := range keys {
+		if keys[i] == k {
+			// A copy, so the LRU does not pin the whole pack.
+			return bytes.Clone(bodies[i]), true
+		}
+	}
+	return nil, false
+}
+
+// loadIndexLocked builds the disk index on first use from the key table
+// at the head of every store object. Objects that are not packs — a
+// damaged file, or a snapshot written one per object by an older build —
+// are left out, so their keys read as misses. Packs written later by
+// another process sharing the directory stay invisible until a restart.
+func (t *Tier) loadIndexLocked() {
+	if t.indexed {
+		return
+	}
+	t.indexed = true
+	t.packOf = make(map[packKey]uint32)
+	for _, name := range t.disk.Keys() {
+		if keys, ok := t.readKeys(name); ok {
+			t.addPackLocked(name, keys)
+		}
+	}
+}
+
+// readKeys reads the key table of the pack stored under name: one
+// bounded read, and a second when the table is longer than the first.
+func (t *Tier) readKeys(name string) ([]packKey, bool) {
+	head, ok := t.disk.Head(name, packHeadGuess)
+	if !ok {
+		return nil, false
+	}
+	keys, _, size, err := parseTable(head)
+	if err == errShortTable {
+		if head, ok = t.disk.Head(name, size); !ok {
+			return nil, false
+		}
+		keys, _, _, err = parseTable(head)
+	}
+	return keys, err == nil
+}
+
+// addPackLocked indexes one pack's keys under a new ordinal.
+func (t *Tier) addPackLocked(name string, keys []packKey) {
+	ord := uint32(len(t.packs))
+	t.packs = append(t.packs, name)
+	for _, k := range keys {
+		t.packOf[k] = ord
+	}
+}
+
+// Put stores one snapshot: PutPack of a single entry.
+func (t *Tier) Put(key string, body []byte) {
+	t.PutPack([]Entry{{Key: key, Body: body}})
+}
+
+// PutPack stores snapshots in memory and, when configured, writes them
+// through to the disk tier as one pack. Keys that are not hex SHA-256
+// digests stay in memory only. Disk write failures are absorbed — the
+// store counts them, and a missing snapshot only costs re-simulation.
+func (t *Tier) PutPack(entries []Entry) {
+	t.mu.Lock()
+	for _, e := range entries {
+		t.stored++
+		t.addLocked(e.Key, e.Body)
+	}
+	t.mu.Unlock()
+	if t.disk == nil {
+		return
+	}
+	keys := make([]packKey, 0, len(entries))
+	bodies := make([][]byte, 0, len(entries))
+	for _, e := range entries {
+		if k, ok := rawKey(e.Key); ok {
+			keys = append(keys, k)
+			bodies = append(bodies, e.Body)
+		}
+	}
+	if len(keys) == 0 {
+		return
+	}
+	name, pack := encodePack(keys, bodies)
+	if t.disk.Put(name, pack) != nil {
+		return
+	}
+	t.idxMu.Lock()
+	if t.indexed {
+		t.addPackLocked(name, keys)
+	}
+	t.idxMu.Unlock()
 }
 
 // addLocked inserts (or refreshes) a key and evicts least-recently-used
@@ -154,10 +274,14 @@ func (t *Tier) Purge() error {
 	t.bytes = 0
 	disk := t.disk
 	t.mu.Unlock()
-	if disk != nil {
-		return disk.Purge()
+	if disk == nil {
+		return nil
 	}
-	return nil
+	err := disk.Purge()
+	t.idxMu.Lock()
+	t.indexed, t.packs, t.packOf = false, nil, nil
+	t.idxMu.Unlock()
+	return err
 }
 
 // Len returns the number of in-memory snapshots.

@@ -87,20 +87,67 @@ func TestTierDiskPromotionAndPurge(t *testing.T) {
 	if warm.Len() != 0 {
 		t.Errorf("purge left %d in-memory snapshots", warm.Len())
 	}
+	if _, ok := warm.Get(key("a")); ok {
+		t.Error("purge left the snapshot in the disk index")
+	}
 	if _, ok := New(0, open()).Get(key("a")); ok {
 		t.Error("purge left the snapshot on disk")
 	}
 }
 
+// TestTierPackIndex reads packs back through a fresh tier's index: every
+// key resolves to its own body, including in a pack whose key table is
+// longer than the index's first read, and a pack put after the index
+// loaded is found without a reload.
+func TestTierPackIndex(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *store.Store {
+		st, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var big []Entry
+	for i := 0; i < 100; i++ {
+		big = append(big, Entry{Key: key(fmt.Sprint("big-", i)), Body: []byte(fmt.Sprint("body-", i))})
+	}
+	New(0, open()).PutPack(big)
+	New(0, open()).Put(key("one"), []byte("single"))
+
+	disk := open()
+	warm := New(1, disk) // a one-byte budget: memory keeps only the newest snapshot
+	for _, e := range append(big, Entry{Key: key("one"), Body: []byte("single")}) {
+		if got, ok := warm.Get(e.Key); !ok || !bytes.Equal(got, e.Body) {
+			t.Fatalf("Get(%s) = %q, %v; want %q, true", e.Key[:8], got, ok, e.Body)
+		}
+	}
+	if _, ok := warm.Get(key("absent")); ok {
+		t.Error("a key no pack holds read as a hit")
+	}
+	if info := disk.Info(); info.Entries != 2 || info.Misses != 0 {
+		t.Errorf("disk = %d objects, %d failed reads; want 2 packs and none", info.Entries, info.Misses)
+	}
+
+	warm.PutPack([]Entry{{Key: key("late-1"), Body: []byte("late-1")}, {Key: key("late-2"), Body: []byte("late-2")}})
+	if got, ok := warm.Get(key("late-1")); !ok || string(got) != "late-1" {
+		t.Errorf("pack put after the index loaded: Get = %q, %v", got, ok)
+	}
+}
+
 // TestTierCorruptDiskSnapshotIsMiss flips bytes in every stored object
-// and checks the tier reads them as misses rather than serving garbage.
+// and checks the tier reads them as misses rather than serving garbage:
+// a corrupt pack misses all of its snapshots, and the store deletes it.
 func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	New(0, st).Put(key("a"), []byte("soon-to-be-corrupt"))
+	New(0, st).PutPack([]Entry{
+		{Key: key("a"), Body: []byte("soon-to-be-corrupt")},
+		{Key: key("b"), Body: []byte("also-corrupt")},
+	})
 
 	corrupted := 0
 	err = filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
@@ -125,8 +172,14 @@ func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := New(0, st2).Get(key("a")); ok {
-		t.Error("corrupted disk snapshot was served as a hit")
+	tier := New(0, st2)
+	for _, k := range []string{"a", "b"} {
+		if _, ok := tier.Get(key(k)); ok {
+			t.Errorf("corrupted disk snapshot %s was served as a hit", k)
+		}
+	}
+	if info := st2.Info(); info.Entries != 0 || info.Corrupt != 1 {
+		t.Errorf("store = %+v, want the corrupt pack found once and deleted", info)
 	}
 }
 
@@ -141,24 +194,35 @@ func TestRunStatsRecordAndView(t *testing.T) {
 	}
 }
 
+// TestTierConcurrentAccess races Put, Get and RecordResume from several
+// goroutines, memory-only and over a disk tier whose two-entry budget
+// sends most Gets to the pack index while other goroutines write packs
+// (and the first probe loads the index). Every Get must hit.
 func TestTierConcurrentAccess(t *testing.T) {
-	tier := New(1<<20, nil)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 50; i++ {
-				k := key(fmt.Sprintf("%d-%d", g, i))
-				tier.Put(k, []byte{byte(g), byte(i)})
-				tier.Get(k)
-				tier.RecordResume(1)
-			}
-		}(g)
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if info := tier.Info(); info.Stored != 200 || info.PrefixHits != 200 {
-		t.Errorf("stored/prefixHits = %d/%d, want 200/200", info.Stored, info.PrefixHits)
+	for _, tier := range []*Tier{New(1<<20, nil), New(4, st)} {
+		done := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			go func(g int) {
+				defer func() { done <- struct{}{} }()
+				for i := 0; i < 50; i++ {
+					k := key(fmt.Sprintf("%d-%d", g, i))
+					tier.Put(k, []byte{byte(g), byte(i)})
+					if got, ok := tier.Get(k); !ok || !bytes.Equal(got, []byte{byte(g), byte(i)}) {
+						t.Errorf("Get(%d-%d) = %v, %v after Put", g, i, got, ok)
+					}
+					tier.RecordResume(1)
+				}
+			}(g)
+		}
+		for g := 0; g < 4; g++ {
+			<-done
+		}
+		if info := tier.Info(); info.Stored != 200 || info.PrefixHits != 200 {
+			t.Errorf("stored/prefixHits = %d/%d, want 200/200", info.Stored, info.PrefixHits)
+		}
 	}
 }

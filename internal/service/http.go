@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -266,12 +267,30 @@ func handleTimeline(s *Service, w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// maxSpecBytes bounds a POST /v1/runs body. A spec, inline scenario
+// definition included, is a few KiB; past this the server stops reading.
+const maxSpecBytes = 1 << 20
+
 func handleRuns(s *Service, w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields() // a typoed field silently changing the run would poison the hash
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The body is one spec: anything after it but whitespace is
+		// rejected, not ignored.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the spec")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	// Cross-process stitching: a client that traces its own side sends its

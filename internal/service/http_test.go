@@ -125,6 +125,43 @@ func TestHTTPValidationAndBackpressureStatusCodes(t *testing.T) {
 	}
 }
 
+// TestHTTPRunsBodyIsOneBoundedSpec pins that POST /v1/runs reads exactly
+// one bounded spec: trailing data is a 400 (a second object's unknown
+// field must not slip past DisallowUnknownFields) and a body past the
+// size bound is a 413. Neither runs anything; trailing whitespace is
+// still one spec.
+func TestHTTPRunsBodyIsOneBoundedSpec(t *testing.T) {
+	exec := &stubExecutor{}
+	_, srv := newTestServer(t, Config{Workers: 1, Executor: exec.exec})
+	raw, err := json.Marshal(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := string(raw)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(spec + `{"scenario":"UTS","typo_field":1} trailing garbage`); code != http.StatusBadRequest {
+		t.Errorf("spec with trailing data: %d, want 400", code)
+	}
+	if code := post(strings.Repeat(" ", 8<<20) + spec); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("8 MiB body: %d, want 413", code)
+	}
+	if n := exec.calls.Load(); n != 0 {
+		t.Errorf("rejected bodies executed %d run(s)", n)
+	}
+	if code := post(spec + "\n\t "); code != http.StatusOK {
+		t.Errorf("spec with trailing whitespace: %d, want 200", code)
+	}
+}
+
 func TestHTTPAsyncFlow(t *testing.T) {
 	exec := &stubExecutor{gate: make(chan struct{})}
 	_, srv := newTestServer(t, Config{Workers: 1, Executor: exec.exec})

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -152,10 +153,38 @@ func (s *Store) Get(hash string) ([]byte, bool) {
 	return body, true
 }
 
+// Head returns up to n leading payload bytes of the object stored under
+// hash, reading no further into the file. It checks the header's shape
+// but not the checksum, which covers the whole payload: a caller may use
+// the bytes to decide whether to Get the object, never as data. ok is
+// false when the object is missing or its header is malformed. Head
+// counts nothing and deletes nothing; the Get that follows does both.
+func (s *Store) Head(hash string, n int) ([]byte, bool) {
+	if !hashPattern.MatchString(hash) || n < 0 {
+		return nil, false
+	}
+	f, err := os.Open(s.path(hash))
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(io.LimitReader(f, int64(headerLen+n)))
+	if err != nil || !validHeader(raw) {
+		return nil, false
+	}
+	return raw[headerLen:], true
+}
+
+// validHeader reports whether raw starts with a well-formed object
+// header (magic, a space, a checksum-sized field, a newline).
+func validHeader(raw []byte) bool {
+	return len(raw) >= headerLen && string(raw[:len(magic)]) == magic && raw[len(magic)] == ' ' && raw[headerLen-1] == '\n'
+}
+
 // verify splits an object file into its payload, checking magic and
 // checksum; ok is false for any malformed or tampered file.
 func verify(raw []byte) ([]byte, bool) {
-	if len(raw) < headerLen || string(raw[:len(magic)]) != magic || raw[len(magic)] != ' ' || raw[headerLen-1] != '\n' {
+	if !validHeader(raw) {
 		return nil, false
 	}
 	want := string(raw[len(magic)+1 : headerLen-1])
@@ -254,6 +283,18 @@ func (s *Store) pruneLocked() {
 		s.evicted++
 		os.Remove(s.path(e.hash))
 	}
+}
+
+// Keys returns the hashes of every indexed object in sorted order.
+func (s *Store) Keys() []string {
+	s.mu.Lock()
+	keys := make([]string, 0, len(s.index))
+	for h := range s.index {
+		keys = append(keys, h)
+	}
+	s.mu.Unlock()
+	sort.Strings(keys)
+	return keys
 }
 
 // Len returns the number of indexed entries.

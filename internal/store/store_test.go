@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -68,25 +69,27 @@ func TestReopenScansExistingObjects(t *testing.T) {
 	}
 }
 
+// corruptions are object defects a reader must treat as misses.
+var corruptions = []struct {
+	name    string
+	corrupt func(raw []byte) []byte
+}{
+	{"truncated header", func(raw []byte) []byte { return raw[:headerLen/2] }},
+	{"truncated payload", func(raw []byte) []byte { return raw[:len(raw)-3] }},
+	{"garbage", func([]byte) []byte { return []byte("not a store object at all") }},
+	{"flipped payload byte", func(raw []byte) []byte {
+		mut := append([]byte(nil), raw...)
+		mut[len(mut)-1] ^= 0xFF
+		return mut
+	}},
+	{"empty file", func([]byte) []byte { return nil }},
+}
+
 // TestCorruptFilesReadAsMisses covers the corruption-tolerance contract:
 // a truncated or garbled object is a miss — never served — and the bad
 // file is removed so a re-execution rewrites the slot cleanly.
 func TestCorruptFilesReadAsMisses(t *testing.T) {
-	cases := []struct {
-		name    string
-		corrupt func(path string, raw []byte) []byte
-	}{
-		{"truncated header", func(_ string, raw []byte) []byte { return raw[:headerLen/2] }},
-		{"truncated payload", func(_ string, raw []byte) []byte { return raw[:len(raw)-3] }},
-		{"garbage", func(_ string, _ []byte) []byte { return []byte("not a store object at all") }},
-		{"flipped payload byte", func(_ string, raw []byte) []byte {
-			mut := append([]byte(nil), raw...)
-			mut[len(mut)-1] ^= 0xFF
-			return mut
-		}},
-		{"empty file", func(_ string, _ []byte) []byte { return nil }},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(t.TempDir(), 0)
 			if err != nil {
@@ -102,7 +105,7 @@ func TestCorruptFilesReadAsMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.corrupt(path, raw), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.corrupt(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if got, ok := s.Get(h); ok {
@@ -296,4 +299,98 @@ func TestRejectsNonHashKeys(t *testing.T) {
 			t.Errorf("Get(%q) returned data for a non-hash key", bad)
 		}
 	}
+}
+
+// TestKeysAndHead pins the two reads an index over the store is built
+// from: Keys lists every object in sorted order, and Head returns a
+// bounded payload prefix without verifying it (a Get still does).
+func TestKeysAndHead(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := hashFor("a"), hashFor("b")
+	for _, h := range []string{a, b} {
+		if err := s.Put(h, []byte("payload-"+h[:4])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{a, b}
+	sort.Strings(want)
+	if got := s.Keys(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("Keys = %v, want %v", got, want)
+	}
+	for n, want := range map[int]string{0: "", 3: "pay", 100: "payload-" + a[:4]} {
+		if got, ok := s.Head(a, n); !ok || string(got) != want {
+			t.Errorf("Head(a, %d) = %q, %v; want %q, true", n, got, ok, want)
+		}
+	}
+	if _, ok := s.Head(hashFor("absent"), 8); ok {
+		t.Error("Head of a missing object reported ok")
+	}
+
+	path := s.path(a)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Head(a, 3); !ok || string(got) != "pay" {
+		t.Errorf("Head of a corrupt payload = %q, %v; want the unverified prefix", got, ok)
+	}
+	if _, ok := s.Get(a); ok {
+		t.Error("Get served the corrupt payload Head peeked at")
+	}
+	if info := s.Info(); info.Hits != 0 || info.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want Head to count nothing and Get one miss", info.Hits, info.Misses)
+	}
+}
+
+// FuzzVerify feeds arbitrary bytes to the object reader as the contents
+// of a stored file: corruption is a miss, never a panic or served data.
+// A verified object re-encodes to its own bytes, Get agrees with verify,
+// and Head returns the payload prefix of any well-formed header. Seeds:
+// a real result object (testdata/fuzz/FuzzVerify) and the corruptions.
+func FuzzVerify(f *testing.F) {
+	body := []byte(`{"experiment":"run"}` + "\n")
+	good := append(header(body), body...)
+	f.Add(good)
+	for _, c := range corruptions {
+		f.Add(c.corrupt(good))
+	}
+	s, err := Open(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := hashFor("fuzzed")
+	if err := os.MkdirAll(filepath.Dir(s.path(h)), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body, ok := verify(raw)
+		if ok && !bytes.Equal(append(header(body), body...), raw) {
+			t.Fatal("a verified object does not re-encode to its own bytes")
+		}
+		if !ok && body != nil {
+			t.Fatal("a rejected object returned a payload")
+		}
+		if err := os.WriteFile(s.path(h), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		const n = 16
+		head, hok := s.Head(h, n)
+		if hok != validHeader(raw) {
+			t.Fatalf("Head ok = %v for a header that validHeader calls %v", hok, !hok)
+		}
+		if hok && !bytes.Equal(head, raw[headerLen:min(len(raw), headerLen+n)]) {
+			t.Fatalf("Head = %q, want the first %d payload bytes", head, n)
+		}
+		got, gok := s.Get(h)
+		if gok != ok || !bytes.Equal(got, body) {
+			t.Fatalf("Get = %q, %v; verify says %q, %v", got, gok, body, ok)
+		}
+	})
 }
