@@ -11,9 +11,7 @@ package cuttlefish
 // the full tables). Micro-benchmarks for the hot simulator paths follow.
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -256,27 +254,6 @@ func BenchmarkMachineStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepWorkers measures one quantum across engine worker
-// counts: the sharded driver's dispatch-plus-barrier cost versus the serial
-// path (on multi-core hosts the sharded rows win; on a single-CPU host they
-// expose pure coordination overhead).
-func BenchmarkEngineStepWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := machine.DefaultConfig()
-			cfg.Workers = workers
-			m := machine.MustNew(cfg)
-			defer m.Close()
-			seg := workload.Segment{Instructions: 1e18, MissPerInstr: 0.05, IPC: 2}
-			m.SetSource(sched.NewWorkSharing(20, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 20}}, 1), 1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step()
-			}
-		})
-	}
-}
-
 // BenchmarkEngineRunBatching measures a full daemon-paced run (a component
 // every 20 ms, the paper's Tinv) with run-to-next-event batching on
 // (batch=0: one engine dispatch per Tinv window) versus off (batch=1: one
@@ -406,7 +383,6 @@ func BenchmarkGovernorDispatch(b *testing.B) {
 			if err := detach(); err != nil {
 				b.Fatal(err)
 			}
-			m.Close()
 		}
 	}
 	b.Run("direct", func(b *testing.B) {

@@ -23,9 +23,10 @@
 // (admission → queue wait → execute → per-region simulate → report
 // encode); -traces bounds how many recent traces are held, -trace-dir
 // additionally writes each as a Chrome trace-event JSON file. /metrics
-// serves Prometheus text. -profile adds per-worker busy wall-time to
-// each trace's simulate span; -pprof-addr serves net/http/pprof on a
-// separate listener so profiling endpoints never share the public port.
+// serves Prometheus text. -profile adds the engine's dispatch wall time,
+// batch and quantum counts to each trace's simulate span; -pprof-addr
+// serves net/http/pprof on a separate listener so profiling endpoints
+// never share the public port.
 //
 // -timelines arms the deterministic flight recorder on every executed
 // spec: the simulated machine is sampled at region boundaries and every
@@ -87,7 +88,7 @@ func main() {
 		traces    = flag.Int("traces", 64, "recent run traces to hold for GET /v1/runs/{id}/trace (0 disables tracing)")
 		timelines = flag.Int("timelines", 0, "recent flight-recorder timelines to hold for GET /v1/runs/{id}/timeline (0 disables timeline recording)")
 		traceDir  = flag.String("trace-dir", "", "also write each trace as Chrome trace-event JSON under this directory")
-		profile   = flag.Bool("profile", false, "record per-phase and per-worker wall time into each trace's simulate span")
+		profile   = flag.Bool("profile", false, "record the engine's dispatch wall time, batches and quanta into each trace's simulate span")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		grace     = flag.Duration("grace", 30*time.Second, "graceful shutdown deadline")
 	)
@@ -125,9 +126,9 @@ type runConfig struct {
 }
 
 func run(rc runConfig) error {
-	// Engine knobs (sim_workers, batch_quanta) travel inside each spec —
-	// they are part of the content hash, so the server never rewrites
-	// them behind the cache key's back.
+	// The engine knob batch_quanta travels inside each spec — it is part
+	// of the content hash, so the server never rewrites it behind the
+	// cache key's back.
 	cfg := service.Config{Workers: rc.workers, QueueDepth: rc.queue, CacheEntries: rc.cache,
 		Metrics: obs.NewRegistry(), Profile: rc.profile}
 	if rc.traces > 0 || rc.traceDir != "" {

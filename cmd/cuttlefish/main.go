@@ -113,7 +113,6 @@ func newFlagSet(spec *service.RunSpec) *flag.FlagSet {
 	fs.Float64Var(&spec.TinvSec, "tinv", spec.TinvSec, "daemon profiling interval in seconds")
 	fs.Float64Var(&spec.WarmupSec, "warmup", spec.WarmupSec, "cuttlefish daemon warmup before its first wake, in simulated seconds (negative = none; part of the spec identity)")
 	fs.IntVar(&workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&spec.SimWorkers, "simworkers", 0, "engine workers sharding each simulated machine's cores (0/1 = serial)")
 	fs.IntVar(&spec.BatchQuanta, "batch", 0, "max quanta per engine dispatch (0 = run to next event)")
 	fs.StringVar(&spec.Governor, "governor", "", "registered governor for single-environment experiments (default: each experiment's paper environment; see -list-governors)")
 	fs.StringVar(&format, "format", "text", "report format: text | json | csv")
@@ -128,7 +127,7 @@ func newFlagSet(spec *service.RunSpec) *flag.FlagSet {
 	fs.Int64Var(&memoMaxBytes, "memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
 	fs.StringVar(&traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
 	fs.StringVar(&timelineOut, "timeline-out", "", "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
-	fs.BoolVar(&profileFlag, "profile", false, "record per-phase and per-worker wall time into the trace's simulate spans")
+	fs.BoolVar(&profileFlag, "profile", false, "record the engine's dispatch wall time, batches and quanta into the trace's simulate spans")
 	fs.BoolVar(&listGov, "list-governors", false, "list registered governors and exit")
 	fs.BoolVar(&listScen, "list-scenarios", false, "list registered workloads (benchmarks and scenarios) and exit")
 	fs.IntVar(&fuzzN, "n", 100, "scenarios the fuzz subcommand generates before hash-dedup")
@@ -275,7 +274,7 @@ committed snapshot (new findings or regressions exit 1);
 
 -trace-out writes the in-process service's span tree for the run —
 admission, cache probe, queue wait, execute, per-repetition lanes,
-per-region simulate spans, per-worker busy time, report encode — as
+per-region simulate spans, engine dispatch time, report encode — as
 Chrome trace-event JSON (open at chrome://tracing or ui.perfetto.dev).
 Tracing never changes report bytes:
   cuttlefish run -bench bursty -trace-out trace.json

@@ -195,14 +195,19 @@ func TestFlagsAcceptedBeforeAndAfterSubcommand(t *testing.T) {
 // whether it appears before or after the subcommand (the old second
 // parse exited without any message of its own).
 func TestFlagErrorsNameTheFlag(t *testing.T) {
-	for _, args := range [][]string{
-		{"-sed", "7", "run"},
-		{"run", "-sed", "7"},
-		{"-seed", "7", "run", "-sed", "9"},
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-sed", "7", "run"}, "-sed"},
+		{[]string{"run", "-sed", "7"}, "-sed"},
+		{[]string{"-seed", "7", "run", "-sed", "9"}, "-sed"},
+		// The engine is one loop; its former worker-count flag is gone.
+		{[]string{"run", "-bench", "UTS", "-simworkers", "2"}, "-simworkers"},
 	} {
-		_, _, err := parseForTest(t, args...)
-		if err == nil || !strings.Contains(err.Error(), "-sed") {
-			t.Errorf("%v: err = %v, want the offending flag named", args, err)
+		_, _, err := parseForTest(t, c.args...)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%v: err = %v, want the offending flag named", c.args, err)
 		}
 	}
 	if _, _, err := parseForTest(t, "run", "UTS"); err == nil ||

@@ -282,12 +282,12 @@ func TestFuzzPassDeterministic(t *testing.T) {
 	args := []string{"fuzz", "-n", "50", "-seed", "7", "-format", "json"}
 	pass1, _ := cliRun(t, args...)
 	pass2, _ := cliRun(t, args...)
-	pass3, _ := cliRun(t, append(args, "-simworkers", "4", "-workers", "2")...)
+	pass3, _ := cliRun(t, append(args, "-workers", "2")...)
 	if pass1 != pass2 {
 		t.Error("two fuzz passes printed different bytes")
 	}
 	if pass1 != pass3 {
-		t.Error("-simworkers 4 -workers 2 changed the fuzz report")
+		t.Error("-workers 2 changed the fuzz report")
 	}
 	requireJSON(t, "fuzz report", pass1)
 	replay, _ := cliRun(t, "fuzz", "-replay", filepath.Join("..", "..", "internal", "fuzz", "testdata", "corpus"), "-format", "json")

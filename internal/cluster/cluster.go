@@ -131,7 +131,6 @@ func Run(cfg Config, app App) (Result, error) {
 	defer func() {
 		for _, n := range nodes {
 			n.att.Detach()
-			n.m.Close()
 		}
 	}()
 	for i := 0; i < cfg.Nodes; i++ {
@@ -143,12 +142,10 @@ func Run(cfg Config, app App) (Result, error) {
 		// profile only their own socket, the §4.6 deployment.
 		g, err := governor.New(govName, cfg.Tuning)
 		if err != nil {
-			m.Close()
 			return Result{}, err
 		}
 		att, err := g.Attach(m)
 		if err != nil {
-			m.Close()
 			return Result{}, fmt.Errorf("cluster: rank %d: %w", i, err)
 		}
 		nodes = append(nodes, &node{m: m, att: att})

@@ -55,11 +55,6 @@ type Options struct {
 	Model bench.Model
 	// Workers bounds concurrent simulations; 0 means GOMAXPROCS.
 	Workers int
-	// SimWorkers shards each simulated machine's cores across that many
-	// engine goroutines (machine.Config.Workers). The default 0 keeps
-	// machines serial, which is right when Workers already saturates the
-	// host with independent simulations.
-	SimWorkers int
 	// BatchQuanta caps the engine's run-to-next-event batching
 	// (machine.Config.BatchQuanta); 0 means unbounded.
 	BatchQuanta int
@@ -125,7 +120,6 @@ func (o Options) pool() runner.Pool { return runner.Pool{Workers: o.Workers} }
 func (o Options) machineConfig() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Cores = o.Cores
-	cfg.Workers = o.SimWorkers
 	cfg.BatchQuanta = o.BatchQuanta
 	cfg.Profile = o.Profile
 	return cfg
@@ -268,7 +262,6 @@ func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error)
 	if err != nil {
 		return RunResult{}, err
 	}
-	defer m.Close()
 	m.SetTimeline(opt.Timeline)
 	att, err := j.gov.Attach(m)
 	if err != nil {

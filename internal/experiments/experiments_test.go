@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/freq"
 	"repro/internal/governor"
-	"repro/internal/scenario"
 	"repro/internal/tipi"
 )
 
@@ -382,80 +381,6 @@ func TestTable3Sensitivity(t *testing.T) {
 func TestRunOneUnknownGovernor(t *testing.T) {
 	if _, err := RunOne(mustSpec(t, "UTS"), "turbo", testOptions(), 1); err == nil {
 		t.Error("unknown governor must error")
-	}
-}
-
-// TestGovernorDeterminismSerialVsSharded is the cross-governor determinism
-// contract: the same seed under the same governor must produce bit-identical
-// Joules and Seconds whether the engine runs serial or sharded across
-// workers. It drives a work-sharing benchmark, which really runs on the
-// worker pool: the runtime's schedule is independent of same-quantum call
-// order (hash-derived chunk jitter, one-quantum barrier release latency).
-// Stealing runtimes always step serially; see
-// TestStealingDeterministicAcrossSimWorkers.
-func TestGovernorDeterminismSerialVsSharded(t *testing.T) {
-	spec := mustSpec(t, "SOR-ws")
-	for _, gov := range []string{
-		governor.Default, governor.Cuttlefish, governor.Static,
-		governor.DDCM, governor.Powersave, governor.Ondemand,
-	} {
-		t.Run(gov, func(t *testing.T) {
-			o := testOptions()
-			o.Scale = 0.04
-			run := func(simWorkers int) RunResult {
-				o := o
-				o.SimWorkers = simWorkers
-				res, err := RunOne(spec, gov, o, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			serial, sharded := run(0), run(3)
-			if serial.Joules != sharded.Joules || serial.Seconds != sharded.Seconds {
-				t.Errorf("%s not deterministic across workers: serial (%.9g J, %.9g s) vs sharded (%.9g J, %.9g s)",
-					gov, serial.Joules, serial.Seconds, sharded.Joules, sharded.Seconds)
-			}
-			if serial.Joules <= 0 || serial.Seconds <= 0 {
-				t.Errorf("%s degenerate run %+v", gov, serial)
-			}
-		})
-	}
-}
-
-// TestStealingDeterministicAcrossSimWorkers: a work-stealing runtime draws
-// steal victims from one shared RNG, so its schedule depends on the order
-// cores poll it; the engine therefore steps it serially whatever
-// SimWorkers says, and sharded runs repeat the serial result bit for bit.
-func TestStealingDeterministicAcrossSimWorkers(t *testing.T) {
-	for _, name := range []string{"UTS", "Heat-irt", "bursty-tasks"} {
-		t.Run(name, func(t *testing.T) {
-			e, ok := scenario.Get(name)
-			if !ok {
-				t.Fatalf("unknown workload %s", name)
-			}
-			run := func(simWorkers int) RunResult {
-				o := testOptions()
-				o.Scale = 0.03
-				o.WarmupSec = 0.25 // let the daemon act on a run this short
-				o.SimWorkers = simWorkers
-				res, err := RunEntry(e, governor.Cuttlefish, o, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res.Daemon = nil // a fresh pointer in every run
-				return res
-			}
-			ref := run(1)
-			if ref.Joules <= 0 || ref.Seconds <= 0 {
-				t.Fatalf("degenerate run %+v", ref)
-			}
-			for i, w := range []int{4, 4} {
-				if got := run(w); got != ref {
-					t.Errorf("run %d at SimWorkers %d = %+v, want the serial %+v", i+2, w, got, ref)
-				}
-			}
-		})
 	}
 }
 

@@ -28,9 +28,7 @@ const memoContainerMagic = "cfmemo1\n"
 
 // prefixKeys derives the snapshot key chain for one run: keys[k] commits
 // to everything the simulation's future depends on after k completed
-// regions. The base digest covers the machine configuration (with the
-// engine worker count zeroed — work-sharing results are bit-identical
-// across worker counts, so snapshots are shareable across them), the
+// regions. The base digest covers the machine configuration, the
 // governor name and tuning, and the seed; each link then absorbs one
 // region's exact values (IEEE-754 bit patterns, so "almost equal"
 // programs never collide). Two runs agree on keys[k] iff they are
@@ -43,10 +41,9 @@ const memoContainerMagic = "cfmemo1\n"
 // Definition.EstimateSeconds.
 func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, regions []sched.Region) ([]string, error) {
 	keyCfg := cfg
-	keyCfg.Workers = 0
-	// Profile, like Workers, is pure wall-clock instrumentation with no
-	// effect on simulated state: snapshots are shareable across profiled
-	// and unprofiled runs, so it must not fork the key chain.
+	// Profile is pure wall-clock instrumentation with no effect on
+	// simulated state: snapshots are shareable across profiled and
+	// unprofiled runs, so it must not fork the key chain.
 	keyCfg.Profile = false
 	cfgJSON, err := json.Marshal(keyCfg)
 	if err != nil {
@@ -218,8 +215,7 @@ type memoPlan struct {
 // newMemoPlan compiles j's region schedule and probes the tier for its
 // longest memoized prefix. It returns nil when the workload has no
 // deterministic region schedule (task-DAG decompositions, whose stealing
-// schedule depends on engine worker count), sending run to the plain
-// path.
+// schedule is decided while they run), sending run to the plain path.
 func newMemoPlan(j simJob, opt Options) *memoPlan {
 	cfg := opt.machineConfig()
 	regions, phases, err := j.entry.Def.CompiledRegions(scenario.Params{

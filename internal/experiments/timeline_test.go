@@ -83,14 +83,12 @@ func TestTimelineInvisibleToReports(t *testing.T) {
 }
 
 // TestTimelineBitDeterministic pins the flight recorder's own output:
-// two identical runs render byte-identical timelines, and a work-sharing
-// source records the same timeline under SimWorkers 1 and N (the same
-// contract the engine gives report bytes).
+// two identical runs render byte-identical timelines (the same contract
+// the engine gives report bytes).
 func TestTimelineBitDeterministic(t *testing.T) {
-	record := func(simWorkers int) []byte {
+	record := func() []byte {
 		opt := timelineTestOptions()
 		opt.Governor = governor.Cuttlefish
-		opt.SimWorkers = simWorkers
 		rec := timeline.New("det")
 		opt.Timeline = rec
 		if _, err := RunOneReport("bursty", opt); err != nil {
@@ -102,13 +100,9 @@ func TestTimelineBitDeterministic(t *testing.T) {
 		}
 		return data
 	}
-	a, b := record(0), record(0)
+	a, b := record(), record()
 	if !bytes.Equal(a, b) {
 		t.Error("two identical runs rendered different timeline bytes")
-	}
-	sharded := record(3)
-	if !bytes.Equal(a, sharded) {
-		t.Error("timeline bytes differ between SimWorkers 1 and 3")
 	}
 }
 

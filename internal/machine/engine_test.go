@@ -10,8 +10,7 @@ import (
 
 // laneSource gives every core its own fixed segment list — scheduling is a
 // pure function of the core index, so results cannot depend on the order in
-// which cores are stepped. This is the determinism contract the engine
-// preserves across worker counts.
+// which cores are stepped.
 type laneSource struct {
 	lanes [][]workload.Segment
 	pos   []int
@@ -55,16 +54,14 @@ func (s *laneSource) Done() bool {
 	return true
 }
 
-// engineRun executes a fixed workload with the given engine configuration
-// and returns the exact totals.
-func engineRun(t *testing.T, workers, batchQuanta int) (instr, joules, now float64) {
+// engineRun executes a fixed workload with the given batch cap and returns
+// the exact totals.
+func engineRun(t *testing.T, batchQuanta int) (instr, joules, now float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 8
-	cfg.Workers = workers
 	cfg.BatchQuanta = batchQuanta
 	m := MustNew(cfg)
-	defer m.Close()
 	// A daemon-like component taxing core 0 plus the Auto-style firmware
 	// exercise the event queue and the per-quantum governor during the run.
 	m.SetFirmware(pinFirmware{target: 24})
@@ -77,30 +74,16 @@ func engineRun(t *testing.T, workers, batchQuanta int) (instr, joules, now float
 	return m.TotalInstructions(), m.TotalEnergy(), m.Now()
 }
 
-// TestEngineDeterministicAcrossWorkers is the sharded-engine determinism
-// contract: for a source whose scheduling is independent of cross-core call
-// order, Workers=1 and Workers=N produce bit-identical totals.
-func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	refInstr, refJoules, refNow := engineRun(t, 1, 0)
-	if refInstr <= 0 || refJoules <= 0 {
-		t.Fatalf("degenerate reference run: %g instr, %g J", refInstr, refJoules)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		instr, joules, now := engineRun(t, workers, 0)
-		if instr != refInstr || joules != refJoules || now != refNow {
-			t.Errorf("workers=%d diverged: instr %v vs %v, joules %v vs %v, now %v vs %v",
-				workers, instr, refInstr, joules, refJoules, now, refNow)
-		}
-	}
-}
-
 // TestEngineDeterministicAcrossBatching: the run-to-next-event batching
 // must not change physics — every quantum's arithmetic (and hence energy
 // and the clock) is identical for any BatchQuanta. Lifetime instruction
 // totals are accumulated per batch, so their float additions group
 // differently across settings; they may differ by an ulp, no more.
 func TestEngineDeterministicAcrossBatching(t *testing.T) {
-	refInstr, refJoules, refNow := engineRun(t, 1, 1)
+	refInstr, refJoules, refNow := engineRun(t, 1)
+	if refInstr <= 0 || refJoules <= 0 {
+		t.Fatalf("degenerate reference run: %g instr, %g J", refInstr, refJoules)
+	}
 	check := func(label string, instr, joules, now float64) {
 		t.Helper()
 		if joules != refJoules || now != refNow {
@@ -110,13 +93,10 @@ func TestEngineDeterministicAcrossBatching(t *testing.T) {
 			t.Errorf("%s instruction total %v vs %v beyond summation-order slack", label, instr, refInstr)
 		}
 	}
-	for _, bq := range []int{0, 7, 40} {
-		instr, joules, now := engineRun(t, 1, bq)
+	for _, bq := range []int{0, 7, 16, 40} {
+		instr, joules, now := engineRun(t, bq)
 		check(fmt.Sprintf("batchQuanta=%d", bq), instr, joules, now)
 	}
-	// And batching composes with sharding.
-	instr, joules, now := engineRun(t, 4, 16)
-	check("workers=4/batch=16", instr, joules, now)
 }
 
 // TestStepMatchesRun: driving the machine by hand with Step must agree with
@@ -149,10 +129,9 @@ func TestStepMatchesRun(t *testing.T) {
 	}
 }
 
-// stealingSource hands out segments from a single shared pool, so parallel
-// workers all reach the same counters from NextSegment/Complete. It takes
-// no lock: the machine never calls a source concurrently, and under -race
-// (CI) any concurrent call from the sharded engine is reported.
+// stealingSource hands out segments from a single shared pool, so every
+// core reaches the same counters from NextSegment/Complete. It takes no
+// lock: the machine never calls a source concurrently.
 type stealingSource struct {
 	remain   int
 	inFlight int
@@ -172,16 +151,13 @@ func (s *stealingSource) Complete(core int, now float64) { s.inFlight-- }
 
 func (s *stealingSource) Done() bool { return s.remain == 0 && s.inFlight == 0 }
 
-// TestEngineParallelSharedSource exercises the sharded engine against a
-// shared source and checks work conservation. Under -race this is the
-// regression test for the snapshot/commit protocol, the quantum barrier and
-// the engine's source lock.
+// TestEngineParallelSharedSource runs eight cores against one shared
+// source and checks work conservation: every segment the pool hands out is
+// retired exactly once.
 func TestEngineParallelSharedSource(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 8
-	cfg.Workers = 4
 	m := MustNew(cfg)
-	defer m.Close()
 	const nSeg, perSeg = 96, 1e6
 	src := &stealingSource{remain: nSeg, seg: workload.Segment{Instructions: perSeg, MissPerInstr: 0.01, IPC: 2}}
 	m.SetSource(src)
@@ -192,33 +168,6 @@ func TestEngineParallelSharedSource(t *testing.T) {
 	}
 	if got, want := m.TotalInstructions(), float64(nSeg)*perSeg; math.Abs(got-want) > 1 {
 		t.Errorf("retired %.0f instructions, want %.0f", got, want)
-	}
-}
-
-// TestEngineWorkerPoolReuse: repeated batches must reuse the persistent
-// pool; this is a smoke test that dispatch survives many Run/Step cycles
-// and that Close is idempotent.
-func TestEngineWorkerPoolReuse(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 4
-	cfg.Workers = 4
-	m := MustNew(cfg)
-	for round := 0; round < 5; round++ {
-		src := newLaneSource(cfg.Cores, 4, workload.Segment{Instructions: 1e6, IPC: 2})
-		m.SetSource(src)
-		m.Run(30)
-		if !src.Done() {
-			t.Fatalf("round %d did not drain", round)
-		}
-	}
-	m.Close()
-	m.Close() // idempotent
-	// After Close the machine still runs (serial fallback).
-	src := newLaneSource(cfg.Cores, 2, workload.Segment{Instructions: 1e6, IPC: 2})
-	m.SetSource(src)
-	m.Run(30)
-	if !src.Done() {
-		t.Fatal("post-Close run did not drain")
 	}
 }
 

@@ -266,26 +266,6 @@ func TestDaemonTaxSlowsPinnedCore(t *testing.T) {
 	}
 }
 
-func TestParallelDriverMatchesSerialTotals(t *testing.T) {
-	run := func(workers int) (float64, float64) {
-		src := newPool(workload.Segment{Instructions: 2e6, MissPerInstr: 0.03, IPC: 2}, 64)
-		cfg := smallConfig()
-		cfg.Workers = workers
-		m := MustNew(cfg)
-		m.SetSource(src)
-		elapsed := m.Run(60)
-		return m.TotalInstructions(), elapsed
-	}
-	si, st := run(1)
-	pi, pt := run(4)
-	if math.Abs(si-pi) > 1 {
-		t.Errorf("instruction totals differ: serial %.0f parallel %.0f", si, pi)
-	}
-	if math.Abs(st-pt)/st > 0.02 {
-		t.Errorf("elapsed differs: serial %.4f parallel %.4f", st, pt)
-	}
-}
-
 func TestRaplVisibleThroughMSR(t *testing.T) {
 	src := newPool(workload.Segment{Instructions: 1e7, IPC: 2}, 16)
 	m := MustNew(smallConfig())

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"repro/internal/sched"
@@ -11,7 +12,7 @@ import (
 // midRunMachine boots a machine on a work-sharing source and advances it
 // partway through the program, so its snapshot carries non-trivial core,
 // PMU, RAPL and uncore state.
-func midRunMachine(t *testing.T) *Machine {
+func midRunMachine(t testing.TB) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 4
@@ -19,7 +20,6 @@ func midRunMachine(t *testing.T) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
 	regions := []sched.Region{
 		{Seg: workload.Segment{Instructions: 4e8, MissPerInstr: 1e-3, IPC: 1.5, RemoteFrac: 0.2, Exposure: 0.5}, Chunks: 8, JitterFrac: 0.1},
 		{Seg: workload.Segment{Instructions: 2e8, MissPerInstr: 8e-3, IPC: 0.7, RemoteFrac: 0.4, Exposure: 0.9}, Chunks: 8, JitterFrac: 0.1},
@@ -46,6 +46,37 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSnapshot feeds arbitrary payloads to DecodeSnapshot, which
+// reads what the memo tier hands back from disk. The target seals each
+// payload with a fresh SHA-256 trailer, as Encode does, so mutations reach
+// the magic, length and field decoding instead of stopping at the
+// checksum. Decoding returns an error or a snapshot whose encoding decodes
+// again and re-encodes to identical bytes; it never panics.
+func FuzzDecodeSnapshot(f *testing.F) {
+	raw := midRunMachine(f).Snapshot().Encode()
+	payload := raw[:len(raw)-sha256.Size]
+	f.Add(payload)
+	f.Add(payload[:len(payload)-1])
+	f.Add(payload[:len(snapshotMagic)+40])
+	f.Add([]byte(snapshotMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sum := sha256.Sum256(payload)
+		s, err := DecodeSnapshot(append(payload[:len(payload):len(payload)], sum[:]...))
+		if err != nil {
+			return
+		}
+		enc := s.Encode()
+		again, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("a decoded snapshot's encoding does not decode: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("decode → encode is not a fixed point")
+		}
+	})
+}
+
 // TestSnapshotRestoreReproducesState restores a mid-run snapshot into a
 // freshly booted machine and requires the restored machine's own snapshot
 // to be byte-identical — every field the future depends on survived.
@@ -62,7 +93,6 @@ func TestSnapshotRestoreReproducesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
 	if err := m2.Restore(s); err != nil {
 		t.Fatal(err)
 	}

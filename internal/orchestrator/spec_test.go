@@ -1,6 +1,8 @@
 package orchestrator
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -139,6 +141,12 @@ func TestExpandDistributionAxisIsDeterministic(t *testing.T) {
 func TestParseSweepSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSweepSpec([]byte(`{"axes": {"benchmarcks": ["UTS"]}}`)); err == nil {
 		t.Error("typoed axis must be rejected, not silently ignored")
+	}
+	// Base fields are RunSpec fields: the removed engine-worker knob is
+	// as unknown there as in a POST /v1/runs body.
+	_, err := ParseSweepSpec([]byte(`{"base": {"sim_workers": 4}, "axes": {"benchmarks": ["UTS"]}}`))
+	if !errors.Is(err, ErrBadSweep) || !strings.Contains(fmt.Sprint(err), "sim_workers") {
+		t.Errorf("base.sim_workers: err = %v, want ErrBadSweep naming the field", err)
 	}
 	if _, err := ParseSweepSpec([]byte(`{"axes": {"scales": {"dist": "zipf"}}}`)); err != nil {
 		t.Fatalf("parse should defer distribution validation to Expand: %v", err)

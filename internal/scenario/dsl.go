@@ -17,9 +17,10 @@ import (
 var ErrBadDefinition = errors.New("scenario: invalid definition")
 
 // Decomposition names of the DSL. Work-sharing compiles to the
-// OpenMP-style static-chunk runtime (bit-deterministic across engine
-// worker counts); task-dag compiles to the work-stealing runtime (its
-// schedule, like the bench task variants, is worker-count dependent).
+// OpenMP-style static-chunk runtime (its schedule is independent of the
+// order cores step in); task-dag compiles to the work-stealing runtime
+// (its schedule, like the bench task variants, depends on that order,
+// which the engine fixes to core-index order).
 const (
 	WorkSharing = "work-sharing"
 	TaskDAG     = "task-dag"
@@ -260,8 +261,7 @@ const jitterDomain = 0x5ce4a6d1c3b2f897
 // jitter returns a uniform value in [0, 1) derived from the
 // domain-tagged seed and two indices. Being a pure function (not a
 // sequential draw) keeps every perturbation stable no matter which core
-// or engine worker asks first, which is what lets work-sharing
-// scenarios reproduce bit-identically across engine worker counts.
+// asks first.
 func jitter(seed int64, a, b int) float64 {
 	return sched.IndexJitter(seed^jitterDomain, a, b)
 }

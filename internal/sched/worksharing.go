@@ -49,10 +49,9 @@ func StaticProgram(regions []Region, iterations int) RegionGen {
 // releases only when every chunk has completed, and the release takes
 // effect at the next simulation timestamp: cores asking at the same `now`
 // the barrier opened are refused. That one-quantum release latency (a real
-// barrier's wake-up cost) is what makes the runtime independent of the
-// order cores step in within a quantum — the engine's sharded workers and
-// the serial driver observe identical state transitions, so results are
-// bit-identical across engine worker counts.
+// barrier's wake-up cost) makes the runtime independent of the order cores
+// step in within a quantum: a core stepped after the one that completed
+// the region sees the same closed barrier as a core stepped before it.
 //
 // The runtime holds no lock: the machine never calls a source concurrently.
 type WorkSharing struct {
@@ -85,8 +84,7 @@ type WorkSharing struct {
 // drives jitter only; a jitter-free program is fully deterministic, and a
 // jittered one is too — each chunk's jitter is a pure function of
 // (seed, region, chunk), never a sequential draw, so results are
-// independent of the order cores claim chunks in (the engine's sharded
-// workers step cores in any order).
+// independent of the order cores claim chunks in.
 func NewWorkSharing(cores int, gen RegionGen, seed int64) *WorkSharing {
 	if cores <= 0 {
 		panic(fmt.Sprintf("sched: invalid core count %d", cores))
@@ -99,7 +97,7 @@ func NewWorkSharing(cores int, gen RegionGen, seed int64) *WorkSharing {
 // IndexJitter returns a uniform value in [0, 1) derived from a seed and
 // two indices — splitmix64 over the triple. Being a pure function (never
 // a sequential draw), every perturbation is stable no matter which core
-// or engine worker asks first; the work-sharing runtime uses it for
+// asks first; the work-sharing runtime uses it for
 // chunk jitter and the scenario DSL for its (domain-separated) phase
 // jitter, so there is exactly one implementation to keep deterministic.
 func IndexJitter(seed int64, a, b int) float64 {

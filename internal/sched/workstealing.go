@@ -193,12 +193,6 @@ func (w *WorkStealing) Complete(core int, now float64) {
 	}
 }
 
-// OrderDependent reports true: every core draws its steal victims from the
-// one runtime RNG, so the order cores poll in within a quantum decides who
-// steals what. It implements workload.OrderDependent, which keeps the
-// machine stepping this runtime serially whatever its engine worker count.
-func (w *WorkStealing) OrderDependent() bool { return true }
-
 // Done reports whether every round has completed.
 func (w *WorkStealing) Done() bool { return w.done }
 

@@ -85,16 +85,19 @@ func TestHTTPValidationAndBackpressureStatusCodes(t *testing.T) {
 		t.Errorf("invalid spec: %d, want 400", resp.StatusCode)
 	}
 
-	// 400: unknown field (a typo would silently change the run).
-	resp2, err := http.Post(srv.URL+"/v1/runs", "application/json",
-		strings.NewReader(`{"benchmark":"UTS","scael":0.5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: %d, want 400", resp2.StatusCode)
+	// 400 naming the field: an unknown field (a typo would silently
+	// change the run), or the removed engine-worker knob.
+	for _, field := range []string{"scael", "sim_workers"} {
+		resp2, err := http.Post(srv.URL+"/v1/runs", "application/json",
+			strings.NewReader(`{"benchmark":"UTS","`+field+`":4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp2.Body)
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+			t.Errorf("unknown field %s: %d %s, want a 400 naming it", field, resp2.StatusCode, body)
+		}
 	}
 
 	// 429: worker + queue slot held, third distinct spec rejected.

@@ -31,12 +31,9 @@ import (
 var ErrInvalidSpec = errors.New("service: invalid spec")
 
 // RunSpec is one simulation request as a value. Every field — including
-// the engine execution knobs SimWorkers and BatchQuanta — is part of the
-// canonical form and therefore of the content hash. BatchQuanta regroups
-// lifetime-total additions, which is visible in the last bits. SimWorkers
-// changes no result (the engine steps order-dependent sources serially),
-// but it stays in the hash: taking it out would re-key every stored
-// result, a change of its own.
+// the engine execution knob BatchQuanta — is part of the canonical form
+// and therefore of the content hash. BatchQuanta regroups lifetime-total
+// additions, which is visible in the last bits.
 type RunSpec struct {
 	// Experiment names the harness: "run" (single benchmark, the
 	// default), or any cuttlefish subcommand ("table1", "fig10", …).
@@ -72,8 +69,6 @@ type RunSpec struct {
 	WarmupSec float64 `json:"warmup_sec,omitempty"`
 	// Model selects the parallel runtime ("openmp" or "hclib").
 	Model string `json:"model,omitempty"`
-	// SimWorkers shards each simulated machine across engine goroutines.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// BatchQuanta caps the engine's run-to-next-event batching.
 	BatchQuanta int `json:"batch_quanta,omitempty"`
 }
@@ -105,13 +100,14 @@ func (s RunSpec) Normalized() RunSpec {
 	// a Scenario naming a Table 1 benchmark folds into Benchmark, and a
 	// Benchmark naming a registered synthetic scenario folds into
 	// Scenario, so either spelling of the same workload hashes equal
-	// (and `-bench bursty` just works).
-	if s.Scenario != "" {
+	// (and `-bench bursty` just works). A selector folds only into an
+	// empty one: a spec naming two workloads keeps both, and Validate
+	// rejects it.
+	if s.Scenario != "" && s.Benchmark == "" {
 		if e, ok := scenario.Get(s.Scenario); ok && e.Kind == scenario.KindBench {
 			s.Benchmark, s.Scenario = s.Scenario, ""
 		}
-	}
-	if s.Benchmark != "" {
+	} else if s.Benchmark != "" && s.Scenario == "" {
 		if _, isBench := bench.Get(s.Benchmark); !isBench && scenario.Exists(s.Benchmark) {
 			s.Scenario, s.Benchmark = s.Benchmark, ""
 		}
@@ -240,7 +236,6 @@ func (s RunSpec) Options() experiments.Options {
 	opt.TinvSec = s.TinvSec
 	opt.WarmupSec = s.WarmupSec
 	opt.Model = bench.Model(s.Model)
-	opt.SimWorkers = s.SimWorkers
 	opt.BatchQuanta = s.BatchQuanta
 	opt.Governor = s.Governor
 	opt.Scenario = s.Scenario

@@ -51,19 +51,47 @@ func TestHashTreatsDefaultsAsExplicit(t *testing.T) {
 	}
 }
 
-// TestHashIncludesExecutionKnobs: both engine knobs stay in the content
-// hash — batch_quanta changes lifetime totals in the last bits, and
-// dropping sim_workers would re-key every stored result — so a sharded
-// run and a serial run must NOT share a cache entry.
+// TestHashIncludesExecutionKnobs: the engine's batch cap stays in the
+// content hash — batch_quanta changes lifetime totals in the last bits —
+// so a capped run and an uncapped run must NOT share a cache entry.
 func TestHashIncludesExecutionKnobs(t *testing.T) {
 	serial := RunSpec{Benchmark: "UTS"}
-	sharded := RunSpec{Benchmark: "UTS", SimWorkers: 8}
 	batched := RunSpec{Benchmark: "UTS", BatchQuanta: 64}
-	if serial.Hash() == sharded.Hash() {
-		t.Error("sim_workers must be part of the content hash")
-	}
 	if serial.Hash() == batched.Hash() {
 		t.Error("batch_quanta must be part of the content hash")
+	}
+}
+
+// TestCanonicalHashesPinned pins the content address of a few specs that
+// cover the canonical form's parts: a cold-novel-style scenario request,
+// a non-"run" experiment, an inline scenario_def, an engine knob and a
+// non-default runtime model. The result cache, the disk store and every
+// client key on these bytes, so a change here re-keys stored results and
+// must be deliberate.
+func TestCanonicalHashesPinned(t *testing.T) {
+	cases := []struct{ doc, want string }{
+		{`{"scenario":"bursty","governor":"cuttlefish","scale":0.03,"warmup_sec":0.25,"reps":1,"seed":1234567891}`,
+			"fa8f025255add7c87f022b30aee7c234748dd65b14179451d520983759f3f996"},
+		{`{"experiment":"table1"}`,
+			"4e9a53478569024e77c5b4917313f7a2d566799ce93fcf4b4bd99836d45d08cc"},
+		{`{"scenario_def":{"name":"p","phases":[{"instructions":3e11,"miss_per_instr":0.0005,"ipc":2},{"instructions":1e11,"miss_per_instr":0.004,"ipc":1.6,"remote_frac":0.2}]},"governor":"cuttlefish-uncore","scale":0.05,"seed":7}`,
+			"b19882103e9b5738e47a899ccad1b9f979af3778cb4fbc364980bbc2711c565c"},
+		{`{"benchmark":"UTS","batch_quanta":8}`,
+			"59d3c5a9531359da31f63c49472b9716379c63b380c3c65aee2f0130a4ebabe5"},
+		{`{"benchmark":"SOR-ws","model":"hclib","governor":"powersave"}`,
+			"4bcd7734a93add21b6550c4201e16a75d16247e947ee8740de5b4cac76061e84"},
+	}
+	for _, c := range cases {
+		var s RunSpec
+		if err := json.Unmarshal([]byte(c.doc), &s); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Normalized().Validate(); err != nil {
+			t.Fatalf("%s: %v", c.doc, err)
+		}
+		if got := s.Hash(); got != c.want {
+			t.Errorf("%s\nhash %s, want %s\ncanonical %s", c.doc, got, c.want, s.Canonical())
+		}
 	}
 }
 
@@ -213,6 +241,11 @@ func TestScenarioValidation(t *testing.T) {
 	}{
 		{"unknown scenario", RunSpec{Scenario: "no-such"}, "unknown scenario"},
 		{"benchmark and scenario", RunSpec{Benchmark: "UTS", Scenario: "bursty"}, "mutually exclusive"},
+		// Each selector names a workload the other would fold into; both
+		// must survive normalization so Validate sees two workloads.
+		{"synthetic benchmark and bench scenario", RunSpec{Benchmark: "bursty", Scenario: "UTS"}, "mutually exclusive"},
+		{"two Table 1 benchmarks", RunSpec{Benchmark: "UTS", Scenario: "SOR-ws"}, "mutually exclusive"},
+		{"two synthetic scenarios", RunSpec{Benchmark: "bursty", Scenario: "ramp"}, "mutually exclusive"},
 		{"invalid inline def", RunSpec{ScenarioDef: &scenario.Definition{Name: "x"}}, "at least one phase"},
 	}
 	for _, c := range cases {
@@ -236,13 +269,13 @@ func TestScenarioValidation(t *testing.T) {
 // the same run — every identity field arrives unchanged.
 func TestSpecOptionsCarriesTheSpec(t *testing.T) {
 	spec := RunSpec{Experiment: "table1", Governor: "powersave", Scale: 0.07, Seed: 42,
-		SimWorkers: 4, BatchQuanta: 8, TinvSec: 0.04, WarmupSec: -1}.Normalized()
+		BatchQuanta: 8, TinvSec: 0.04, WarmupSec: -1}.Normalized()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	opt := spec.Options()
 	if opt.Governor != spec.Governor || opt.Scale != spec.Scale || opt.Seed != spec.Seed ||
-		opt.SimWorkers != spec.SimWorkers || opt.BatchQuanta != spec.BatchQuanta ||
+		opt.BatchQuanta != spec.BatchQuanta ||
 		opt.Cores != spec.Cores || opt.Reps != spec.Reps || opt.TinvSec != spec.TinvSec ||
 		opt.WarmupSec != spec.WarmupSec || string(opt.Model) != spec.Model {
 		t.Errorf("options lost fields: spec %+v, options %+v", spec, opt)

@@ -7,8 +7,7 @@
 //
 // A timeline is a pure function of simulation state: every sample and
 // event derives from simulated time and simulated counters, never wall
-// clock, so two runs of one spec produce byte-identical timelines and a
-// work-sharing source records the same timeline under SimWorkers 1 and N.
+// clock, so two runs of one spec produce byte-identical timelines.
 // Like spans and metrics (internal/obs), timelines live strictly outside
 // the determinism/cache boundary: they are excluded from canonical report
 // bytes, spec hashes and memo prefix keys, and a nil *Recorder makes

@@ -64,17 +64,6 @@ func (p *Partition) Complete(core int, now float64) {
 	}
 }
 
-// OrderDependent reports whether any component's schedule depends on the
-// order cores call it within a quantum (see the OrderDependent interface).
-func (p *Partition) OrderDependent() bool {
-	for _, c := range p.comps {
-		if o, ok := c.src.(OrderDependent); ok && o.OrderDependent() {
-			return true
-		}
-	}
-	return false
-}
-
 // Done reports whether every component has finished.
 func (p *Partition) Done() bool {
 	for _, c := range p.comps {

@@ -87,21 +87,15 @@ func (s Segment) Scale(k float64) Segment {
 //
 // Both methods receive the simulation time so runtimes can account for
 // scheduling overheads or time-based phase changes. The machine never calls
-// a source concurrently, so implementations need no locks.
+// a source concurrently, so implementations need no locks, and within a
+// quantum it steps cores in index order, so a schedule that depends on call
+// order (a work-stealing runtime drawing victims from one RNG) is still a
+// pure function of the seed.
 type Source interface {
 	NextSegment(core int, now float64) (Segment, bool)
 	Complete(core int, now float64)
 	// Done reports whether the program has no further work anywhere.
 	Done() bool
-}
-
-// OrderDependent is implemented by sources whose schedule depends on the
-// order in which cores call them within one quantum, such as a work-stealing
-// runtime drawing steal victims from one shared RNG. The machine steps the
-// cores of such a source serially, in core-index order, whatever its engine
-// worker count, so its results stay bit-identical across worker counts.
-type OrderDependent interface {
-	OrderDependent() bool
 }
 
 // Phase pairs a segment template with a count, describing "n tasks that
