@@ -255,25 +255,29 @@ func BenchmarkMachineStep(b *testing.B) {
 }
 
 // BenchmarkEngineRunBatching measures a full daemon-paced run (a component
-// every 20 ms, the paper's Tinv) with run-to-next-event batching on
-// (batch=0: one engine dispatch per Tinv window) versus off (batch=1: one
-// dispatch per quantum, the pre-engine behaviour).
+// every 20 ms, the paper's Tinv) with Run's run-to-next-event batching (one
+// engine dispatch per Tinv window) versus a Step loop (one dispatch per
+// quantum).
 func BenchmarkEngineRunBatching(b *testing.B) {
-	for _, batch := range []int{1, 0} {
+	for _, step := range []bool{true, false} {
 		name := "per-quantum"
-		if batch == 0 {
+		if !step {
 			name = "to-next-event"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := machine.DefaultConfig()
-				cfg.BatchQuanta = batch
-				m := machine.MustNew(cfg)
+				m := machine.MustNew(machine.DefaultConfig())
 				m.Schedule(&machine.Component{Period: 20e-3, Tick: func(float64) float64 { return 0 }}, 20e-3)
 				seg := workload.Segment{Instructions: 5e6, MissPerInstr: 0.03, IPC: 2}
 				src := sched.NewWorkSharing(20, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 400}}, 40), 1)
 				m.SetSource(src)
-				m.Run(60)
+				if step {
+					for !m.Finished() && m.Now() < 60 {
+						m.Step()
+					}
+				} else {
+					m.Run(60)
+				}
 				if !m.Finished() {
 					b.Fatal("run did not finish")
 				}

@@ -126,9 +126,8 @@ type runConfig struct {
 }
 
 func run(rc runConfig) error {
-	// The engine knob batch_quanta travels inside each spec — it is part
-	// of the content hash, so the server never rewrites it behind the
-	// cache key's back.
+	// No flag here shapes a run: everything that does travels inside each
+	// spec, whose hash keys every cache tier.
 	cfg := service.Config{Workers: rc.workers, QueueDepth: rc.queue, CacheEntries: rc.cache,
 		Metrics: obs.NewRegistry(), Profile: rc.profile}
 	if rc.traces > 0 || rc.traceDir != "" {

@@ -113,7 +113,6 @@ func newFlagSet(spec *service.RunSpec) *flag.FlagSet {
 	fs.Float64Var(&spec.TinvSec, "tinv", spec.TinvSec, "daemon profiling interval in seconds")
 	fs.Float64Var(&spec.WarmupSec, "warmup", spec.WarmupSec, "cuttlefish daemon warmup before its first wake, in simulated seconds (negative = none; part of the spec identity)")
 	fs.IntVar(&workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&spec.BatchQuanta, "batch", 0, "max quanta per engine dispatch (0 = run to next event)")
 	fs.StringVar(&spec.Governor, "governor", "", "registered governor for single-environment experiments (default: each experiment's paper environment; see -list-governors)")
 	fs.StringVar(&format, "format", "text", "report format: text | json | csv")
 	fs.StringVar(&remote, "remote", "", "execute against a cfserve instance at this URL instead of in-process (e.g. http://localhost:8080)")

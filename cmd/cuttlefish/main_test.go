@@ -202,8 +202,9 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-sed", "7", "run"}, "-sed"},
 		{[]string{"run", "-sed", "7"}, "-sed"},
 		{[]string{"-seed", "7", "run", "-sed", "9"}, "-sed"},
-		// The engine is one loop; its former worker-count flag is gone.
+		// The engine has no knobs left; its former flags are gone.
 		{[]string{"run", "-bench", "UTS", "-simworkers", "2"}, "-simworkers"},
+		{[]string{"run", "-bench", "UTS", "-batch", "8"}, "-batch"},
 	} {
 		_, _, err := parseForTest(t, c.args...)
 		if err == nil || !strings.Contains(err.Error(), c.flag) {

@@ -31,14 +31,14 @@ func Known(name string) bool {
 // sweeps (one per TIPI regime).
 var OracleBenchmarks = []string{"UTS", "SOR-irt", "Heat-irt", "MiniFE"}
 
-// BuildReport runs the named experiment and converts its rows to a
+// BuildReport runs opt's experiment and converts its rows to a
 // structured report. It is the single dispatch point behind the cuttlefish
 // CLI and the cfserve executor, so a new harness becomes remotely servable
-// the moment it is added here. benchName is only consulted by "run".
-func BuildReport(name, benchName string, opt Options) (*report.RunReport, error) {
-	switch name {
+// the moment it is added here.
+func BuildReport(opt Options) (*report.RunReport, error) {
+	switch opt.Experiment {
 	case "run":
-		return RunOneReport(benchName, opt)
+		return RunOneReport(opt)
 	case "table1":
 		rows, err := Table1(opt)
 		if err != nil {
@@ -110,7 +110,7 @@ func BuildReport(name, benchName string, opt Options) (*report.RunReport, error)
 		}
 		return OracleReport(rows, opt), nil
 	default:
-		return nil, fmt.Errorf("unknown experiment %q", name)
+		return nil, fmt.Errorf("unknown experiment %q", opt.Experiment)
 	}
 }
 
@@ -118,7 +118,7 @@ func BuildReport(name, benchName string, opt Options) (*report.RunReport, error)
 // scenario-registry entry, in precedence order: an inline definition,
 // then the named workload (benchmark or registered scenario — both live
 // in the same registry, so one lookup serves both).
-func resolveWorkload(benchName string, opt Options) (scenario.Entry, error) {
+func resolveWorkload(opt Options) (scenario.Entry, error) {
 	if opt.ScenarioDef != nil {
 		def := opt.ScenarioDef.Normalized()
 		if err := def.Validate(); err != nil {
@@ -136,7 +136,7 @@ func resolveWorkload(benchName string, opt Options) (scenario.Entry, error) {
 			Def:            &def,
 		}, nil
 	}
-	name := benchName
+	name := opt.Benchmark
 	if name == "" {
 		name = opt.Scenario
 	}
@@ -174,8 +174,8 @@ const (
 // definition. Repetition r runs with Seed+r, so the whole report is a
 // pure function of (workload, governor, tuning, cores, scale, reps, seed)
 // — the property the service cache keys on.
-func RunOneReport(benchName string, opt Options) (*report.RunReport, error) {
-	entry, err := resolveWorkload(benchName, opt)
+func RunOneReport(opt Options) (*report.RunReport, error) {
+	entry, err := resolveWorkload(opt)
 	if err != nil {
 		return nil, err
 	}

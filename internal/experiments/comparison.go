@@ -48,8 +48,8 @@ type runKey struct {
 	rep      int
 }
 
-// Compare evaluates the configured governor set (default: the three
-// Cuttlefish variants) against the baseline over the given benchmarks.
+// Compare evaluates the paper's three Cuttlefish variants against the
+// Default environment over the given benchmarks.
 // Repetition r of every governor shares a seed with repetition r of the
 // baseline, so ratios compare like with like.
 func Compare(names []string, opt Options) (Comparison, error) {
@@ -61,7 +61,7 @@ func Compare(names []string, opt Options) (Comparison, error) {
 		}
 		specs[i] = s
 	}
-	baseline, govs := opt.comparisonSet()
+	baseline, govs := governor.Default, governor.CuttlefishVariants
 	all := append([]string{baseline}, govs...)
 	var keys []runKey
 	for b := range specs {
@@ -90,7 +90,7 @@ func Compare(names []string, opt Options) (Comparison, error) {
 	}
 
 	cmp := Comparison{
-		Model:            opt.Model,
+		Model:            bench.Model(opt.Model),
 		Baseline:         baseline,
 		Governors:        govs,
 		GeoEnergySavings: map[string]float64{},
@@ -139,13 +139,13 @@ func Compare(names []string, opt Options) (Comparison, error) {
 
 // Fig10 reproduces the OpenMP evaluation over all ten benchmarks.
 func Fig10(opt Options) (Comparison, error) {
-	opt.Model = bench.OpenMP
+	opt.Model = string(bench.OpenMP)
 	return Compare(bench.Names(), opt)
 }
 
 // Fig11 reproduces the HClib evaluation over the six SOR/Heat variants.
 func Fig11(opt Options) (Comparison, error) {
-	opt.Model = bench.HClib
+	opt.Model = string(bench.HClib)
 	return Compare(bench.HClibNames(), opt)
 }
 

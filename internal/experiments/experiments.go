@@ -34,47 +34,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configure an experiment run.
+// Options configure an experiment run: the run's identity, which is the
+// hashed Spec, plus host concurrency and runtime wiring, none of which
+// changes a report byte.
 type Options struct {
-	// Cores is the simulated core count (paper: 20).
-	Cores int
-	// Scale shrinks the paper's 60–80 s benchmark runs proportionally.
-	// 1.0 reproduces paper-length runs; the default keeps CI fast while
-	// leaving runs long enough (≈20 s) for exploration to amortise.
-	Scale float64
-	// Reps is the number of repetitions per point (paper: 10).
-	Reps int
-	// Seed is the base RNG seed; repetition r uses Seed+r.
-	Seed int64
-	// TinvSec is the daemon profiling interval.
-	TinvSec float64
-	// WarmupSec is the daemon warmup (§4.1): 0 keeps the paper's 2 s
-	// default, negative disables the warmup (governor.Tuning semantics).
-	WarmupSec float64
-	// Model selects the parallel runtime for benchmarks that support both.
-	Model bench.Model
+	Spec
 	// Workers bounds concurrent simulations; 0 means GOMAXPROCS.
 	Workers int
-	// BatchQuanta caps the engine's run-to-next-event batching
-	// (machine.Config.BatchQuanta); 0 means unbounded.
-	BatchQuanta int
-	// Governor overrides the execution environment of single-environment
-	// harnesses (Table1); empty means each harness's paper default.
-	Governor string
-	// Scenario names a registered workload scenario for the "run"
-	// experiment; empty means Benchmark (the benchName argument) selects
-	// the workload.
-	Scenario string
-	// ScenarioDef is an inline scenario definition (cuttlefish
-	// -scenario file.json, or a RunSpec's scenario_def); it takes
-	// precedence over Scenario and the benchmark name.
-	ScenarioDef *scenario.Definition
-	// Governors is the comparison set Compare evaluates against Baseline;
-	// empty means the paper's three Cuttlefish variants.
-	Governors []string
-	// Baseline is the reference environment of the comparisons; empty
-	// means "default".
-	Baseline string
 	// Memo is the prefix-snapshot tier (internal/memo): when non-nil,
 	// work-sharing scenario runs look up the longest memoized prefix of
 	// their region schedule, restore it, and simulate only the suffix.
@@ -115,12 +81,10 @@ func (o Options) lane(name string, order int) Options {
 // independent simulations out on.
 func (o Options) pool() runner.Pool { return runner.Pool{Workers: o.Workers} }
 
-// machineConfig builds the simulated socket's configuration, wiring the
-// engine knobs through.
+// machineConfig builds the simulated socket's configuration.
 func (o Options) machineConfig() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Cores = o.Cores
-	cfg.BatchQuanta = o.BatchQuanta
 	cfg.Profile = o.Profile
 	return cfg
 }
@@ -139,31 +103,18 @@ func (o Options) governorName(paperDefault string) string {
 	return paperDefault
 }
 
-// comparisonSet resolves Compare's baseline and governor list.
-func (o Options) comparisonSet() (baseline string, govs []string) {
-	baseline = o.Baseline
-	if baseline == "" {
-		baseline = governor.Default
-	}
-	govs = o.Governors
-	if len(govs) == 0 {
-		govs = governor.CuttlefishVariants
-	}
-	return baseline, govs
-}
-
 // DefaultOptions returns a configuration that finishes the full evaluation
 // in minutes on a laptop while preserving the paper's shapes.
 func DefaultOptions() Options {
-	return Options{
+	return Options{Spec: Spec{
 		Cores:     20,
 		Scale:     0.30,
 		Reps:      5,
 		Seed:      1,
 		TinvSec:   20e-3,
 		WarmupSec: 2.0,
-		Model:     bench.OpenMP,
-	}
+		Model:     string(bench.OpenMP),
+	}}
 }
 
 // RunResult is one benchmark execution.
@@ -228,8 +179,8 @@ func run(j simJob, opt Options) (RunResult, error) {
 // maxSimSeconds is the one deadline rule: ten times the workload's
 // nominal wall time at this scale, plus the daemon warmup and 30 s of
 // headroom. Only a run's last batch can end at the deadline; every
-// other batch ends at a component event, a region boundary, the
-// BatchQuanta cap or completion, none of which depends on the deadline.
+// other batch ends at a component event, a region boundary or
+// completion, none of which depends on the deadline.
 // So the cap only decides whether a run fails, and every finished run is
 // bit-identical under any looser cap (DESIGN.md, "One simulation path").
 func (o Options) maxSimSeconds(nominalSec float64) float64 {
@@ -277,7 +228,7 @@ func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error)
 	if mp != nil {
 		src, err = mp.source(m, att, opt, j.seed, fromK)
 	} else {
-		src, err = j.entry.Build(scenario.Params{Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: string(opt.Model)})
+		src, err = j.entry.Build(scenario.Params{Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: opt.Model})
 	}
 	if err != nil {
 		return RunResult{}, err

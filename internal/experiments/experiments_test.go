@@ -55,7 +55,7 @@ func TestRunOneDefaultAndCuttlefish(t *testing.T) {
 
 func TestRunOneRejectsInvalidModelCombos(t *testing.T) {
 	o := testOptions()
-	o.Model = bench.HClib
+	o.Model = string(bench.HClib)
 	if _, err := RunOne(mustSpec(t, "AMG"), governor.Default, o, 1); err == nil {
 		t.Error("AMG under HClib must fail (§5.2)")
 	}

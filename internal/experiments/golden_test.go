@@ -72,7 +72,8 @@ func runDigests(t *testing.T, tier *memo.Tier) map[string]string {
 		o.Governor = jobs[i].gov
 		o.Memo = tier
 		o.Workers = 1
-		rep, err := RunOneReport(jobs[i].workload, o)
+		o.Benchmark = jobs[i].workload
+		rep, err := RunOneReport(o)
 		if err != nil {
 			return err
 		}
@@ -102,7 +103,9 @@ func TestReportDigestsUnchanged(t *testing.T) {
 		if name == "oracle" {
 			continue
 		}
-		rep, err := BuildReport(name, "Heat-irt", o)
+		e := o
+		e.Experiment, e.Benchmark = name, "Heat-irt"
+		rep, err := BuildReport(e)
 		if err == nil {
 			got["experiment/"+name], err = reportDigest(rep)
 		}

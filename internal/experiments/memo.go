@@ -219,7 +219,7 @@ type memoPlan struct {
 func newMemoPlan(j simJob, opt Options) *memoPlan {
 	cfg := opt.machineConfig()
 	regions, phases, err := j.entry.Def.CompiledRegions(scenario.Params{
-		Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: string(opt.Model),
+		Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: opt.Model,
 	})
 	if err != nil {
 		return nil

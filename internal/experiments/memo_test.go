@@ -52,7 +52,7 @@ func memoKeysAndPoints(t *testing.T, e scenario.Entry, gov string, opt Options, 
 	t.Helper()
 	cfg := opt.machineConfig()
 	regions, phases, err := e.Def.CompiledRegions(scenario.Params{
-		Cores: cfg.Cores, Scale: opt.Scale, Seed: seed, Model: string(opt.Model),
+		Cores: cfg.Cores, Scale: opt.Scale, Seed: seed, Model: opt.Model,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func (o Options) meta() map[string]any {
 		"scale": o.Scale,
 		"reps":  o.Reps,
 		"seed":  o.Seed,
-		"model": string(o.Model),
+		"model": o.Model,
 	}
 }
 

@@ -24,7 +24,8 @@ func timelineTestOptions() Options {
 // canonical encoding.
 func runReportBytes(t *testing.T, opt Options, workload string) []byte {
 	t.Helper()
-	rep, err := RunOneReport(workload, opt)
+	opt.Benchmark = workload
+	rep, err := RunOneReport(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,8 @@ func TestTimelineBitDeterministic(t *testing.T) {
 		opt.Governor = governor.Cuttlefish
 		rec := timeline.New("det")
 		opt.Timeline = rec
-		if _, err := RunOneReport("bursty", opt); err != nil {
+		opt.Benchmark = "bursty"
+		if _, err := RunOneReport(opt); err != nil {
 			t.Fatal(err)
 		}
 		data, err := rec.JSON()
@@ -114,7 +116,8 @@ func TestTimelineConvergenceNonzero(t *testing.T) {
 	opt.Governor = governor.Cuttlefish
 	rec := timeline.New("conv")
 	opt.Timeline = rec
-	if _, err := RunOneReport("bursty", opt); err != nil {
+	opt.Benchmark = "bursty"
+	if _, err := RunOneReport(opt); err != nil {
 		t.Fatal(err)
 	}
 	c := rec.Convergence()
@@ -158,7 +161,8 @@ func TestFanOutTimelinesDeterministic(t *testing.T) {
 		opt.Workers = 4
 		rec := timeline.New(name)
 		opt.Timeline = rec
-		if _, err := BuildReport(name, "UTS", opt); err != nil {
+		opt.Experiment, opt.Benchmark = name, "UTS"
+		if _, err := BuildReport(opt); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		data, err := rec.JSON()

@@ -98,9 +98,7 @@ func (r *Report) FindingsDigest() string {
 
 // CellSpec maps one corpus entry × governor onto the RunSpec its cell
 // executes: an inline scenario_def "run" spec with the fuzzer's run
-// parameters. BatchQuanta stays at its default no matter how the host is
-// configured — it is part of the spec hash, and a findings report must
-// not depend on how the run was invoked.
+// parameters.
 func CellSpec(e Entry, gov string, cfg Config) service.RunSpec {
 	cfg = cfg.withDefaults()
 	def := e.Def

@@ -10,11 +10,11 @@ import (
 // referenced in its canonical-form functions. The bug class: a new field
 // is added to a hashed spec type, json.Marshal dutifully includes it in
 // the canonical bytes, but nobody taught Normalized (defaulting,
-// name-folding, zeroing of ignored fields) or the execution mapping about
-// it — so two spellings of the same run stop sharing a cache entry, or a
-// field differentiates the hash while the harness silently ignores it.
-// Requiring every exported field to appear in the named functions forces
-// that decision to be made (or visibly suppressed) in review.
+// name-folding, zeroing of ignored fields) or Validate about it — so two
+// spellings of the same run stop sharing a cache entry, or an
+// out-of-range value is hashed and run. Requiring every exported field to
+// appear in the named functions forces that decision to be made (or
+// visibly suppressed) in review.
 type HashFieldRule struct {
 	// PkgPath is the package the rule applies to.
 	PkgPath string
@@ -26,11 +26,11 @@ type HashFieldRule struct {
 	Funcs []string
 }
 
-// DefaultHashFieldRules pins the three hashed spec types: the service
-// RunSpec (canonical bytes = content hash = cache key) and the scenario
+// DefaultHashFieldRules pins the three hashed spec types: the run Spec
+// (canonical bytes = content hash = cache key) and the scenario
 // definition types embedded in it.
 var DefaultHashFieldRules = []HashFieldRule{
-	{PkgPath: "repro/internal/service", TypeName: "RunSpec", Funcs: []string{"Normalized", "Options"}},
+	{PkgPath: "repro/internal/experiments", TypeName: "Spec", Funcs: []string{"Normalized", "Validate"}},
 	{PkgPath: "repro/internal/scenario", TypeName: "Definition", Funcs: []string{"Normalized", "Validate"}},
 	{PkgPath: "repro/internal/scenario", TypeName: "PhaseDef", Funcs: []string{"Normalized", "Validate"}},
 }
@@ -40,7 +40,7 @@ func NewHashField(rules []HashFieldRule) *Analyzer {
 	a := &Analyzer{
 		Name: "hashfield",
 		Doc: "every exported field of a hashed spec struct must be referenced in its canonical-form " +
-			"functions (Normalized/Validate/Options) so no field is silently excluded from the contract",
+			"functions (Normalized/Validate) so no field is silently excluded from the contract",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, rule := range rules {

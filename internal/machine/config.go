@@ -29,11 +29,6 @@ type Config struct {
 	// Mem and Power are the memory-path and power models.
 	Mem   mem.Params
 	Power power.Params
-	// BatchQuanta caps how many quanta the engine executes per dispatch
-	// when Run batches between component deadlines. 0 means unbounded
-	// (run to the next event), which is the fast default; 1 reproduces
-	// quantum-at-a-time stepping.
-	BatchQuanta int
 	// Profile enables wall-clock self-accounting: per-batch dispatch wall
 	// time and batch and quantum counts, read through Machine.Profile. It
 	// adds two clock reads per batch and never affects simulated state —
@@ -73,9 +68,6 @@ func (c Config) Validate() error {
 	}
 	if c.TrafficAlpha <= 0 || c.TrafficAlpha > 1 {
 		return fmt.Errorf("machine: traffic alpha must be in (0,1], got %g", c.TrafficAlpha)
-	}
-	if c.BatchQuanta < 0 {
-		return fmt.Errorf("machine: batch quanta must be non-negative, got %d", c.BatchQuanta)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -54,20 +53,25 @@ func (s *laneSource) Done() bool {
 	return true
 }
 
-// engineRun executes a fixed workload with the given batch cap and returns
-// the exact totals.
-func engineRun(t *testing.T, batchQuanta int) (instr, joules, now float64) {
+// engineRun executes a fixed workload, batched by Run or a quantum at a
+// time by Step, and returns the exact totals.
+func engineRun(t *testing.T, step bool) (instr, joules, now float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 8
-	cfg.BatchQuanta = batchQuanta
 	m := MustNew(cfg)
 	// A daemon-like component taxing core 0 plus the Auto-style firmware
 	// exercise the event queue and the per-quantum governor during the run.
 	m.SetFirmware(pinFirmware{target: 24})
 	m.Schedule(&Component{Period: 10e-3, Core: 0, Tick: func(float64) float64 { return 20e-6 }}, 10e-3)
 	m.SetSource(newLaneSource(cfg.Cores, 40, workload.Segment{Instructions: 3e6, MissPerInstr: 0.02, IPC: 2}))
-	m.Run(120)
+	if step {
+		for !m.Finished() && m.Now() < 120 {
+			m.Step()
+		}
+	} else {
+		m.Run(120)
+	}
 	if !m.Finished() {
 		t.Fatal("workload did not finish")
 	}
@@ -76,26 +80,20 @@ func engineRun(t *testing.T, batchQuanta int) (instr, joules, now float64) {
 
 // TestEngineDeterministicAcrossBatching: the run-to-next-event batching
 // must not change physics — every quantum's arithmetic (and hence energy
-// and the clock) is identical for any BatchQuanta. Lifetime instruction
-// totals are accumulated per batch, so their float additions group
-// differently across settings; they may differ by an ulp, no more.
+// and the clock) is identical to stepping one quantum at a time. Lifetime
+// instruction totals are accumulated per batch, so their float additions
+// group differently; they may differ by an ulp, no more.
 func TestEngineDeterministicAcrossBatching(t *testing.T) {
-	refInstr, refJoules, refNow := engineRun(t, 1)
+	refInstr, refJoules, refNow := engineRun(t, true)
 	if refInstr <= 0 || refJoules <= 0 {
 		t.Fatalf("degenerate reference run: %g instr, %g J", refInstr, refJoules)
 	}
-	check := func(label string, instr, joules, now float64) {
-		t.Helper()
-		if joules != refJoules || now != refNow {
-			t.Errorf("%s diverged: joules %v vs %v, now %v vs %v", label, joules, refJoules, now, refNow)
-		}
-		if math.Abs(instr-refInstr) > 1e-9*refInstr {
-			t.Errorf("%s instruction total %v vs %v beyond summation-order slack", label, instr, refInstr)
-		}
+	instr, joules, now := engineRun(t, false)
+	if joules != refJoules || now != refNow {
+		t.Errorf("batched run diverged: joules %v vs %v, now %v vs %v", joules, refJoules, now, refNow)
 	}
-	for _, bq := range []int{0, 7, 16, 40} {
-		instr, joules, now := engineRun(t, bq)
-		check(fmt.Sprintf("batchQuanta=%d", bq), instr, joules, now)
+	if math.Abs(instr-refInstr) > 1e-9*refInstr {
+		t.Errorf("batched instruction total %v vs %v beyond summation-order slack", instr, refInstr)
 	}
 }
 

@@ -437,7 +437,7 @@ func (m *Machine) StealCoreTime(i int, sec float64) {
 //
 // Run executes quanta in batches: the event queue bounds each batch at the
 // next component deadline, so the hot loop dispatches once per deadline
-// window instead of once per quantum (Config.BatchQuanta caps the window).
+// window instead of once per quantum.
 func (m *Machine) Run(maxSim float64) float64 { return m.run(maxSim, nil) }
 
 // RunBoundaries is Run with a region-boundary callback for sources that
@@ -484,9 +484,6 @@ func (m *Machine) run(maxSim float64, fn func(int) bool) float64 {
 			if ke := quantaUntil(now, next-1e-12, dt); ke < k {
 				k = ke
 			}
-		}
-		if bq := m.cfg.BatchQuanta; bq > 0 && k > bq {
-			k = bq
 		}
 		m.runBatch(k)
 		m.fireDue()

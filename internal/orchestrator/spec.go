@@ -114,7 +114,7 @@ type SweepSpec struct {
 	// Experiment is the harness every grid point runs ("" = "run").
 	Experiment string `json:"experiment,omitempty"`
 	// Base carries fixed RunSpec fields every grid point shares (model,
-	// batch_quanta, warmup, …); axis values override it field-wise.
+	// warmup, …); axis values override it field-wise.
 	Base service.RunSpec `json:"base,omitempty"`
 	Axes Axes            `json:"axes"`
 }

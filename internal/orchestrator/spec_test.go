@@ -142,11 +142,13 @@ func TestParseSweepSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSweepSpec([]byte(`{"axes": {"benchmarcks": ["UTS"]}}`)); err == nil {
 		t.Error("typoed axis must be rejected, not silently ignored")
 	}
-	// Base fields are RunSpec fields: the removed engine-worker knob is
-	// as unknown there as in a POST /v1/runs body.
-	_, err := ParseSweepSpec([]byte(`{"base": {"sim_workers": 4}, "axes": {"benchmarks": ["UTS"]}}`))
-	if !errors.Is(err, ErrBadSweep) || !strings.Contains(fmt.Sprint(err), "sim_workers") {
-		t.Errorf("base.sim_workers: err = %v, want ErrBadSweep naming the field", err)
+	// Base fields are RunSpec fields: the removed engine knobs are as
+	// unknown there as in a POST /v1/runs body.
+	for _, field := range []string{"sim_workers", "batch_quanta"} {
+		_, err := ParseSweepSpec([]byte(`{"base": {"` + field + `": 4}, "axes": {"benchmarks": ["UTS"]}}`))
+		if !errors.Is(err, ErrBadSweep) || !strings.Contains(fmt.Sprint(err), field) {
+			t.Errorf("base.%s: err = %v, want ErrBadSweep naming the field", field, err)
+		}
 	}
 	if _, err := ParseSweepSpec([]byte(`{"axes": {"scales": {"dist": "zipf"}}}`)); err != nil {
 		t.Fatalf("parse should defer distribution validation to Expand: %v", err)

@@ -86,8 +86,8 @@ func TestHTTPValidationAndBackpressureStatusCodes(t *testing.T) {
 	}
 
 	// 400 naming the field: an unknown field (a typo would silently
-	// change the run), or the removed engine-worker knob.
-	for _, field := range []string{"scael", "sim_workers"} {
+	// change the run), or a removed engine knob.
+	for _, field := range []string{"scael", "sim_workers", "batch_quanta"} {
 		resp2, err := http.Post(srv.URL+"/v1/runs", "application/json",
 			strings.NewReader(`{"benchmark":"UTS","`+field+`":4}`))
 		if err != nil {

@@ -26,7 +26,7 @@ type Executor func(ctx context.Context, spec RunSpec) (*report.RunReport, error)
 // DefaultExecutor dispatches the spec to the experiment harnesses — the
 // same code path the cuttlefish CLI runs in-process.
 func DefaultExecutor(_ context.Context, spec RunSpec) (*report.RunReport, error) {
-	return experiments.BuildReport(spec.Experiment, spec.Benchmark, spec.Options())
+	return experiments.BuildReport(experiments.Options{Spec: spec})
 }
 
 // Rejection and lifecycle sentinels; the HTTP layer maps them to status
@@ -414,9 +414,7 @@ func (s *Service) execute(ctx context.Context, fl *flight) {
 		// The in-process harness path carries the runtime wiring — memo
 		// tier, trace span, profiling, flight recorder — none of which is
 		// part of the spec's identity or the report's bytes.
-		opt := fl.spec.Options()
-		opt.Span = exec
-		opt.Profile = s.cfg.Profile
+		opt := experiments.Options{Spec: fl.spec, Span: exec, Profile: s.cfg.Profile}
 		var rs *memo.RunStats
 		if s.cfg.Memo != nil {
 			rs = &memo.RunStats{}
@@ -427,7 +425,7 @@ func (s *Service) execute(ctx context.Context, fl *flight) {
 			rec = timeline.New(fl.hash)
 			opt.Timeline = rec
 		}
-		rep, err = experiments.BuildReport(fl.spec.Experiment, fl.spec.Benchmark, opt)
+		rep, err = experiments.BuildReport(opt)
 		if err == nil && rs != nil {
 			v := rs.View()
 			fl.memo = &v

@@ -7,238 +7,18 @@
 //
 // The cache is sound because of two properties the engine layers below
 // guarantee: simulations are bit-deterministic functions of their spec
-// (PR 1's engine determinism tests), and reports encode canonically
+// (the engine determinism tests), and reports encode canonically
 // (encoding/json sorts map keys). A cached response is therefore
 // byte-identical to what a fresh execution of the same spec would produce
 // — see DESIGN.md, "Why determinism makes the result cache sound".
 package service
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
+import "repro/internal/experiments"
 
-	"repro/internal/bench"
-	"repro/internal/experiments"
-	"repro/internal/governor"
-	"repro/internal/scenario"
-)
+// RunSpec is one simulation request as a value: the hashed run identity
+// the experiment harnesses execute (experiments.Spec).
+type RunSpec = experiments.Spec
 
 // ErrInvalidSpec tags validation failures so the HTTP layer can map them
 // to 400 responses; the wrapped message names the offending field.
-var ErrInvalidSpec = errors.New("service: invalid spec")
-
-// RunSpec is one simulation request as a value. Every field — including
-// the engine execution knob BatchQuanta — is part of the canonical form
-// and therefore of the content hash. BatchQuanta regroups lifetime-total
-// additions, which is visible in the last bits.
-type RunSpec struct {
-	// Experiment names the harness: "run" (single benchmark, the
-	// default), or any cuttlefish subcommand ("table1", "fig10", …).
-	Experiment string `json:"experiment,omitempty"`
-	// Benchmark is the Table 1 benchmark name; only "run" consults it.
-	Benchmark string `json:"benchmark,omitempty"`
-	// Scenario names a registered workload scenario (see
-	// internal/scenario); only "run" consults it, and exactly one of
-	// Benchmark, Scenario and ScenarioDef may be set. A Scenario naming a
-	// Table 1 benchmark normalizes into Benchmark, so both spellings
-	// share one cache key.
-	Scenario string `json:"scenario,omitempty"`
-	// ScenarioDef is an inline scenario definition — a JSON phase
-	// program evaluated without being registered anywhere. Its
-	// normalized form is part of the canonical serialization, so an
-	// inline scenario is exactly as content-addressable as a named one.
-	ScenarioDef *scenario.Definition `json:"scenario_def,omitempty"`
-	// Governor is the registered strategy; empty means the experiment's
-	// paper default.
-	Governor string `json:"governor,omitempty"`
-	// Cores is the simulated core count (0 = 20, the paper's socket).
-	Cores int `json:"cores,omitempty"`
-	// Scale shrinks the paper's 60–80 s runs (0 = the CLI default 0.30).
-	Scale float64 `json:"scale,omitempty"`
-	// Reps is repetitions per data point (0 = 5).
-	Reps int `json:"reps,omitempty"`
-	// Seed is the base RNG seed; repetition r uses Seed+r (0 = 1).
-	Seed int64 `json:"seed,omitempty"`
-	// TinvSec is the daemon profiling interval (0 = 20 ms).
-	TinvSec float64 `json:"tinv_sec,omitempty"`
-	// WarmupSec is the daemon warmup (0 = the paper's 2 s; negative
-	// disables it, governor.Tuning semantics).
-	WarmupSec float64 `json:"warmup_sec,omitempty"`
-	// Model selects the parallel runtime ("openmp" or "hclib").
-	Model string `json:"model,omitempty"`
-	// BatchQuanta caps the engine's run-to-next-event batching.
-	BatchQuanta int `json:"batch_quanta,omitempty"`
-}
-
-// experimentUsesGovernor lists the single-environment experiments whose
-// harness honours Options.Governor; every other harness constructs its
-// comparison strategies itself.
-func experimentUsesGovernor(name string) bool {
-	return name == "run" || name == "table1"
-}
-
-// Normalized returns the spec with every defaulted field made explicit
-// and every field the selected experiment ignores zeroed, so specs that
-// mean the same run compare — and hash — equal: a stray benchmark on a
-// table1 spec, or a governor on a fig10 spec (whose harness picks its own
-// comparison set), would otherwise duplicate cache entries for runs that
-// produce identical bytes. It does not validate; call Validate on the
-// result.
-func (s RunSpec) Normalized() RunSpec {
-	def := experiments.DefaultOptions()
-	if s.Experiment == "" {
-		s.Experiment = "run"
-	}
-	if s.Experiment != "run" {
-		// Only "run" consults the workload selectors.
-		s.Benchmark, s.Scenario, s.ScenarioDef = "", "", nil
-	}
-	// The workload selectors canonicalize against the scenario registry:
-	// a Scenario naming a Table 1 benchmark folds into Benchmark, and a
-	// Benchmark naming a registered synthetic scenario folds into
-	// Scenario, so either spelling of the same workload hashes equal
-	// (and `-bench bursty` just works). A selector folds only into an
-	// empty one: a spec naming two workloads keeps both, and Validate
-	// rejects it.
-	if s.Scenario != "" && s.Benchmark == "" {
-		if e, ok := scenario.Get(s.Scenario); ok && e.Kind == scenario.KindBench {
-			s.Benchmark, s.Scenario = s.Scenario, ""
-		}
-	} else if s.Benchmark != "" && s.Scenario == "" {
-		if _, isBench := bench.Get(s.Benchmark); !isBench && scenario.Exists(s.Benchmark) {
-			s.Scenario, s.Benchmark = s.Benchmark, ""
-		}
-	}
-	if s.ScenarioDef != nil {
-		norm := s.ScenarioDef.Normalized()
-		s.ScenarioDef = &norm
-	}
-	if !experimentUsesGovernor(s.Experiment) {
-		s.Governor = ""
-	} else if s.Governor == "" {
-		s.Governor = governor.Default // both harnesses' paper default
-	}
-	if s.Cores == 0 {
-		s.Cores = def.Cores
-	}
-	if s.Scale == 0 {
-		s.Scale = def.Scale
-	}
-	if s.Reps == 0 {
-		s.Reps = def.Reps
-	}
-	if s.Seed == 0 {
-		s.Seed = def.Seed
-	}
-	if s.TinvSec == 0 {
-		s.TinvSec = def.TinvSec
-	}
-	if s.WarmupSec == 0 {
-		s.WarmupSec = def.WarmupSec
-	}
-	if s.Model == "" {
-		s.Model = string(def.Model)
-	}
-	return s
-}
-
-// Validate checks a normalized spec against the registries, failing fast
-// — before any queue slot or simulation time is spent — on unknown
-// experiments, benchmarks, governors or models. All failures wrap
-// ErrInvalidSpec.
-func (s RunSpec) Validate() error {
-	if !experiments.Known(s.Experiment) {
-		return fmt.Errorf("%w: unknown experiment %q (known: %v)", ErrInvalidSpec, s.Experiment, experiments.Names)
-	}
-	if s.Experiment == "run" {
-		selectors := 0
-		for _, set := range []bool{s.Benchmark != "", s.Scenario != "", s.ScenarioDef != nil} {
-			if set {
-				selectors++
-			}
-		}
-		switch {
-		case selectors == 0:
-			return fmt.Errorf("%w: experiment \"run\" needs a workload: a benchmark (known: %v), a scenario (registered: %v) or an inline scenario_def",
-				ErrInvalidSpec, bench.Names(), scenario.NamesOf(scenario.KindSynthetic))
-		case selectors > 1:
-			return fmt.Errorf("%w: benchmark, scenario and scenario_def are mutually exclusive", ErrInvalidSpec)
-		}
-		if s.Benchmark != "" {
-			if _, ok := bench.Get(s.Benchmark); !ok {
-				return fmt.Errorf("%w: unknown benchmark %q (known: %v)", ErrInvalidSpec, s.Benchmark, bench.Names())
-			}
-		}
-		if s.Scenario != "" && !scenario.Exists(s.Scenario) {
-			return fmt.Errorf("%w: unknown scenario %q (registered: %v)", ErrInvalidSpec, s.Scenario, scenario.Names())
-		}
-		if s.ScenarioDef != nil {
-			if err := s.ScenarioDef.Validate(); err != nil {
-				return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-			}
-		}
-	}
-	if s.Governor != "" && !governor.Exists(s.Governor) {
-		return fmt.Errorf("%w: unknown governor %q (registered: %v)", ErrInvalidSpec, s.Governor, governor.Names())
-	}
-	switch bench.Model(s.Model) {
-	case bench.OpenMP, bench.HClib:
-	default:
-		return fmt.Errorf("%w: unknown model %q (want openmp or hclib)", ErrInvalidSpec, s.Model)
-	}
-	if s.Cores < 1 {
-		return fmt.Errorf("%w: cores must be positive, got %d", ErrInvalidSpec, s.Cores)
-	}
-	if s.Scale <= 0 {
-		return fmt.Errorf("%w: scale must be positive, got %g", ErrInvalidSpec, s.Scale)
-	}
-	if s.Reps < 1 {
-		return fmt.Errorf("%w: reps must be positive, got %d", ErrInvalidSpec, s.Reps)
-	}
-	if s.TinvSec <= 0 {
-		return fmt.Errorf("%w: tinv_sec must be positive, got %g", ErrInvalidSpec, s.TinvSec)
-	}
-	return nil
-}
-
-// Canonical returns the spec's canonical serialization: the normalized
-// spec encoded with Go's fixed struct field order. Two specs describe the
-// same run iff their canonical bytes are equal.
-func (s RunSpec) Canonical() []byte {
-	c := s.Normalized()
-	raw, err := json.Marshal(c)
-	if err != nil {
-		// RunSpec is a struct of scalars plus one plain nested struct
-		// (the scenario definition); Marshal cannot fail on either.
-		panic(fmt.Sprintf("service: canonical marshal: %v", err))
-	}
-	return raw
-}
-
-// Hash returns the content address of the run: the hex SHA-256 of the
-// canonical serialization. The result cache, request coalescing and job
-// IDs all key on it.
-func (s RunSpec) Hash() string {
-	sum := sha256.Sum256(s.Canonical())
-	return hex.EncodeToString(sum[:])
-}
-
-// Options maps the spec onto the experiment harnesses' run options.
-func (s RunSpec) Options() experiments.Options {
-	opt := experiments.DefaultOptions()
-	opt.Cores = s.Cores
-	opt.Scale = s.Scale
-	opt.Reps = s.Reps
-	opt.Seed = s.Seed
-	opt.TinvSec = s.TinvSec
-	opt.WarmupSec = s.WarmupSec
-	opt.Model = bench.Model(s.Model)
-	opt.BatchQuanta = s.BatchQuanta
-	opt.Governor = s.Governor
-	opt.Scenario = s.Scenario
-	opt.ScenarioDef = s.ScenarioDef
-	return opt
-}
+var ErrInvalidSpec = experiments.ErrInvalidSpec

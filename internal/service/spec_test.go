@@ -43,7 +43,7 @@ func TestHashTreatsDefaultsAsExplicit(t *testing.T) {
 	explicit := RunSpec{
 		Experiment: "run", Benchmark: "UTS", Governor: "default",
 		Cores: def.Cores, Scale: def.Scale, Reps: def.Reps, Seed: def.Seed,
-		TinvSec: def.TinvSec, WarmupSec: def.WarmupSec, Model: string(def.Model),
+		TinvSec: def.TinvSec, WarmupSec: def.WarmupSec, Model: def.Model,
 	}
 	if implicit.Hash() != explicit.Hash() {
 		t.Errorf("implicit-defaults hash %s != explicit-defaults hash %s",
@@ -51,21 +51,10 @@ func TestHashTreatsDefaultsAsExplicit(t *testing.T) {
 	}
 }
 
-// TestHashIncludesExecutionKnobs: the engine's batch cap stays in the
-// content hash — batch_quanta changes lifetime totals in the last bits —
-// so a capped run and an uncapped run must NOT share a cache entry.
-func TestHashIncludesExecutionKnobs(t *testing.T) {
-	serial := RunSpec{Benchmark: "UTS"}
-	batched := RunSpec{Benchmark: "UTS", BatchQuanta: 64}
-	if serial.Hash() == batched.Hash() {
-		t.Error("batch_quanta must be part of the content hash")
-	}
-}
-
 // TestCanonicalHashesPinned pins the content address of a few specs that
 // cover the canonical form's parts: a cold-novel-style scenario request,
-// a non-"run" experiment, an inline scenario_def, an engine knob and a
-// non-default runtime model. The result cache, the disk store and every
+// a non-"run" experiment, an inline scenario_def and a non-default
+// runtime model. The result cache, the disk store and every
 // client key on these bytes, so a change here re-keys stored results and
 // must be deliberate.
 func TestCanonicalHashesPinned(t *testing.T) {
@@ -76,8 +65,6 @@ func TestCanonicalHashesPinned(t *testing.T) {
 			"4e9a53478569024e77c5b4917313f7a2d566799ce93fcf4b4bd99836d45d08cc"},
 		{`{"scenario_def":{"name":"p","phases":[{"instructions":3e11,"miss_per_instr":0.0005,"ipc":2},{"instructions":1e11,"miss_per_instr":0.004,"ipc":1.6,"remote_frac":0.2}]},"governor":"cuttlefish-uncore","scale":0.05,"seed":7}`,
 			"b19882103e9b5738e47a899ccad1b9f979af3778cb4fbc364980bbc2711c565c"},
-		{`{"benchmark":"UTS","batch_quanta":8}`,
-			"59d3c5a9531359da31f63c49472b9716379c63b380c3c65aee2f0130a4ebabe5"},
 		{`{"benchmark":"SOR-ws","model":"hclib","governor":"powersave"}`,
 			"4bcd7734a93add21b6550c4201e16a75d16247e947ee8740de5b4cac76061e84"},
 	}
@@ -262,22 +249,5 @@ func TestScenarioValidation(t *testing.T) {
 	stray := RunSpec{Experiment: "table1", Scenario: "bursty"}
 	if stray.Hash() != (RunSpec{Experiment: "table1"}).Hash() {
 		t.Error("table1 ignores scenario; the hash must too")
-	}
-}
-
-// TestSpecOptionsCarriesTheSpec: the harness options a spec maps to mean
-// the same run — every identity field arrives unchanged.
-func TestSpecOptionsCarriesTheSpec(t *testing.T) {
-	spec := RunSpec{Experiment: "table1", Governor: "powersave", Scale: 0.07, Seed: 42,
-		BatchQuanta: 8, TinvSec: 0.04, WarmupSec: -1}.Normalized()
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	opt := spec.Options()
-	if opt.Governor != spec.Governor || opt.Scale != spec.Scale || opt.Seed != spec.Seed ||
-		opt.BatchQuanta != spec.BatchQuanta ||
-		opt.Cores != spec.Cores || opt.Reps != spec.Reps || opt.TinvSec != spec.TinvSec ||
-		opt.WarmupSec != spec.WarmupSec || string(opt.Model) != spec.Model {
-		t.Errorf("options lost fields: spec %+v, options %+v", spec, opt)
 	}
 }

@@ -10,7 +10,10 @@
 // other's exploration ranges (§4.4, §4.5).
 package tipi
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultSlabWidth is the paper's empirically derived TIPI slab width.
 const DefaultSlabWidth = 0.004
@@ -29,9 +32,24 @@ func SlabOf(tipi, width float64) Slab {
 	return Slab(tipi / width)
 }
 
-// Bounds returns the slab's TIPI interval for the given width.
+// Bounds returns the slab's TIPI interval [lo, hi) for the given width:
+// exactly the values SlabOf maps to s.
 func (s Slab) Bounds(width float64) (lo, hi float64) {
-	return float64(s) * width, float64(s+1) * width
+	return s.edge(width), (s + 1).edge(width)
+}
+
+// edge is the smallest non-negative float64 that SlabOf maps to s or
+// above. float64(s)*width rounds to within an ulp or two of it, on either
+// side, so step from there until SlabOf agrees.
+func (s Slab) edge(width float64) float64 {
+	x := float64(s) * width
+	for SlabOf(x, width) < s {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for x > 0 && SlabOf(math.Nextafter(x, math.Inf(-1)), width) >= s {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
 }
 
 // Format renders the slab the way the paper's tables do, e.g. "0.024-0.028".

@@ -1,6 +1,7 @@
 package tipi
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,20 @@ func TestSlabBoundsRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlabBoundsExactForEveryQuickInput walks every input the quick check
+// above draws from and requires Bounds to hold the TIPI SlabOf mapped it
+// from, with no slack: a TIPI on a slab edge where float64(s)*width rounds
+// an ulp above it must still lie inside its own slab.
+func TestSlabBoundsExactForEveryQuickInput(t *testing.T) {
+	for raw := 0; raw <= math.MaxUint16; raw++ {
+		tipi := float64(raw) / 10000
+		s := SlabOf(tipi, DefaultSlabWidth)
+		if lo, hi := s.Bounds(DefaultSlabWidth); !(lo <= tipi && tipi < hi) {
+			t.Errorf("TIPI %v in slab %d, outside its bounds [%v, %v)", tipi, s, lo, hi)
+		}
 	}
 }
 
