@@ -18,8 +18,6 @@ type Config struct {
 	// QuantumSec is the simulation step. It must divide the RAPL update
 	// interval evenly for faithful counter behaviour; 0.5 ms default.
 	QuantumSec float64
-	// BaseIPC applies to segments that do not specify their own IPC.
-	BaseIPC float64
 	// StallActivity is the effective switching activity of a core during a
 	// memory stall (clock running, pipeline mostly idle).
 	StallActivity float64
@@ -44,7 +42,6 @@ func DefaultConfig() Config {
 		CoreGrid:      freq.HaswellCore(),
 		UncoreGrid:    freq.HaswellUncore(),
 		QuantumSec:    0.5e-3,
-		BaseIPC:       2.0,
 		StallActivity: 0.28,
 		TrafficAlpha:  0.35,
 		Mem:           mem.DefaultParams(),
@@ -62,9 +59,6 @@ func (c Config) Validate() error {
 	}
 	if c.QuantumSec <= 0 {
 		return fmt.Errorf("machine: quantum must be positive, got %g", c.QuantumSec)
-	}
-	if c.BaseIPC <= 0 {
-		return fmt.Errorf("machine: base IPC must be positive, got %g", c.BaseIPC)
 	}
 	if c.TrafficAlpha <= 0 || c.TrafficAlpha > 1 {
 		return fmt.Errorf("machine: traffic alpha must be in (0,1], got %g", c.TrafficAlpha)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/freq"
+	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/workload"
 )
@@ -22,6 +23,14 @@ import (
 // concurrently — and then reduce updates the cross-core coupling: the miss
 // demand EWMA, the queueing-model stall cost, package power and the
 // firmware uncore governor.
+//
+// What cannot change inside a batch is not computed per quantum. A core's
+// clock, power coefficients and compute cost per instruction (per IPC)
+// are recomputed only when a DVFS or DDCM write changed its ratio or duty
+// between batches; the memory path and uncore power terms only when the
+// uncore ratio moves. Every floating-point operation stays the same
+// operation on the same operands in the same order, so caching moves no
+// result bit.
 type engine struct {
 	cfg  Config
 	rapl *power.Rapl
@@ -40,9 +49,11 @@ type engine struct {
 	demandEWMA           float64
 	uncore               freq.Ratio
 	uncoreMin, uncoreMax freq.Ratio
-	stall                float64 // seconds per exposed miss this quantum
-	quanta               int     // batch budget
-	quantum              int     // quanta executed so far in this batch
+	path                 mem.Path     // memory path at uncore
+	uncorePower          power.Coeffs // uncore power terms at uncore
+	stall                float64      // seconds per exposed miss this quantum
+	quanta               int          // batch budget
+	quantum              int          // quanta executed so far in this batch
 	batchOver            bool
 
 	// Batch accumulators committed to the Machine when the batch ends.
@@ -55,12 +66,14 @@ type engine struct {
 
 // coreSnap is the per-core input of one batch, immutable while it runs:
 // frequencies and DDCM duty only change through MSR writes, which happen
-// between batches.
+// between batches. hz and power are functions of ratio and kept across
+// batches until it changes.
 type coreSnap struct {
-	hz     float64 // core clock in Hz
-	ghz    float64 // core clock in GHz (power model input)
-	duty   float64 // DDCM duty, sanitised to (0, 1]
-	stolen float64 // daemon tax charged against the batch's first quantum
+	ratio  freq.Ratio
+	hz     float64      // core clock in Hz
+	power  power.Coeffs // core power terms at this clock
+	duty   float64      // DDCM duty, sanitised to (0, 1]
+	stolen float64      // daemon tax charged against the batch's first quantum
 }
 
 // coreRun is the per-core mutable execution state during a batch.
@@ -71,12 +84,35 @@ type coreRun struct {
 	seg        workload.Segment
 	segLeft    float64
 	haveSeg    bool
+	ipc        float64 // IPC invCompute was computed for; 0 when none is cached
 	invCompute float64 // seconds of issue time per instruction
 	stallCoef  float64 // exposed misses per instruction
 }
 
+// setCost caches seg's per-instruction cost coefficients. The compute
+// reciprocal carries over to the next segment with the same IPC (every
+// UTS node, every stencil leaf) until the core's clock or duty changes.
+func (r *coreRun) setCost(s *coreSnap) {
+	if r.seg.IPC != r.ipc {
+		// DDCM gating stretches issue time by 1/duty (the clock only runs
+		// duty of the time) while in-flight memory accesses drain at full
+		// speed — the knob throttles compute without touching voltage.
+		r.ipc = r.seg.IPC
+		r.invCompute = 1 / (r.ipc * s.hz * s.duty)
+	}
+	r.stallCoef = r.seg.MissPerInstr * r.seg.StallFraction()
+}
+
+// setUncore moves the uncore to ratio u and refreshes the terms that
+// depend only on it.
+func (e *engine) setUncore(u freq.Ratio) {
+	e.uncore = u
+	e.path = e.cfg.Mem.At(u.GHz())
+	e.uncorePower = e.cfg.Power.UncoreCoeffs(u.GHz())
+}
+
 func newEngine(cfg Config, rapl *power.Rapl) *engine {
-	return &engine{
+	e := &engine{
 		cfg:     cfg,
 		rapl:    rapl,
 		snaps:   make([]coreSnap, cfg.Cores),
@@ -85,6 +121,8 @@ func newEngine(cfg Config, rapl *power.Rapl) *engine {
 		accum:   make([]quantumDelta, cfg.Cores),
 		retired: make([]float64, cfg.Cores),
 	}
+	e.setUncore(0) // path and uncorePower always match uncore
+	return e
 }
 
 // run executes the prepared batch to completion: each quantum steps every
@@ -121,7 +159,7 @@ func (e *engine) reduce() {
 		// the knob's classic energy disadvantage vs DVFS.
 		s := &e.snaps[i]
 		activity := (d.computeSec*s.duty + e.cfg.StallActivity*d.stallSec) / dt
-		corePower += e.cfg.Power.CorePower(s.ghz, activity)
+		corePower += s.power.Power(activity)
 		if e.runs[i].haveSeg {
 			anySeg = true
 		}
@@ -129,8 +167,8 @@ func (e *engine) reduce() {
 	missRate := (missL + missR) / dt
 	alpha := e.cfg.TrafficAlpha
 	e.demandEWMA = alpha*missRate + (1-alpha)*e.demandEWMA
-	rho := e.cfg.Mem.Utilization(e.demandEWMA, e.uncore.GHz())
-	pkgPower := corePower + e.cfg.Power.UncorePower(e.uncore.GHz(), rho) + e.cfg.Power.Base
+	rho := e.path.Utilization(e.demandEWMA)
+	pkgPower := corePower + e.uncorePower.Power(rho) + e.cfg.Power.Base
 	e.totInstr += instr
 	e.totMissL += missL
 	e.totMissR += missR
@@ -138,17 +176,22 @@ func (e *engine) reduce() {
 	e.now += dt
 	e.rapl.Deposit(pkgPower*dt, e.now)
 
-	// Firmware moves the uncore within the 0x620 range once per quantum.
+	// Firmware moves the uncore within the 0x620 range once per quantum;
+	// rho carries over to the stall cost unless it did.
 	if e.firmware != nil && e.uncoreMin < e.uncoreMax {
-		e.uncore = e.cfg.UncoreGrid.Clamp(e.firmware.Target(e.demandEWMA, e.uncoreMin, e.uncoreMax))
-		if e.uncore < e.uncoreMin {
-			e.uncore = e.uncoreMin
+		u := e.cfg.UncoreGrid.Clamp(e.firmware.Target(e.demandEWMA, e.uncoreMin, e.uncoreMax))
+		if u < e.uncoreMin {
+			u = e.uncoreMin
 		}
-		if e.uncore > e.uncoreMax {
-			e.uncore = e.uncoreMax
+		if u > e.uncoreMax {
+			u = e.uncoreMax
+		}
+		if u != e.uncore {
+			e.setUncore(u)
+			rho = e.path.Utilization(e.demandEWMA)
 		}
 	}
-	e.stall = e.cfg.Mem.StallPerMiss(e.uncore.GHz(), e.demandEWMA)
+	e.stall = e.path.StallAt(rho)
 
 	e.quantum++
 	if e.quantum >= e.quanta {
@@ -208,16 +251,7 @@ func (e *engine) stepCoreFree(i int, first bool, d *quantumDelta) {
 				src.Complete(i, now)
 				continue
 			}
-			ipc := seg.IPC
-			if ipc <= 0 {
-				ipc = e.cfg.BaseIPC
-			}
-			// DDCM gating stretches issue time by 1/duty (the clock only
-			// runs duty of the time) while in-flight memory accesses drain
-			// at full speed — the knob throttles compute without touching
-			// voltage.
-			r.invCompute = 1 / (ipc * s.hz * s.duty)
-			r.stallCoef = seg.MissPerInstr * seg.StallFraction()
+			r.setCost(s)
 		}
 		perInstrCompute := r.invCompute
 		perInstrStall := r.stallCoef * stallPerMiss

@@ -562,21 +562,20 @@ func (m *Machine) runBatch(quanta int) {
 		if duty <= 0 || duty > 1 {
 			duty = 1
 		}
-		e.snaps[i] = coreSnap{hz: c.ratio.Hz(), ghz: c.ratio.GHz(), duty: duty, stolen: c.stolen}
-		c.stolen = 0
-		r := coreRun{seg: c.seg, segLeft: c.segLeft, haveSeg: c.haveSeg}
-		if r.haveSeg {
-			// Refresh the cached cost coefficients for a segment carried
-			// across the batch boundary: DVFS or DDCM writes between
-			// batches must take effect on its remaining instructions.
-			ipc := r.seg.IPC
-			if ipc <= 0 {
-				ipc = m.cfg.BaseIPC
-			}
-			r.invCompute = 1 / (ipc * e.snaps[i].hz * duty)
-			r.stallCoef = r.seg.MissPerInstr * r.seg.StallFraction()
+		s, r := &e.snaps[i], &e.runs[i]
+		if s.ratio != c.ratio || s.duty != duty {
+			// A DVFS or DDCM write since the last batch (duty is never 0
+			// here, so the first batch lands here too): its effect reaches
+			// a carried segment's remaining instructions.
+			*s = coreSnap{ratio: c.ratio, hz: c.ratio.Hz(), power: m.cfg.Power.CoreCoeffs(c.ratio.GHz()), duty: duty}
+			r.ipc = 0
 		}
-		e.runs[i] = r
+		s.stolen = c.stolen
+		c.stolen = 0
+		r.seg, r.segLeft, r.haveSeg = c.seg, c.segLeft, c.haveSeg
+		if r.haveSeg {
+			r.setCost(s)
+		}
 		e.accum[i] = quantumDelta{}
 	}
 	e.src = m.src
@@ -585,9 +584,11 @@ func (m *Machine) runBatch(quanta int) {
 	e.dt = m.cfg.QuantumSec
 	e.now = m.now
 	e.demandEWMA = m.demandEWMA
-	e.uncore = m.uncoreRatio
+	if m.uncoreRatio != e.uncore {
+		e.setUncore(m.uncoreRatio)
+	}
 	e.uncoreMin, e.uncoreMax = m.uncoreMin, m.uncoreMax
-	e.stall = m.cfg.Mem.StallPerMiss(e.uncore.GHz(), e.demandEWMA)
+	e.stall = e.path.StallAt(e.path.Utilization(e.demandEWMA))
 	e.quanta = quanta
 	e.quantum = 0
 	e.batchOver = false

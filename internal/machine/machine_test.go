@@ -322,6 +322,41 @@ func TestClockModulationKeepsLeakage(t *testing.T) {
 	}
 }
 
+// TestFrequencyWritesReachCarriedSegments: DVFS and DDCM writes land
+// between batches while every core is inside one long segment. The engine
+// keeps clock-dependent terms across batches, so a write must invalidate
+// them: the next quantum retires instructions at the new clock and duty.
+func TestFrequencyWritesReachCarriedSegments(t *testing.T) {
+	m := MustNew(smallConfig())
+	cores := m.Config().Cores
+	m.SetSource(newPool(workload.Segment{Instructions: 1e15, IPC: 2}, cores))
+	set := func(ratio, dutyLevel uint8) {
+		for c := 0; c < cores; c++ {
+			if err := m.Device().Write(msr.IA32PerfCtl, c, msr.PerfCtlRaw(ratio)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Device().Write(msr.IA32ClockModulation, c, msr.ClockModRaw(dutyLevel)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set(12, 0)
+	m.Step() // every core picks up its segment
+	for _, tc := range []struct {
+		ratio, dutyLevel uint8
+		duty             float64
+	}{{12, 0, 1}, {23, 0, 1}, {23, 4, 0.5}, {12, 0, 1}} {
+		set(tc.ratio, tc.dutyLevel)
+		before := m.TotalInstructions()
+		m.Step()
+		got := m.TotalInstructions() - before
+		want := float64(cores) * m.Config().QuantumSec * 2 * freq.Ratio(tc.ratio).Hz() * tc.duty
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("ratio %d duty %g: retired %g instructions in a quantum, want %g", tc.ratio, tc.duty, got, want)
+		}
+	}
+}
+
 type pinFirmware struct{ target freq.Ratio }
 
 func (p pinFirmware) Target(_ float64, min, max freq.Ratio) freq.Ratio { return p.target }

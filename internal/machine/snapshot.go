@@ -130,12 +130,22 @@ func (m *Machine) Snapshot() *Snapshot {
 // raw (no handler side effects): the handlers' backing state — core
 // ratios, duty, uncore range, PMU, RAPL — is restored directly, so
 // re-actuating writes would be redundant at best.
+//
+// An in-flight segment gets the check the engine gives every segment a
+// source hands out: one that fails Segment.Valid, or whose remaining
+// instruction count is negative or NaN, is an error, and the machine is
+// left untouched.
 func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.Cores) != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot has %d cores, config has %d", len(s.Cores), m.cfg.Cores)
 	}
 	if len(s.PMUInstr) != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot PMU has %d cores, config has %d", len(s.PMUInstr), m.cfg.Cores)
+	}
+	for i, c := range s.Cores {
+		if c.HaveSeg && (!c.Seg.Valid() || !(c.SegLeft >= 0)) {
+			return fmt.Errorf("machine: snapshot core %d holds invalid segment %v with %g instructions left", i, c.Seg, c.SegLeft)
+		}
 	}
 	m.mu.Lock()
 	comps := m.events.componentsBySeq()

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"crypto/sha256"
+	"math"
 	"testing"
 
 	"repro/internal/sched"
@@ -101,6 +102,55 @@ func TestSnapshotRestoreReproducesState(t *testing.T) {
 	}
 	if m2.Now() != m.Now() {
 		t.Errorf("restored Now = %g, want %g", m2.Now(), m.Now())
+	}
+}
+
+// TestRestoreRejectsInvalidInFlightSegments: a snapshot that decodes can
+// still hold an in-flight segment the engine would refuse from a source.
+// Restore must reject it before touching any state; a valid one restores.
+func TestRestoreRejectsInvalidInFlightSegments(t *testing.T) {
+	raw := midRunMachine(t).Snapshot().Encode()
+	valid := workload.Segment{Instructions: 1e6, MissPerInstr: 1e-3, IPC: 1.5, RemoteFrac: 0.2, Exposure: 0.5}
+	for _, tc := range []struct {
+		name    string
+		edit    func(c *CoreSnapshot)
+		wantErr bool
+	}{
+		{"valid", func(c *CoreSnapshot) {}, false},
+		{"zero IPC", func(c *CoreSnapshot) { c.Seg.IPC = 0 }, true},
+		{"negative IPC", func(c *CoreSnapshot) { c.Seg.IPC = -2 }, true},
+		{"remote fraction above 1", func(c *CoreSnapshot) { c.Seg.RemoteFrac = 1.5 }, true},
+		{"NaN instructions left", func(c *CoreSnapshot) { c.SegLeft = math.NaN() }, true},
+		{"negative instructions left", func(c *CoreSnapshot) { c.SegLeft = -1 }, true},
+		{"parked core keeps a stale segment", func(c *CoreSnapshot) { c.HaveSeg, c.Seg.IPC = false, 0 }, false},
+	} {
+		s, err := DecodeSnapshot(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &s.Cores[len(s.Cores)-1]
+		c.Seg, c.SegLeft, c.HaveSeg = valid, 5e5, true
+		tc.edit(c)
+		cfg := DefaultConfig()
+		cfg.Cores = 4
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.Snapshot().Encode()
+		err = m.Restore(s)
+		if !tc.wantErr {
+			if err != nil {
+				t.Errorf("%s: Restore: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: Restore accepted the segment", tc.name)
+		}
+		if !bytes.Equal(m.Snapshot().Encode(), before) {
+			t.Errorf("%s: a rejected Restore changed the machine", tc.name)
+		}
 	}
 }
 

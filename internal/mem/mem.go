@@ -93,21 +93,53 @@ func (p Params) Bandwidth(ufGHz float64) float64 {
 	return p.PeakBandwidth * (p.BWFloorFrac + (1-p.BWFloorFrac)*frac)
 }
 
-// Utilization returns demand/bandwidth clamped to MaxUtilization; demand is
-// in misses/second.
-func (p Params) Utilization(demand, ufGHz float64) float64 {
-	bw := p.Bandwidth(ufGHz)
-	if bw <= 0 {
-		return p.MaxUtilization
+// Path is the memory path at one uncore frequency: its frequency-only
+// terms plus the constants that turn demand into a stall cost. The engine
+// builds one per uncore ratio and evaluates it per quantum; Params'
+// methods call the same code, so a cached Path changes no result bit.
+type Path struct {
+	Bandwidth      float64 // achievable miss throughput, misses/second
+	Latency        float64 // unloaded LLC-miss latency, seconds
+	MLP            float64
+	MaxUtilization float64
+}
+
+// At returns the memory path at the given uncore frequency.
+func (p *Params) At(ufGHz float64) Path {
+	return Path{Bandwidth: p.Bandwidth(ufGHz), Latency: p.Latency(ufGHz), MLP: p.MLP, MaxUtilization: p.MaxUtilization}
+}
+
+// Utilization returns demand/bandwidth clamped to [0, MaxUtilization];
+// demand is in misses/second.
+func (q Path) Utilization(demand float64) float64 {
+	if q.Bandwidth <= 0 {
+		return q.MaxUtilization
 	}
-	rho := demand / bw
-	if rho > p.MaxUtilization {
-		rho = p.MaxUtilization
+	rho := demand / q.Bandwidth
+	if rho > q.MaxUtilization {
+		rho = q.MaxUtilization
 	}
 	if rho < 0 {
 		rho = 0
 	}
 	return rho
+}
+
+// LoadedLatency returns the per-miss latency in seconds at utilisation rho.
+func (q Path) LoadedLatency(rho float64) float64 {
+	return q.Latency * QueueFactor(rho)
+}
+
+// StallAt converts the loaded latency at utilisation rho into the per-miss
+// stall time a core observes after MLP overlap.
+func (q Path) StallAt(rho float64) float64 {
+	return q.LoadedLatency(rho) / q.MLP
+}
+
+// Utilization returns demand/bandwidth clamped to MaxUtilization; demand is
+// in misses/second.
+func (p Params) Utilization(demand, ufGHz float64) float64 {
+	return p.At(ufGHz).Utilization(demand)
 }
 
 // QueueFactor returns the latency inflation at utilisation rho using a
@@ -125,11 +157,13 @@ func QueueFactor(rho float64) float64 {
 // LoadedLatency returns the per-miss latency in seconds at the given uncore
 // frequency under the given demand (misses/second).
 func (p Params) LoadedLatency(ufGHz, demand float64) float64 {
-	return p.Latency(ufGHz) * QueueFactor(p.Utilization(demand, ufGHz))
+	q := p.At(ufGHz)
+	return q.LoadedLatency(q.Utilization(demand))
 }
 
 // StallPerMiss converts loaded latency into the per-miss stall time a core
 // observes after MLP overlap.
 func (p Params) StallPerMiss(ufGHz, demand float64) float64 {
-	return p.LoadedLatency(ufGHz, demand) / p.MLP
+	q := p.At(ufGHz)
+	return q.StallAt(q.Utilization(demand))
 }

@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/freq"
 )
 
 func TestLatencyDecreasingInUF(t *testing.T) {
@@ -101,6 +104,32 @@ func TestStallPerMissUsesMLP(t *testing.T) {
 	p := DefaultParams()
 	if got, want := p.StallPerMiss(3.0, 0), p.Latency(3.0)/p.MLP; got != want {
 		t.Errorf("stall per miss = %g, want %g", got, want)
+	}
+}
+
+// TestPathMatchesParamsBitForBit pins the engine's per-uncore-ratio
+// cache: on every uncore ratio, from idle to twice the bandwidth, the
+// Path's utilisation and the stall cost computed from that same rho
+// equal Params' methods and the formula written out here, to the bit.
+func TestPathMatchesParamsBitForBit(t *testing.T) {
+	p := DefaultParams()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, r := range freq.HaswellUncore().Ratios() {
+		uf := r.GHz()
+		bw := p.Bandwidth(uf)
+		q := p.At(uf)
+		for _, d := range []float64{0, 1e8, 0.5 * bw, bw, 2 * bw} {
+			rho := min(max(d/bw, 0), p.MaxUtilization)
+			stall := p.Latency(uf) * QueueFactor(rho) / p.MLP
+			gotRho := q.Utilization(d)
+			gotStall := q.StallAt(gotRho)
+			if !same(gotRho, rho) || !same(gotRho, p.Utilization(d, uf)) {
+				t.Errorf("%v demand %g: cached rho %v, Params %v, formula %v", r, d, gotRho, p.Utilization(d, uf), rho)
+			}
+			if !same(gotStall, stall) || !same(gotStall, p.StallPerMiss(uf, d)) {
+				t.Errorf("%v demand %g: cached stall %v, Params %v, formula %v", r, d, gotStall, p.StallPerMiss(uf, d), stall)
+			}
+		}
 	}
 }
 

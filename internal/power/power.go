@@ -70,23 +70,47 @@ func DefaultParams() Params {
 	}
 }
 
+// Coeffs are a power domain's (one core's, or the uncore's) terms at one
+// frequency f with voltage V = V(f): Dyn = dyn·V·V·f and Leak = leak·V,
+// so that power = Dyn·max(activity, IdleActivity) + Leak. The engine
+// computes them when a frequency changes and Power per quantum; that is
+// the same operations in the same order as evaluating the formula whole,
+// so the result is bit-identical.
+type Coeffs struct {
+	Dyn, Leak    float64
+	IdleActivity float64
+}
+
+// Power returns the domain's power at the given activity in [0,1],
+// floored at IdleActivity.
+func (c Coeffs) Power(activity float64) float64 {
+	if activity < c.IdleActivity {
+		activity = c.IdleActivity
+	}
+	return c.Dyn*activity + c.Leak
+}
+
+// CoreCoeffs returns one core's power terms at fGHz.
+func (p *Params) CoreCoeffs(fGHz float64) Coeffs {
+	v := p.CoreVF.Voltage(fGHz)
+	return Coeffs{Dyn: p.CoreDyn * v * v * fGHz, Leak: p.CoreLeak * v, IdleActivity: p.CoreIdleActivity}
+}
+
+// UncoreCoeffs returns the uncore's power terms at fGHz.
+func (p *Params) UncoreCoeffs(fGHz float64) Coeffs {
+	v := p.UncoreVF.Voltage(fGHz)
+	return Coeffs{Dyn: p.UncoreDyn * v * v * fGHz, Leak: p.UncoreLeak * v, IdleActivity: p.UncoreIdleActivity}
+}
+
 // CorePower returns the power of one core at fGHz with the given activity
 // in [0,1]. Activity folds together architectural utilisation and the
 // reduced switching of memory-stalled cycles.
 func (p Params) CorePower(fGHz, activity float64) float64 {
-	v := p.CoreVF.Voltage(fGHz)
-	if activity < p.CoreIdleActivity {
-		activity = p.CoreIdleActivity
-	}
-	return p.CoreDyn*v*v*fGHz*activity + p.CoreLeak*v
+	return p.CoreCoeffs(fGHz).Power(activity)
 }
 
 // UncorePower returns the power of the uncore at fGHz with the given traffic
 // activity in [0,1] (LLC/ring utilisation).
 func (p Params) UncorePower(fGHz, activity float64) float64 {
-	v := p.UncoreVF.Voltage(fGHz)
-	if activity < p.UncoreIdleActivity {
-		activity = p.UncoreIdleActivity
-	}
-	return p.UncoreDyn*v*v*fGHz*activity + p.UncoreLeak*v
+	return p.UncoreCoeffs(fGHz).Power(activity)
 }

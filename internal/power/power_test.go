@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/freq"
 )
 
 func TestVoltageCurveMonotone(t *testing.T) {
@@ -30,6 +32,28 @@ func TestCorePowerShape(t *testing.T) {
 	if idle <= 0 {
 		t.Error("idle power must stay positive (leakage)")
 	}
+}
+
+// TestCoeffsMatchTheFormulaBitForBit pins the engine's per-batch hoist:
+// on every grid ratio and at activities below, at and above the idle
+// floor, Coeffs.Power equals the one-line CMOS formula written out here
+// to the last bit, for cores and for the uncore.
+func TestCoeffsMatchTheFormulaBitForBit(t *testing.T) {
+	p := DefaultParams()
+	check := func(domain string, grid freq.Grid, c func(float64) Coeffs, vf VFCurve, dyn, leak, idle float64) {
+		for _, r := range grid.Ratios() {
+			f := r.GHz()
+			v := vf.Voltage(f)
+			for _, a := range []float64{0, idle / 2, idle, 0.5, 1} {
+				want := dyn*v*v*f*max(a, idle) + leak*v
+				if got := c(f).Power(a); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %v activity %g: coefficient path %v, formula %v", domain, r, a, got, want)
+				}
+			}
+		}
+	}
+	check("core", freq.HaswellCore(), p.CoreCoeffs, p.CoreVF, p.CoreDyn, p.CoreLeak, p.CoreIdleActivity)
+	check("uncore", freq.HaswellUncore(), p.UncoreCoeffs, p.UncoreVF, p.UncoreDyn, p.UncoreLeak, p.UncoreIdleActivity)
 }
 
 func TestPackageBudgetNearTDP(t *testing.T) {

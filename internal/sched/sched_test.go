@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,62 @@ func TestDequeGrowthPreservesOrder(t *testing.T) {
 			t.Fatalf("steal order broken: %g after %g", task.Seg.Instructions, prev)
 		}
 		prev = task.Seg.Instructions
+	}
+
+	// Thieves take more than half of a deque, then its owner expands a
+	// task: the children follow the remaining tasks in push order, the
+	// owner pops LIFO and thieves steal FIFO.
+	var e deque
+	for i := 0; i < 10; i++ {
+		e.pushBottom(Task{Seg: seg(float64(i))})
+	}
+	for i := 0; i < 6; i++ {
+		e.stealTop()
+	}
+	three := func(kids []Task, t Task, _ *rand.Rand) []Task {
+		for i := 0; i < 3; i++ {
+			kids = append(kids, Task{Seg: seg(float64(t.Lo + i)), Lo: t.Lo + 10*(i+1), Expand: t.Expand})
+		}
+		return kids
+	}
+	if n := e.expand(Task{Lo: 100, Expand: three}, nil); n != 3 {
+		t.Fatalf("expand spawned %d children, want 3", n)
+	}
+	var order []float64
+	for _, task := range e.buf[e.top:e.bottom] {
+		order = append(order, task.Seg.Instructions)
+	}
+	if want := []float64{6, 7, 8, 9, 100, 101, 102}; !slices.Equal(order, want) {
+		t.Fatalf("deque after expand = %v, want %v", order, want)
+	}
+	if bot, _ := e.popBottom(); bot.Seg.Instructions != 102 {
+		t.Errorf("owner got %g, want the last child (102)", bot.Seg.Instructions)
+	}
+	if top, _ := e.stealTop(); top.Seg.Instructions != 6 {
+		t.Errorf("thief got %g, want the oldest task (6)", top.Seg.Instructions)
+	}
+
+	// Steady state: each cycle the owner pops one task and expands it into
+	// three, and thieves take two. The live size stays put, so once warm
+	// the buffer must stop growing.
+	var capAfterWarmup int
+	for cycle := 0; cycle < 1000; cycle++ {
+		task, ok := e.popBottom()
+		if !ok {
+			t.Fatalf("cycle %d: deque ran dry", cycle)
+		}
+		e.expand(task, nil)
+		e.stealTop()
+		e.stealTop()
+		if cycle == 10 {
+			capAfterWarmup = cap(e.buf)
+		}
+	}
+	if e.size() != 5 {
+		t.Errorf("size after the cycles = %d, want 5", e.size())
+	}
+	if cap(e.buf) != capAfterWarmup {
+		t.Errorf("capacity grew from %d to %d over steady expand/pop cycles", capAfterWarmup, cap(e.buf))
 	}
 }
 

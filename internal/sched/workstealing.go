@@ -12,11 +12,12 @@ import (
 // Expansion happens when the task completes, which unfolds the same DAG as
 // body-time spawning with slightly coarser interleaving.
 //
-// Expand receives the task itself and appends its children to kids, a
-// buffer the runtime owns and reuses, returning the extended slice. Lo and
-// Hi belong to the DAG builder: a node that carries its own index range
-// lets one Expand function unfold a whole tree, so spawning allocates
-// nothing per task.
+// Expand receives the task itself and must append its children to kids
+// and return the extended slice, leaving kids' existing elements alone:
+// kids is the completing core's own deque, so the children land at its
+// bottom in append order without a second copy. Lo and Hi belong to the
+// DAG builder: a node that carries its own index range lets one Expand
+// function unfold a whole tree, so spawning allocates nothing per task.
 type Task struct {
 	Seg    workload.Segment
 	Lo, Hi int
@@ -67,7 +68,6 @@ type WorkStealing struct {
 	pending int // tasks released but not completed in this round
 	round   int
 	done    bool
-	kids    []Task // Expand's reused child buffer
 
 	// StealOverheadInstr is charged as extra instructions on every
 	// successful steal, modelling deque CAS traffic and cache misses on the
@@ -176,16 +176,12 @@ func (w *WorkStealing) Complete(core int, now float64) {
 	if !w.running[core] {
 		return
 	}
-	t := w.current[core]
-	w.current[core] = Task{}
+	t := &w.current[core]
 	w.running[core] = false
 	if t.Expand != nil {
-		w.kids = t.Expand(w.kids[:0], t, w.rng)
-		for _, c := range w.kids {
-			w.deques[core].pushBottom(c)
-		}
-		w.queued += len(w.kids)
-		w.pending += len(w.kids)
+		n := w.deques[core].expand(*t, w.rng)
+		w.queued += n
+		w.pending += n
 	}
 	w.pending--
 	if w.pending == 0 {

@@ -92,13 +92,20 @@ func TestStatsHitLatencyWindow(t *testing.T) {
 	}
 }
 
+// memoHeaderSample is a fully populated X-Memo value; badMemoHeaders are
+// values the parser must refuse.
+var (
+	memoHeaderSample = memo.RunStatsView{Runs: 5, PrefixHits: 2, QuantaSaved: 1560, QuantaTotal: 3900, SnapshotsStored: 31}
+	badMemoHeaders   = []string{"", "runs", "runs=x", "runs=1 prefix_hits"}
+)
+
 func TestMemoHeaderRoundTrip(t *testing.T) {
-	v := memo.RunStatsView{Runs: 5, PrefixHits: 2, QuantaSaved: 1560, QuantaTotal: 3900, SnapshotsStored: 31}
+	v := memoHeaderSample
 	got, ok := ParseMemoHeader(FormatMemoHeader(v))
 	if !ok || got != v {
 		t.Errorf("round trip = %+v, %v; want %+v, true", got, ok, v)
 	}
-	for _, bad := range []string{"", "runs", "runs=x", "runs=1 prefix_hits"} {
+	for _, bad := range badMemoHeaders {
 		if _, ok := ParseMemoHeader(bad); ok {
 			t.Errorf("ParseMemoHeader(%q) accepted a malformed value", bad)
 		}
@@ -107,4 +114,29 @@ func TestMemoHeaderRoundTrip(t *testing.T) {
 	if got, ok := ParseMemoHeader("runs=3 future_field=9"); !ok || got.Runs != 3 {
 		t.Errorf("forward-compat parse = %+v, %v", got, ok)
 	}
+}
+
+// FuzzParseMemoHeader feeds arbitrary X-Memo values to the parser, which
+// reads them off remote responses: it never panics, a refused value
+// yields the zero view, and an accepted one formats back to a header that
+// parses to the same view.
+func FuzzParseMemoHeader(f *testing.F) {
+	f.Add(FormatMemoHeader(memoHeaderSample))
+	for _, s := range badMemoHeaders {
+		f.Add(s)
+	}
+	f.Add("runs=3 future_field=9")
+	f.Fuzz(func(t *testing.T, s string) {
+		v, ok := ParseMemoHeader(s)
+		if !ok {
+			if v != (memo.RunStatsView{}) {
+				t.Fatalf("refused %q but returned %+v", s, v)
+			}
+			return
+		}
+		again, ok := ParseMemoHeader(FormatMemoHeader(v))
+		if !ok || again != v {
+			t.Fatalf("%q parsed to %+v, whose header parses to %+v, %v", s, v, again, ok)
+		}
+	})
 }
