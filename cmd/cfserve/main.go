@@ -6,9 +6,11 @@
 //	cfserve -addr :8080 -service-workers 4 -queue 32 -cache 512 -store /var/lib/cfserve
 //
 // -store adds a persistent content-addressed tier below the LRU: every
-// finished execution is written through to disk, and a restarted (or a
-// second, directory-sharing) instance serves those specs without
-// recomputing them.
+// finished execution is appended to disk as one checksummed record in
+// this process's segment of the directory, and a restarted (or a second,
+// directory-sharing) instance serves those specs without recomputing
+// them. -store-max-bytes bounds the directory by deleting whole segments,
+// oldest first.
 //
 // -memo adds a second cache tier below the result cache: phase-boundary
 // machine snapshots keyed by prefix chain hash. A spec that misses the
@@ -152,6 +154,7 @@ func run(rc runConfig) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		log.Printf("cfserve: store %s: %d entries, %d bytes", rc.storeDir, st.Len(), st.Bytes())
 		cfg.Store = st
 	}
@@ -162,6 +165,7 @@ func run(rc runConfig) error {
 			if disk, err = store.Open(rc.memoDir, 0); err != nil {
 				return err
 			}
+			defer disk.Close()
 			// Packs, one per executed run; the snapshot index loads on
 			// the first disk probe, not here.
 			log.Printf("cfserve: memo dir %s: %d pack(s), %d bytes", rc.memoDir, disk.Len(), disk.Bytes())

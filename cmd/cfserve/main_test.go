@@ -131,13 +131,13 @@ func cacheInfo(t *testing.T, data []byte) (lru, stored int) {
 	return info.Entries, info.Store.Entries
 }
 
-// buildCfserve builds this command with go build into dir and returns the
-// binary's path.
-func buildCfserve(t *testing.T, dir string) string {
+// buildCommand builds the module's command cmd/<name> with go build into
+// dir and returns the binary's path.
+func buildCommand(t *testing.T, dir, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, "cfserve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build cfserve: %v\n%s", err, out)
+	bin := filepath.Join(dir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, filepath.Join("..", name)).CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", name, err, out)
 	}
 	return bin
 }
@@ -178,7 +178,7 @@ func (p *serveProc) interruptAndWait(t *testing.T) {
 // and exit status are what run in production.
 func TestServeCacheRoundTripAndDrain(t *testing.T) {
 	dir := t.TempDir()
-	p := startCfserve(t, buildCfserve(t, dir), "-store", filepath.Join(dir, "store"))
+	p := startCfserve(t, buildCommand(t, dir, "cfserve"), "-store", filepath.Join(dir, "store"))
 
 	const spec = `{"experiment":"table1","scale":0.02,"reps":1}`
 	var bodies [2][]byte
@@ -279,7 +279,7 @@ func TestServeMetricsTracesAndPprof(t *testing.T) {
 	dir := t.TempDir()
 	traceDir := filepath.Join(dir, "traces")
 	pprofAddr := freeAddr(t)
-	p := startCfserve(t, buildCfserve(t, dir), "-trace-dir", traceDir, "-profile", "-pprof-addr", pprofAddr,
+	p := startCfserve(t, buildCommand(t, dir, "cfserve"), "-trace-dir", traceDir, "-profile", "-pprof-addr", pprofAddr,
 		"-store", filepath.Join(dir, "store"), "-memo", "-timelines", "8")
 
 	// bursty is a work-sharing source, so the memo tier stores snapshots

@@ -45,18 +45,21 @@ import (
 	"repro/internal/timeline"
 )
 
-var (
+// options are the flags that are not part of the run's identity. cli
+// builds a fresh value for every invocation and passes it down, so no
+// flag state outlives a call.
+type options struct {
 	format       string
 	remote       string
 	scenarioFile string
 	sweepSpec    string
 	storeDir     string
-	memoFlag     bool
+	memo         bool
 	memoDir      string
 	memoMaxBytes int64
 	traceOut     string
 	timelineOut  string
-	profileFlag  bool
+	profile      bool
 	workers      int
 	backends     stringList
 	listGov      bool
@@ -67,13 +70,13 @@ var (
 	writeBaseline string
 	replayPath    string
 	corpusOut     string
-	minimizeFlag  bool
+	minimize      bool
 
-	// setFlags records which flags the user spelled out, accumulated
-	// across parseArgs's Parse calls; runFuzz consults it to override the
+	// set records which flags the user spelled out, accumulated across
+	// parseArgs's Parse calls; runFuzz consults it to override the
 	// fuzzer's own scale/cores/reps defaults only on explicit request.
-	setFlags map[string]bool
-)
+	set map[string]bool
+}
 
 // allExperiments is what `cuttlefish all` runs, in order.
 var allExperiments = []string{"table1", "fig2", "fig3a", "fig3b", "fig10", "fig11", "table2", "table3", "ablation", "ddcm"}
@@ -98,43 +101,43 @@ func defaultSpec() service.RunSpec {
 }
 
 // newFlagSet registers every CLI flag on a fresh flag set: the run's
-// identity binds to spec, everything else to the package-level options,
-// each reset to its default. ContinueOnError makes Parse return an error
-// naming the offending flag instead of exiting, so the parse below can
-// report it uniformly wherever the flag appeared.
-func newFlagSet(spec *service.RunSpec) *flag.FlagSet {
+// identity binds to spec, everything else to o, each set to its default.
+// ContinueOnError makes Parse return an error naming the offending flag
+// instead of exiting, so the parse below can report it uniformly
+// wherever the flag appeared.
+func newFlagSet(spec *service.RunSpec, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("cuttlefish", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // cli prints the error and usage itself
-	backends, setFlags = nil, map[string]bool{}
+	*o = options{set: map[string]bool{}}
 	fs.Float64Var(&spec.Scale, "scale", spec.Scale, "benchmark length relative to the paper's runs (1.0 ≈ 60-80s each)")
 	fs.IntVar(&spec.Reps, "reps", spec.Reps, "repetitions per data point (paper: 10)")
 	fs.IntVar(&spec.Cores, "cores", spec.Cores, "simulated core count")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base RNG seed")
 	fs.Float64Var(&spec.TinvSec, "tinv", spec.TinvSec, "daemon profiling interval in seconds")
 	fs.Float64Var(&spec.WarmupSec, "warmup", spec.WarmupSec, "cuttlefish daemon warmup before its first wake, in simulated seconds (negative = none; part of the spec identity)")
-	fs.IntVar(&workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	fs.StringVar(&spec.Governor, "governor", "", "registered governor for single-environment experiments (default: each experiment's paper environment; see -list-governors)")
-	fs.StringVar(&format, "format", "text", "report format: text | json | csv")
-	fs.StringVar(&remote, "remote", "", "execute against a cfserve instance at this URL instead of in-process (e.g. http://localhost:8080)")
+	fs.StringVar(&o.format, "format", "text", "report format: text | json | csv")
+	fs.StringVar(&o.remote, "remote", "", "execute against a cfserve instance at this URL instead of in-process (e.g. http://localhost:8080)")
 	fs.StringVar(&spec.Benchmark, "bench", "", "workload for the \"run\" experiment: a Table 1 benchmark or a registered scenario (see -list-scenarios)")
-	fs.StringVar(&scenarioFile, "scenario", "", "scenario definition file (JSON phase program) for the \"run\" experiment")
-	fs.StringVar(&sweepSpec, "spec", "", "sweep spec file (JSON) for the \"sweep\" subcommand")
-	fs.Var(&backends, "backend", "cfserve URL to dispatch to (repeatable; sweep and fuzz spread over all, other experiments use the first; default: run in-process)")
-	fs.StringVar(&storeDir, "store", "", "persistent result store directory for in-process runs: results survive invocations and repeats are served from it")
-	fs.BoolVar(&memoFlag, "memo", false, "enable prefix-snapshot memoization for in-process runs: shared schedule prefixes simulate once and resume")
-	fs.StringVar(&memoDir, "memo-dir", "", "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
-	fs.Int64Var(&memoMaxBytes, "memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
-	fs.StringVar(&traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
-	fs.StringVar(&timelineOut, "timeline-out", "", "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
-	fs.BoolVar(&profileFlag, "profile", false, "record the engine's dispatch wall time, batches and quanta into the trace's simulate spans")
-	fs.BoolVar(&listGov, "list-governors", false, "list registered governors and exit")
-	fs.BoolVar(&listScen, "list-scenarios", false, "list registered workloads (benchmarks and scenarios) and exit")
-	fs.IntVar(&fuzzN, "n", 100, "scenarios the fuzz subcommand generates before hash-dedup")
-	fs.StringVar(&baselineFile, "baseline", "", "baseline file the fuzz findings are diffed against (new findings or metric regressions exit 1)")
-	fs.StringVar(&writeBaseline, "write-baseline", "", "write the fuzz pass's snapshot (corpus digest, cells, findings) to this file")
-	fs.StringVar(&replayPath, "replay", "", "replay a corpus entry file or directory instead of generating (fuzz)")
-	fs.StringVar(&corpusOut, "corpus-out", "", "write every corpus entry as a replayable JSON file into this directory (fuzz)")
-	fs.BoolVar(&minimizeFlag, "minimize", false, "greedily shrink each finding-bearing scenario and persist the minimized form to -corpus-out (fuzz)")
+	fs.StringVar(&o.scenarioFile, "scenario", "", "scenario definition file (JSON phase program) for the \"run\" experiment")
+	fs.StringVar(&o.sweepSpec, "spec", "", "sweep spec file (JSON) for the \"sweep\" subcommand")
+	fs.Var(&o.backends, "backend", "cfserve URL to dispatch to (repeatable; sweep and fuzz spread over all, other experiments use the first; default: run in-process)")
+	fs.StringVar(&o.storeDir, "store", "", "persistent result store directory for in-process runs: results survive invocations and repeats are served from it")
+	fs.BoolVar(&o.memo, "memo", false, "enable prefix-snapshot memoization for in-process runs: shared schedule prefixes simulate once and resume")
+	fs.StringVar(&o.memoDir, "memo-dir", "", "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
+	fs.Int64Var(&o.memoMaxBytes, "memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
+	fs.StringVar(&o.timelineOut, "timeline-out", "", "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
+	fs.BoolVar(&o.profile, "profile", false, "record the engine's dispatch wall time, batches and quanta into the trace's simulate spans")
+	fs.BoolVar(&o.listGov, "list-governors", false, "list registered governors and exit")
+	fs.BoolVar(&o.listScen, "list-scenarios", false, "list registered workloads (benchmarks and scenarios) and exit")
+	fs.IntVar(&o.fuzzN, "n", 100, "scenarios the fuzz subcommand generates before hash-dedup")
+	fs.StringVar(&o.baselineFile, "baseline", "", "baseline file the fuzz findings are diffed against (new findings or metric regressions exit 1)")
+	fs.StringVar(&o.writeBaseline, "write-baseline", "", "write the fuzz pass's snapshot (corpus digest, cells, findings) to this file")
+	fs.StringVar(&o.replayPath, "replay", "", "replay a corpus entry file or directory instead of generating (fuzz)")
+	fs.StringVar(&o.corpusOut, "corpus-out", "", "write every corpus entry as a replayable JSON file into this directory (fuzz)")
+	fs.BoolVar(&o.minimize, "minimize", false, "greedily shrink each finding-bearing scenario and persist the minimized form to -corpus-out (fuzz)")
 	return fs
 }
 
@@ -170,7 +173,8 @@ func main() {
 // returns the exit status (0 ok, 1 failed, 2 usage).
 func cli(args []string, stdout, stderr io.Writer) int {
 	spec := defaultSpec()
-	fs := newFlagSet(&spec)
+	var o options
+	fs := newFlagSet(&spec, &o)
 	name, err := parseArgs(fs, args)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -181,14 +185,14 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		usage(fs, stderr)
 		return 2
 	}
-	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if listGov {
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	if o.listGov {
 		for _, info := range governor.List() {
 			fmt.Fprintf(stdout, "%-18s %s\n", info.Name, info.Description)
 		}
 		return 0
 	}
-	if listScen {
+	if o.listScen {
 		for _, info := range scenario.List() {
 			fmt.Fprintf(stdout, "%-16s %-10s %s\n", info.Name, info.Kind, info.Description)
 		}
@@ -198,17 +202,17 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		usage(fs, stderr)
 		return 2
 	}
-	if !report.ValidFormat(format) {
-		fmt.Fprintf(stderr, "cuttlefish: unknown format %q (want text, json or csv)\n", format)
+	if !report.ValidFormat(o.format) {
+		fmt.Fprintf(stderr, "cuttlefish: unknown format %q (want text, json or csv)\n", o.format)
 		return 2
 	}
-	if workers > 0 {
+	if o.workers > 0 {
 		// The in-process service and every harness pool size themselves
 		// from GOMAXPROCS, so this bounds concurrent simulations
 		// everywhere; results do not depend on it.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(o.workers))
 	}
-	if err := run(name, spec, format, stdout, stderr); err != nil {
+	if err := run(name, spec, &o, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "cuttlefish: %v\n", err)
 		return 1
 	}
@@ -307,7 +311,7 @@ flags (before or after the experiment):
 // run executes the named experiment — or, for all, each experiment in
 // turn; sweep and fuzz fan out their own specs — over the backend pool
 // and renders the reports in the chosen format.
-func run(name string, spec service.RunSpec, format string, stdout, stderr io.Writer) error {
+func run(name string, spec service.RunSpec, o *options, stdout, stderr io.Writer) error {
 	if spec.Governor != "" {
 		// Fail fast on typos before burning simulation time, also for
 		// experiments whose harness picks its own governors.
@@ -315,11 +319,11 @@ func run(name string, spec service.RunSpec, format string, stdout, stderr io.Wri
 			return err
 		}
 	}
-	if scenarioFile != "" {
+	if o.scenarioFile != "" {
 		if name != "run" {
 			return fmt.Errorf("-scenario only applies to the run experiment, not %q", name)
 		}
-		raw, err := os.ReadFile(scenarioFile)
+		raw, err := os.ReadFile(o.scenarioFile)
 		if err != nil {
 			return err
 		}
@@ -329,34 +333,34 @@ func run(name string, spec service.RunSpec, format string, stdout, stderr io.Wri
 		}
 		spec.ScenarioDef = &def
 	}
-	if traceOut != "" || timelineOut != "" {
+	if o.traceOut != "" || o.timelineOut != "" {
 		switch {
 		case name == "all" || name == "sweep" || name == "fuzz":
 			return fmt.Errorf("-trace-out and -timeline-out record one experiment at a time, not %q", name)
-		case remote != "" || len(backends) > 0:
+		case o.remote != "" || len(o.backends) > 0:
 			return fmt.Errorf("-trace-out and -timeline-out record in-process runs; fetch a remote run's trace or timeline from GET /v1/runs/{id}/trace or /timeline on a cfserve started with -traces or -timelines")
 		}
 	}
 	// One-entry stores: the in-process service records the run into them
 	// and runOne writes their bytes out.
 	var traces *obs.TraceStore
-	if traceOut != "" {
+	if o.traceOut != "" {
 		traces = obs.NewTraceStore(1, "")
 	}
 	var timelines *timeline.Store
-	if timelineOut != "" {
+	if o.timelineOut != "" {
 		timelines = timeline.NewStore(1)
 	}
-	pool, cleanup, err := buildBackendPool(traces, timelines)
+	pool, cleanup, err := buildBackendPool(o, traces, timelines)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
 	switch name {
 	case "sweep":
-		return runSweep(pool, format, stdout, stderr)
+		return runSweep(pool, o, stdout, stderr)
 	case "fuzz":
-		return runFuzz(pool, spec, format, stdout, stderr)
+		return runFuzz(pool, spec, o, stdout, stderr)
 	}
 	names := []string{name}
 	if name == "all" {
@@ -364,7 +368,7 @@ func run(name string, spec service.RunSpec, format string, stdout, stderr io.Wri
 	}
 	for _, e := range names {
 		spec.Experiment = e
-		if err := runOne(pool[0], spec.Normalized(), traces, timelines, format, stdout, stderr); err != nil {
+		if err := runOne(pool[0], spec.Normalized(), o, traces, timelines, stdout, stderr); err != nil {
 			return err
 		}
 		if name == "all" {
@@ -377,7 +381,7 @@ func run(name string, spec service.RunSpec, format string, stdout, stderr io.Wri
 // runOne submits one normalized spec to the backend and renders what
 // comes back: the serving note and memo activity on stderr, the recorded
 // trace and timeline to their files, the report on stdout.
-func runOne(b orchestrator.Backend, spec service.RunSpec, traces *obs.TraceStore, timelines *timeline.Store, format string, stdout, stderr io.Writer) error {
+func runOne(b orchestrator.Backend, spec service.RunSpec, o *options, traces *obs.TraceStore, timelines *timeline.Store, stdout, stderr io.Writer) error {
 	hash := spec.Hash()
 	res, err := b.Run(context.Background(), spec)
 	if tr, ok := traces.Get(hash); ok {
@@ -385,12 +389,12 @@ func runOne(b orchestrator.Backend, spec service.RunSpec, traces *obs.TraceStore
 		var buf bytes.Buffer
 		werr := tr.WriteChrome(&buf)
 		if werr == nil {
-			werr = os.WriteFile(traceOut, buf.Bytes(), 0o644)
+			werr = os.WriteFile(o.traceOut, buf.Bytes(), 0o644)
 		}
 		if werr != nil {
 			return errors.Join(err, werr)
 		}
-		fmt.Fprintf(stderr, "cuttlefish: trace written to %s\n", traceOut)
+		fmt.Fprintf(stderr, "cuttlefish: trace written to %s\n", o.traceOut)
 	}
 	if err != nil {
 		return err
@@ -403,32 +407,32 @@ func runOne(b orchestrator.Backend, spec service.RunSpec, traces *obs.TraceStore
 	if res.Memo != nil && res.Memo.Runs > 0 {
 		fmt.Fprintf(stderr, "cuttlefish: memo: %s\n", service.FormatMemoHeader(*res.Memo))
 	}
-	if timelineOut != "" {
+	if o.timelineOut != "" {
 		data, ok := timelines.Get(hash)
 		if !ok {
 			return fmt.Errorf("-timeline-out: %s was served from the result cache (%s), so no simulation ran to record; drop -store or change the spec", spec.Experiment, res.Outcome)
 		}
-		if err := os.WriteFile(timelineOut, data, 0o644); err != nil {
+		if err := os.WriteFile(o.timelineOut, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "cuttlefish: timeline written to %s\n", timelineOut)
+		fmt.Fprintf(stderr, "cuttlefish: timeline written to %s\n", o.timelineOut)
 	}
 	rep, err := report.Decode(res.Body)
 	if err != nil {
 		return err
 	}
-	return rep.Write(stdout, format)
+	return rep.Write(stdout, o.format)
 }
 
 // runSweep expands a sweep spec and dispatches it over the backend pool.
 // Progress and the operational summary go to stderr; the aggregated
 // report — deterministic across backend topologies — goes to stdout in
 // -format.
-func runSweep(pool []orchestrator.Backend, format string, stdout, stderr io.Writer) error {
-	if sweepSpec == "" {
+func runSweep(pool []orchestrator.Backend, o *options, stdout, stderr io.Writer) error {
+	if o.sweepSpec == "" {
 		return fmt.Errorf("the sweep subcommand needs -spec <file.json>")
 	}
-	raw, err := os.ReadFile(sweepSpec)
+	raw, err := os.ReadFile(o.sweepSpec)
 	if err != nil {
 		return err
 	}
@@ -437,7 +441,7 @@ func runSweep(pool []orchestrator.Backend, format string, stdout, stderr io.Writ
 		return err
 	}
 	var dupNoted bool // OnEvent calls are serialized by the orchestrator
-	o, err := orchestrator.New(orchestrator.Config{
+	orch, err := orchestrator.New(orchestrator.Config{
 		Backends: pool,
 		OnEvent: func(ev orchestrator.Event) {
 			if ev.Duplicates > 0 && !dupNoted {
@@ -472,7 +476,7 @@ func runSweep(pool []orchestrator.Backend, format string, stdout, stderr io.Writ
 	if err != nil {
 		return err
 	}
-	res, err := o.Run(context.Background(), sweep)
+	res, err := orch.Run(context.Background(), sweep)
 	if res != nil {
 		fmt.Fprintf(stderr, "sweep: %s\n", res.Summary)
 	}
@@ -483,18 +487,19 @@ func runSweep(pool []orchestrator.Backend, format string, stdout, stderr io.Writ
 	if err != nil {
 		return err
 	}
-	return rep.Write(stdout, format)
+	return rep.Write(stdout, o.format)
 }
 
 // buildBackendPool assembles the backends every experiment runs on:
 // every -backend URL plus -remote, or — with neither — one in-process
 // service wired with the -store and -memo cache tiers, -profile, and the
 // trace and timeline stores the recording flags read back (nil when
-// off). The cleanup func tears down whatever was built.
-func buildBackendPool(traces *obs.TraceStore, timelines *timeline.Store) ([]orchestrator.Backend, func(), error) {
-	urls := append(stringList(nil), backends...)
-	if remote != "" {
-		urls = append(urls, remote)
+// off). The cleanup func tears down whatever was built, closing the
+// stores last.
+func buildBackendPool(o *options, traces *obs.TraceStore, timelines *timeline.Store) ([]orchestrator.Backend, func(), error) {
+	urls := append(stringList(nil), o.backends...)
+	if o.remote != "" {
+		urls = append(urls, o.remote)
 	}
 	if len(urls) > 0 {
 		var pool []orchestrator.Backend
@@ -504,34 +509,47 @@ func buildBackendPool(traces *obs.TraceStore, timelines *timeline.Store) ([]orch
 		return pool, func() {}, nil
 	}
 	cfg := service.Config{
-		Workers:    workers,
+		Workers:    o.workers,
 		QueueDepth: 64,
-		Profile:    profileFlag || traceOut != "",
+		Profile:    o.profile || o.traceOut != "",
 		Traces:     traces,
 		Timelines:  timelines,
 	}
-	if storeDir != "" {
-		st, err := store.Open(storeDir, 0)
+	var stores []*store.Store
+	closeStores := func() {
+		for _, st := range stores {
+			st.Close()
+		}
+	}
+	if o.storeDir != "" {
+		st, err := store.Open(o.storeDir, 0)
 		if err != nil {
 			return nil, nil, err
 		}
+		stores = append(stores, st)
 		cfg.Store = st
 	}
-	if memoFlag || memoDir != "" {
+	if o.memo || o.memoDir != "" {
 		// With -memo-dir the tier persists snapshots across invocations,
 		// so a tweaked re-run of a long scenario resumes from the last
 		// shared phase boundary instead of re-simulating its whole prefix.
 		var disk *store.Store
-		if memoDir != "" {
+		if o.memoDir != "" {
 			var err error
-			if disk, err = store.Open(memoDir, 0); err != nil {
+			if disk, err = store.Open(o.memoDir, 0); err != nil {
+				closeStores()
 				return nil, nil, err
 			}
+			stores = append(stores, disk)
 		}
-		cfg.Memo = memo.New(memoMaxBytes, disk)
+		cfg.Memo = memo.New(o.memoMaxBytes, disk)
 	}
 	svc := service.New(cfg)
-	return []orchestrator.Backend{&orchestrator.LocalBackend{Service: svc}}, svc.Close, nil
+	cleanup := func() {
+		svc.Close()
+		closeStores()
+	}
+	return []orchestrator.Backend{&orchestrator.LocalBackend{Service: svc}}, cleanup, nil
 }
 
 // runFuzz expands (or -replay loads) a scenario corpus and runs the
@@ -541,30 +559,30 @@ func buildBackendPool(traces *obs.TraceStore, timelines *timeline.Store) ([]orch
 // baseline verdict go to stderr. Findings alone do not fail the command
 // (they are the fuzzer's product); new findings or metric regressions
 // against a -baseline do.
-func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, format string, stdout, stderr io.Writer) error {
-	cfg := fuzz.Config{N: fuzzN, Seed: spec.Seed, Workers: workers}
+func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, o *options, stdout, stderr io.Writer) error {
+	cfg := fuzz.Config{N: o.fuzzN, Seed: spec.Seed, Workers: o.workers}
 	// The fuzzer's own defaults (8 cores, 0.05 scale, 1 rep) are sized
 	// for breadth, not paper fidelity; the shared flags override them
 	// only when the user spelled them out.
-	if setFlags["scale"] {
+	if o.set["scale"] {
 		cfg.Scale = spec.Scale
 	}
-	if setFlags["cores"] {
+	if o.set["cores"] {
 		cfg.Cores = spec.Cores
 	}
-	if setFlags["reps"] {
+	if o.set["reps"] {
 		cfg.Reps = spec.Reps
 	}
-	if setFlags["tinv"] {
+	if o.set["tinv"] {
 		cfg.TinvSec = spec.TinvSec
 	}
 	var corpus *fuzz.Corpus
 	var err error
-	if replayPath != "" {
-		if corpus, err = fuzz.LoadCorpus(replayPath); err != nil {
+	if o.replayPath != "" {
+		if corpus, err = fuzz.LoadCorpus(o.replayPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "fuzz: replaying %d scenario(s) from %s\n", len(corpus.Entries), replayPath)
+		fmt.Fprintf(stderr, "fuzz: replaying %d scenario(s) from %s\n", len(corpus.Entries), o.replayPath)
 	} else {
 		if corpus, err = fuzz.Generate(cfg); err != nil {
 			return err
@@ -572,16 +590,16 @@ func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, format string, s
 		fmt.Fprintf(stderr, "fuzz: corpus: %d scenario(s) from seed %d (%d duplicate(s) collapsed), digest %.12s…\n",
 			len(corpus.Entries), cfg.Seed, corpus.Duplicates, corpus.Digest())
 	}
-	if corpusOut != "" {
-		if err := os.MkdirAll(corpusOut, 0o755); err != nil {
+	if o.corpusOut != "" {
+		if err := os.MkdirAll(o.corpusOut, 0o755); err != nil {
 			return err
 		}
 		for _, e := range corpus.Entries {
-			if err := fuzz.WriteEntry(filepath.Join(corpusOut, e.Def.Name+".json"), e); err != nil {
+			if err := fuzz.WriteEntry(filepath.Join(o.corpusOut, e.Def.Name+".json"), e); err != nil {
 				return err
 			}
 		}
-		fmt.Fprintf(stderr, "fuzz: wrote %d corpus entr(ies) to %s\n", len(corpus.Entries), corpusOut)
+		fmt.Fprintf(stderr, "fuzz: wrote %d corpus entr(ies) to %s\n", len(corpus.Entries), o.corpusOut)
 	}
 	ctx := context.Background()
 	rep, err := fuzz.Run(ctx, pool, corpus, cfg)
@@ -596,22 +614,22 @@ func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, format string, s
 	}
 	fmt.Fprintf(stderr, "fuzz: %d cell(s) executed (%s), %d finding(s)\n",
 		len(rep.Cells), formatOutcomes(outcomes), len(rep.Findings))
-	if minimizeFlag {
-		if err := minimizeFindings(ctx, pool, rep, corpus, cfg, stderr); err != nil {
+	if o.minimize {
+		if err := minimizeFindings(ctx, pool, rep, corpus, cfg, o.corpusOut, stderr); err != nil {
 			return err
 		}
 	}
-	if err := rep.RunReport().Write(stdout, format); err != nil {
+	if err := rep.RunReport().Write(stdout, o.format); err != nil {
 		return err
 	}
-	if writeBaseline != "" {
-		if err := fuzz.BaselineOf(rep, cfg).Save(writeBaseline); err != nil {
+	if o.writeBaseline != "" {
+		if err := fuzz.BaselineOf(rep, cfg).Save(o.writeBaseline); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "fuzz: baseline written to %s\n", writeBaseline)
+		fmt.Fprintf(stderr, "fuzz: baseline written to %s\n", o.writeBaseline)
 	}
-	if baselineFile != "" {
-		base, err := fuzz.LoadBaseline(baselineFile)
+	if o.baselineFile != "" {
+		base, err := fuzz.LoadBaseline(o.baselineFile)
 		if err != nil {
 			return err
 		}
@@ -626,9 +644,9 @@ func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, format string, s
 			for _, f := range violations {
 				fmt.Fprintf(stderr, "fuzz: VIOLATION %s %s governor=%s ref=%s: %s\n", f.Scenario, f.Kind, f.Governor, f.Reference, f.Detail)
 			}
-			return fmt.Errorf("%d violation(s) vs baseline %s", len(violations), baselineFile)
+			return fmt.Errorf("%d violation(s) vs baseline %s", len(violations), o.baselineFile)
 		}
-		fmt.Fprintf(stderr, "fuzz: baseline %s holds (%d finding(s) match, no metric regressions)\n", baselineFile, len(base.Findings))
+		fmt.Fprintf(stderr, "fuzz: baseline %s holds (%d finding(s) match, no metric regressions)\n", o.baselineFile, len(base.Findings))
 	}
 	return nil
 }
@@ -636,7 +654,7 @@ func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, format string, s
 // minimizeFindings greedily shrinks every finding-bearing scenario (one
 // per scenario, all its finding kinds at once) and persists the minimized
 // entries to -corpus-out, or describes them on stderr without it.
-func minimizeFindings(ctx context.Context, pool []orchestrator.Backend, rep *fuzz.Report, corpus *fuzz.Corpus, cfg fuzz.Config, stderr io.Writer) error {
+func minimizeFindings(ctx context.Context, pool []orchestrator.Backend, rep *fuzz.Report, corpus *fuzz.Corpus, cfg fuzz.Config, corpusOut string, stderr io.Writer) error {
 	kindsByScenario := map[string]map[string]bool{}
 	for _, f := range rep.Findings {
 		if kindsByScenario[f.Scenario] == nil {

@@ -24,10 +24,11 @@ func tinySpec() service.RunSpec {
 
 // runReport runs one experiment through the CLI path with -format json
 // and decodes the exact bytes it prints.
-func runReport(t *testing.T, name string, spec service.RunSpec) *report.RunReport {
+func runReport(t *testing.T, name string, spec service.RunSpec, o options) *report.RunReport {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(name, spec, "json", &out, io.Discard); err != nil {
+	o.format = "json"
+	if err := run(name, spec, &o, &out, io.Discard); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	rep, err := report.Decode(out.Bytes())
@@ -42,13 +43,13 @@ func runReport(t *testing.T, name string, spec service.RunSpec) *report.RunRepor
 func TestRunRejectsUnknownGovernor(t *testing.T) {
 	s := tinySpec()
 	s.Governor = "turbo-boost"
-	if err := run("table1", s, "json", io.Discard, io.Discard); err == nil {
+	if err := run("table1", s, &options{format: "json"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown -governor must error")
 	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if err := run("table9", tinySpec(), "text", io.Discard, io.Discard); err == nil {
+	if err := run("table9", tinySpec(), &options{format: "text"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown experiment must error")
 	}
 }
@@ -62,7 +63,7 @@ func TestTable1ReportEncodesAcrossGovernors(t *testing.T) {
 		s := tinySpec()
 		s.Governor = gov
 		var out bytes.Buffer
-		if err := run("table1", s, "json", &out, io.Discard); err != nil {
+		if err := run("table1", s, &options{format: "json"}, &out, io.Discard); err != nil {
 			t.Fatalf("%q: %v", gov, err)
 		}
 		var got report.RunReport
@@ -96,7 +97,7 @@ func TestTable1ReportEncodesAcrossGovernors(t *testing.T) {
 // TestRunExperimentRequiresBench: the "run" experiment must fail fast
 // without a -bench, before any simulation time.
 func TestRunExperimentRequiresBench(t *testing.T) {
-	if err := run("run", tinySpec(), "text", io.Discard, io.Discard); err == nil {
+	if err := run("run", tinySpec(), &options{format: "text"}, io.Discard, io.Discard); err == nil {
 		t.Error("run without -bench must error")
 	}
 }
@@ -104,21 +105,20 @@ func TestRunExperimentRequiresBench(t *testing.T) {
 // TestSweepRequiresSpec: the sweep subcommand must fail fast without a
 // -spec file, and on an unreadable or invalid one.
 func TestSweepRequiresSpec(t *testing.T) {
-	sweepSpec = ""
-	if err := run("sweep", tinySpec(), "text", io.Discard, io.Discard); err == nil {
+	o := &options{format: "text"}
+	if err := run("sweep", tinySpec(), o, io.Discard, io.Discard); err == nil {
 		t.Error("sweep without -spec must error")
 	}
-	sweepSpec = filepath.Join(t.TempDir(), "nope.json")
-	if err := run("sweep", tinySpec(), "text", io.Discard, io.Discard); err == nil {
+	o.sweepSpec = filepath.Join(t.TempDir(), "nope.json")
+	if err := run("sweep", tinySpec(), o, io.Discard, io.Discard); err == nil {
 		t.Error("sweep with a missing spec file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"axes": {"benchmarcks": []}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sweepSpec = bad
-	defer func() { sweepSpec = "" }()
-	if err := run("sweep", tinySpec(), "text", io.Discard, io.Discard); err == nil {
+	o.sweepSpec = bad
+	if err := run("sweep", tinySpec(), o, io.Discard, io.Discard); err == nil {
 		t.Error("sweep with a typoed axis must error")
 	}
 }
@@ -140,20 +140,19 @@ func TestSweepInProcessEndToEnd(t *testing.T) {
 	if err := os.WriteFile(specFile, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sweepSpec = specFile
-	storeDir = filepath.Join(dir, "store")
-	defer func() { sweepSpec, storeDir = "", "" }()
-	if err := run("sweep", tinySpec(), "json", io.Discard, io.Discard); err != nil {
+	o := &options{format: "json", sweepSpec: specFile, storeDir: filepath.Join(dir, "store")}
+	if err := run("sweep", tinySpec(), o, io.Discard, io.Discard); err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
 	// Warm re-run: everything must come from the persistent store.
-	if err := run("sweep", tinySpec(), "json", io.Discard, io.Discard); err != nil {
+	if err := run("sweep", tinySpec(), o, io.Discard, io.Discard); err != nil {
 		t.Fatalf("warm sweep: %v", err)
 	}
-	st, err := store.Open(storeDir, 0)
+	st, err := store.Open(o.storeDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	if st.Len() != 2 {
 		t.Errorf("store holds %d entries, want 2 (one per grid point)", st.Len())
 	}
@@ -164,8 +163,7 @@ func TestSweepInProcessEndToEnd(t *testing.T) {
 func parseForTest(t *testing.T, args ...string) (name string, spec service.RunSpec, err error) {
 	t.Helper()
 	spec = defaultSpec()
-	fs := newFlagSet(&spec)
-	t.Cleanup(func() { newFlagSet(&service.RunSpec{}) })
+	fs := newFlagSet(&spec, &options{})
 	name, err = parseArgs(fs, args)
 	return name, spec, err
 }
@@ -230,19 +228,18 @@ func TestRunScenarioFile(t *testing.T) {
 	if err := os.WriteFile(file, []byte(def), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scenarioFile = file
-	defer func() { scenarioFile = "" }()
+	o := options{format: "text", scenarioFile: file}
 	s := tinySpec()
-	rep := runReport(t, "run", s)
+	rep := runReport(t, "run", s, o)
 	if len(rep.Rows) != 1 || rep.Rows[0]["benchmark"] != "cli-probe" {
 		t.Errorf("rows = %+v", rep.Rows)
 	}
 	// -scenario is run-only and exclusive with -bench.
-	if err := run("table1", s, "text", io.Discard, io.Discard); err == nil {
+	if err := run("table1", s, &o, io.Discard, io.Discard); err == nil {
 		t.Error("-scenario with table1 must error")
 	}
 	s.Benchmark = "UTS"
-	if err := run("run", s, "text", io.Discard, io.Discard); err == nil {
+	if err := run("run", s, &o, io.Discard, io.Discard); err == nil {
 		t.Error("-bench with -scenario must error")
 	}
 }
@@ -253,7 +250,7 @@ func TestRunRegisteredScenarioByName(t *testing.T) {
 	s := tinySpec()
 	s.Benchmark = "compute-bound"
 	s.Scale = 0.005
-	rep := runReport(t, "run", s)
+	rep := runReport(t, "run", s, options{})
 	if len(rep.Rows) != 1 || rep.Rows[0]["benchmark"] != "compute-bound" {
 		t.Errorf("rows = %+v", rep.Rows)
 	}
@@ -265,7 +262,7 @@ func TestRunExperimentReport(t *testing.T) {
 	s := tinySpec()
 	s.Benchmark = "Heat-irt"
 	s.Reps = 2
-	rep := runReport(t, "run", s)
+	rep := runReport(t, "run", s, options{})
 	if rep.Experiment != "run" || rep.Governor != "default" {
 		t.Errorf("experiment=%q governor=%q", rep.Experiment, rep.Governor)
 	}

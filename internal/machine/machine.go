@@ -559,7 +559,7 @@ func (m *Machine) runBatch(quanta int) {
 	for i := range m.cores {
 		c := &m.cores[i]
 		duty := c.duty
-		if duty <= 0 || duty > 1 {
+		if !(duty > 0 && duty <= 1) {
 			duty = 1
 		}
 		s, r := &e.snaps[i], &e.runs[i]

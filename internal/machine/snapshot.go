@@ -142,10 +142,24 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.PMUInstr) != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot PMU has %d cores, config has %d", len(s.PMUInstr), m.cfg.Cores)
 	}
+	// Every field must lie in the domain the write path produces: a NaN
+	// duty or an off-grid ratio would run on to NaN joules, not fail.
 	for i, c := range s.Cores {
-		if c.HaveSeg && (!c.Seg.Valid() || !(c.SegLeft >= 0)) {
+		switch {
+		case c.HaveSeg && (!c.Seg.Valid() || !(c.SegLeft >= 0)):
 			return fmt.Errorf("machine: snapshot core %d holds invalid segment %v with %g instructions left", i, c.Seg, c.SegLeft)
+		case !m.cfg.CoreGrid.Contains(c.Ratio):
+			return fmt.Errorf("machine: snapshot core %d ratio %d is off the core grid %v", i, c.Ratio, m.cfg.CoreGrid)
+		case !(c.Duty > 0 && c.Duty <= 1):
+			return fmt.Errorf("machine: snapshot core %d duty %g is outside (0, 1]", i, c.Duty)
+		case !(c.Stolen >= 0 && c.Stolen <= math.MaxFloat64):
+			return fmt.Errorf("machine: snapshot core %d stolen time %g is negative or not finite", i, c.Stolen)
 		}
+	}
+	if u := m.cfg.UncoreGrid; !u.Contains(s.UncoreMin) || !u.Contains(s.UncoreMax) ||
+		!(s.UncoreMin <= s.UncoreRatio && s.UncoreRatio <= s.UncoreMax) {
+		return fmt.Errorf("machine: snapshot uncore ratio %d in [%d, %d] is off the uncore grid %v or outside its range",
+			s.UncoreRatio, s.UncoreMin, s.UncoreMax, u)
 	}
 	m.mu.Lock()
 	comps := m.events.componentsBySeq()

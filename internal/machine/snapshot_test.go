@@ -106,23 +106,44 @@ func TestSnapshotRestoreReproducesState(t *testing.T) {
 }
 
 // TestRestoreRejectsInvalidInFlightSegments: a snapshot that decodes can
-// still hold an in-flight segment the engine would refuse from a source.
-// Restore must reject it before touching any state; a valid one restores.
+// still hold state the write path never produces: an in-flight segment
+// the engine would refuse from a source, or a core or uncore field off
+// its domain (a NaN duty ran on to NaN joules). Restore must reject it
+// before touching any state; a valid one restores.
 func TestRestoreRejectsInvalidInFlightSegments(t *testing.T) {
 	raw := midRunMachine(t).Snapshot().Encode()
 	valid := workload.Segment{Instructions: 1e6, MissPerInstr: 1e-3, IPC: 1.5, RemoteFrac: 0.2, Exposure: 0.5}
+	cfg := DefaultConfig()
+	cfg.Cores = 4
 	for _, tc := range []struct {
 		name    string
-		edit    func(c *CoreSnapshot)
+		edit    func(s *Snapshot, c *CoreSnapshot)
 		wantErr bool
 	}{
-		{"valid", func(c *CoreSnapshot) {}, false},
-		{"zero IPC", func(c *CoreSnapshot) { c.Seg.IPC = 0 }, true},
-		{"negative IPC", func(c *CoreSnapshot) { c.Seg.IPC = -2 }, true},
-		{"remote fraction above 1", func(c *CoreSnapshot) { c.Seg.RemoteFrac = 1.5 }, true},
-		{"NaN instructions left", func(c *CoreSnapshot) { c.SegLeft = math.NaN() }, true},
-		{"negative instructions left", func(c *CoreSnapshot) { c.SegLeft = -1 }, true},
-		{"parked core keeps a stale segment", func(c *CoreSnapshot) { c.HaveSeg, c.Seg.IPC = false, 0 }, false},
+		{"valid", func(*Snapshot, *CoreSnapshot) {}, false},
+		{"zero IPC", func(_ *Snapshot, c *CoreSnapshot) { c.Seg.IPC = 0 }, true},
+		{"negative IPC", func(_ *Snapshot, c *CoreSnapshot) { c.Seg.IPC = -2 }, true},
+		{"remote fraction above 1", func(_ *Snapshot, c *CoreSnapshot) { c.Seg.RemoteFrac = 1.5 }, true},
+		{"NaN instructions left", func(_ *Snapshot, c *CoreSnapshot) { c.SegLeft = math.NaN() }, true},
+		{"negative instructions left", func(_ *Snapshot, c *CoreSnapshot) { c.SegLeft = -1 }, true},
+		{"parked core keeps a stale segment", func(_ *Snapshot, c *CoreSnapshot) { c.HaveSeg, c.Seg.IPC = false, 0 }, false},
+		{"duty 1/8", func(_ *Snapshot, c *CoreSnapshot) { c.Duty = 0.125 }, false},
+		{"NaN duty", func(_ *Snapshot, c *CoreSnapshot) { c.Duty = math.NaN() }, true},
+		{"zero duty", func(_ *Snapshot, c *CoreSnapshot) { c.Duty = 0 }, true},
+		{"duty above 1", func(_ *Snapshot, c *CoreSnapshot) { c.Duty = 1.5 }, true},
+		{"ratio above the core grid", func(_ *Snapshot, c *CoreSnapshot) { c.Ratio = cfg.CoreGrid.Max + 1 }, true},
+		{"ratio below the core grid", func(_ *Snapshot, c *CoreSnapshot) { c.Ratio = cfg.CoreGrid.Min - 1 }, true},
+		{"negative stolen time", func(_ *Snapshot, c *CoreSnapshot) { c.Stolen = -1e-3 }, true},
+		{"infinite stolen time", func(_ *Snapshot, c *CoreSnapshot) { c.Stolen = math.Inf(1) }, true},
+		{"NaN stolen time", func(_ *Snapshot, c *CoreSnapshot) { c.Stolen = math.NaN() }, true},
+		{"uncore min off the grid", func(s *Snapshot, _ *CoreSnapshot) { s.UncoreMin = cfg.UncoreGrid.Min - 1 }, true},
+		{"uncore max off the grid", func(s *Snapshot, _ *CoreSnapshot) { s.UncoreMax = cfg.UncoreGrid.Max + 1 }, true},
+		{"uncore ratio above max", func(s *Snapshot, _ *CoreSnapshot) {
+			s.UncoreMin, s.UncoreMax, s.UncoreRatio = cfg.UncoreGrid.Min, cfg.UncoreGrid.Min+2, cfg.UncoreGrid.Min+3
+		}, true},
+		{"uncore ratio below min", func(s *Snapshot, _ *CoreSnapshot) {
+			s.UncoreMin, s.UncoreMax, s.UncoreRatio = cfg.UncoreGrid.Min+2, cfg.UncoreGrid.Max, cfg.UncoreGrid.Min+1
+		}, true},
 	} {
 		s, err := DecodeSnapshot(raw)
 		if err != nil {
@@ -130,9 +151,7 @@ func TestRestoreRejectsInvalidInFlightSegments(t *testing.T) {
 		}
 		c := &s.Cores[len(s.Cores)-1]
 		c.Seg, c.SegLeft, c.HaveSeg = valid, 5e5, true
-		tc.edit(c)
-		cfg := DefaultConfig()
-		cfg.Cores = 4
+		tc.edit(s, c)
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +165,7 @@ func TestRestoreRejectsInvalidInFlightSegments(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			t.Errorf("%s: Restore accepted the segment", tc.name)
+			t.Errorf("%s: Restore accepted the state", tc.name)
 		}
 		if !bytes.Equal(m.Snapshot().Encode(), before) {
 			t.Errorf("%s: a rejected Restore changed the machine", tc.name)

@@ -19,6 +19,7 @@ func burstyPack(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Cleanup(func() { st.Close() })
 	e, ok := scenario.Get("bursty")
 	if !ok {
 		f.Fatal("scenario bursty is not registered")

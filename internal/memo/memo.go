@@ -16,13 +16,13 @@
 // The tier has its own size budget, separate from the result store's, so
 // result pruning can never evict hot snapshots and vice versa. The
 // optional disk tier holds one pack per PutPack (one per executed run):
-// a key table followed by the snapshots, stored as one of
-// internal/store's checksummed objects. Disk probes are answered from an
+// a key table followed by the snapshots, appended as one of
+// internal/store's checksummed records. Disk probes are answered from an
 // in-memory index of raw 32-byte keys to packs, built once, on the first
 // probe, from the key tables alone, so a cold probe touches no file. A
 // corrupted or truncated pack verifies false on Get, reads as a miss for
-// all of its snapshots, and is deleted — the run falls back to
-// simulating from t=0.
+// all of its snapshots, and is dropped from the store's index — the run
+// falls back to simulating from t=0.
 package memo
 
 import (
@@ -113,7 +113,7 @@ func (t *Tier) Get(key string) ([]byte, bool) {
 }
 
 // diskGet reads key's snapshot from the pack the index names, verifying
-// the whole pack first. A pack that fails to verify is deleted by the
+// the whole pack first. A pack that fails to verify is dropped by the
 // store, so its snapshots miss until a re-execution writes them again.
 func (t *Tier) diskGet(key string) ([]byte, bool) {
 	k, ok := rawKey(key)
@@ -149,10 +149,9 @@ func (t *Tier) diskGet(key string) ([]byte, bool) {
 }
 
 // loadIndexLocked builds the disk index on first use from the key table
-// at the head of every store object. Objects that are not packs — a
-// damaged file, or a snapshot written one per object by an older build —
-// are left out, so their keys read as misses. Packs written later by
-// another process sharing the directory stay invisible until a restart.
+// at the head of every store record. Records that are not packs are left
+// out, so their keys read as misses. Packs written later by another
+// process sharing the directory stay invisible until a restart.
 func (t *Tier) loadIndexLocked() {
 	if t.indexed {
 		return

@@ -63,6 +63,7 @@ func TestTierDiskPromotionAndPurge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
 		return st
 	}
 	body := []byte("persistent-snapshot")
@@ -106,6 +107,7 @@ func TestTierPackIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
 		return st
 	}
 	var big []Entry
@@ -135,15 +137,17 @@ func TestTierPackIndex(t *testing.T) {
 	}
 }
 
-// TestTierCorruptDiskSnapshotIsMiss flips bytes in every stored object
-// and checks the tier reads them as misses rather than serving garbage:
-// a corrupt pack misses all of its snapshots, and the store deletes it.
+// TestTierCorruptDiskSnapshotIsMiss flips the last byte of every store
+// file and checks the tier reads them as misses rather than serving
+// garbage: a corrupt pack misses all of its snapshots, and the store
+// drops it from its index.
 func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	New(0, st).PutPack([]Entry{
 		{Key: key("a"), Body: []byte("soon-to-be-corrupt")},
 		{Key: key("b"), Body: []byte("also-corrupt")},
@@ -172,6 +176,7 @@ func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st2.Close() })
 	tier := New(0, st2)
 	for _, k := range []string{"a", "b"} {
 		if _, ok := tier.Get(key(k)); ok {
@@ -179,7 +184,7 @@ func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 		}
 	}
 	if info := st2.Info(); info.Entries != 0 || info.Corrupt != 1 {
-		t.Errorf("store = %+v, want the corrupt pack found once and deleted", info)
+		t.Errorf("store = %+v, want the corrupt pack found once and dropped", info)
 	}
 }
 
@@ -203,6 +208,7 @@ func TestTierConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	for _, tier := range []*Tier{New(1<<20, nil), New(4, st)} {
 		done := make(chan struct{})
 		for g := 0; g < 4; g++ {

@@ -230,7 +230,7 @@ func TestHTTPFailoverWithSharedStore(t *testing.T) {
 		}
 		svc := service.New(service.Config{Workers: 2, QueueDepth: 64, Executor: specExecutor, Store: st})
 		srv := httptest.NewServer(service.NewHandler(svc))
-		t.Cleanup(func() { srv.Close(); svc.Close() })
+		t.Cleanup(func() { srv.Close(); svc.Close(); st.Close() })
 		return svc, srv
 	}
 	_, srvA := newServer()

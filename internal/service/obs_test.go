@@ -27,6 +27,7 @@ func mustStore(t *testing.T, dir string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 

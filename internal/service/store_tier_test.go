@@ -17,6 +17,7 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 
@@ -66,7 +67,7 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 }
 
 // TestStoreCorruptionReExecutesAndRewrites: a truncated or garbled
-// object reads as a miss, the spec re-executes, and the rewritten entry
+// record reads as a miss, the spec re-executes, and the rewritten entry
 // is byte-identical to the original — the satellite contract.
 func TestStoreCorruptionReExecutesAndRewrites(t *testing.T) {
 	dir := t.TempDir()
@@ -77,13 +78,17 @@ func TestStoreCorruptionReExecutesAndRewrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate the object on disk behind the store's back.
-	path := filepath.Join(dir, r1.Hash[:2], r1.Hash)
-	raw, err := os.ReadFile(path)
+	// Truncate the run's record inside its segment, behind the store's
+	// back.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want the one the run appended to", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(segs[0], raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +104,7 @@ func TestStoreCorruptionReExecutesAndRewrites(t *testing.T) {
 	if !bytes.Equal(r1.Body, r2.Body) {
 		t.Error("re-executed body differs from the original")
 	}
-	// The write-through must have repaired the object on disk.
+	// The write-through must have appended a good record on disk.
 	s3 := newTestService(t, Config{Workers: 1, Executor: exec.exec, Store: openTestStore(t, dir)})
 	r3, err := s3.Submit(context.Background(), testSpec(3))
 	if err != nil {
