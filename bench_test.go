@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/governor"
@@ -192,37 +191,6 @@ func BenchmarkDDCM(b *testing.B) {
 		}
 		b.ReportMetric(rows[0].DVFSEnergySavings, "dvfs-savings-%")
 		b.ReportMetric(rows[0].DDCMEnergySavings, "ddcm-savings-%")
-	}
-}
-
-// BenchmarkMPIX runs the §4.6 cluster extension: a 2-node balanced MPI+X
-// program under per-node Cuttlefish vs Default.
-func BenchmarkMPIX(b *testing.B) {
-	app := cluster.App{
-		Steps: 40,
-		Compute: func(rank, step int) []sched.Region {
-			return []sched.Region{{
-				Seg:    workload.Segment{Instructions: 2e7, MissPerInstr: 0.066, IPC: 2, Exposure: 0.6},
-				Chunks: 160,
-			}}
-		},
-		ExchangeBytes: func(rank, step int) float64 { return 4 << 20 },
-	}
-	for i := 0; i < b.N; i++ {
-		cfg := cluster.DefaultConfig()
-		cfg.Nodes = 2
-		cfg.Tuning.WarmupSec = 0.2
-		cfg.Governor = GovernorDefault
-		def, err := cluster.Run(cfg, app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Governor = GovernorCuttlefish
-		cf, err := cluster.Run(cfg, app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*(1-cf.Joules/def.Joules), "cluster-savings-%")
 	}
 }
 

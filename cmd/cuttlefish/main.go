@@ -382,6 +382,10 @@ func run(name string, spec service.RunSpec, o *options, stdout, stderr io.Writer
 // comes back: the serving note and memo activity on stderr, the recorded
 // trace and timeline to their files, the report on stdout.
 func runOne(b orchestrator.Backend, spec service.RunSpec, o *options, traces *obs.TraceStore, timelines *timeline.Store, stdout, stderr io.Writer) error {
+	// Hash cannot encode a spec Validate rejects (a NaN or ±Inf flag).
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	hash := spec.Hash()
 	res, err := b.Run(context.Background(), spec)
 	if tr, ok := traces.Get(hash); ok {

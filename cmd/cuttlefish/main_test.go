@@ -215,6 +215,24 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFlagsRejected: a NaN or infinite float flag fails the
+// run with an error naming its spec field, not a panic in the spec hash.
+func TestNonFiniteFlagsRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value, field string }{
+		{"-scale", "NaN", "scale"},
+		{"-scale", "Inf", "scale"},
+		{"-tinv", "NaN", "tinv_sec"},
+		{"-tinv", "Inf", "tinv_sec"},
+		{"-warmup", "NaN", "warmup_sec"},
+	} {
+		var errb bytes.Buffer
+		code := cli([]string{c.flag, c.value, "-reps", "1", "run", "-bench", "UTS"}, io.Discard, &errb)
+		if code != 1 || !strings.Contains(errb.String(), c.field+" must be finite") {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming %s", c.flag, c.value, code, errb.String(), c.field)
+		}
+	}
+}
+
 // TestRunScenarioFile drives a JSON-only scenario through the CLI run
 // path: parse, submit, one report row named after the definition.
 func TestRunScenarioFile(t *testing.T) {

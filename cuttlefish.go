@@ -103,7 +103,7 @@ func Governors() []string { return governor.Names() }
 
 // RegisterGovernor adds a named strategy to the registry; duplicate names
 // are rejected. Registered strategies become reachable from Start, every
-// experiment harness, the cluster and the cuttlefish CLI.
+// experiment harness and the cuttlefish CLI.
 func RegisterGovernor(name string, f GovernorFactory) error { return governor.Register(name, f) }
 
 // NewGovernor constructs a registered strategy by name, honouring the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/bench"
 	"repro/internal/governor"
@@ -176,6 +177,16 @@ func (s Spec) Validate() error {
 	if s.Cores < 1 {
 		return fmt.Errorf("%w: cores must be positive, got %d", ErrInvalidSpec, s.Cores)
 	}
+	// JSON has no NaN or ±Inf, so Canonical could not encode them; a
+	// NaN would also pass every ordered comparison below.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"scale", s.Scale}, {"tinv_sec", s.TinvSec}, {"warmup_sec", s.WarmupSec}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s must be finite, got %g", ErrInvalidSpec, f.name, f.v)
+		}
+	}
 	if s.Scale <= 0 {
 		return fmt.Errorf("%w: scale must be positive, got %g", ErrInvalidSpec, s.Scale)
 	}
@@ -195,8 +206,8 @@ func (s Spec) Canonical() []byte {
 	c := s.Normalized()
 	raw, err := json.Marshal(c)
 	if err != nil {
-		// Spec is a struct of scalars plus one plain nested struct
-		// (the scenario definition); Marshal cannot fail on either.
+		// Marshal fails only on a NaN or ±Inf float, which Validate
+		// rejects: every caller validates a spec before hashing it.
 		panic(fmt.Sprintf("experiments: canonical marshal: %v", err))
 	}
 	return raw

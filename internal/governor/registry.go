@@ -2,9 +2,10 @@
 // simulates — the paper's three Cuttlefish variants, the Default
 // environment, the fixed-frequency oracle settings, the DDCM baseline and
 // the reactive Linux-style governors — is one registered implementation of
-// a single Governor interface. Harnesses, the cluster and the CLI
-// construct strategies only through this registry, so adding a scenario is
-// one Register call, never another hand-wired daemon/governor branch.
+// a single Governor interface. The public Session API, the harnesses and
+// the CLI construct strategies only through this registry, so adding a
+// scenario is one Register call, never another hand-wired daemon/governor
+// branch.
 package governor
 
 import (
@@ -36,7 +37,7 @@ type Governor interface {
 // Attachment is one governor attached to one machine: the msr-safe
 // Save/Restore bracket plus whatever the strategy scheduled. Every run
 // path detaches through it, so cleanup is uniform across the public
-// Session API, the experiment harnesses and the cluster.
+// Session API and the experiment harnesses.
 type Attachment struct {
 	mu           sync.Mutex
 	detach       func() error

@@ -168,6 +168,9 @@ func TestExpandErrors(t *testing.T) {
 			Scales: Axis{Dist: &DistSpec{Dist: "zipf", N: 3}}}}, "unknown distribution"},
 		{"bad shape", SweepSpec{Axes: Axes{Benchmarks: []string{"UTS"},
 			Scales: Axis{Dist: &DistSpec{Dist: "kumaraswamy", A: -1, B: 1, N: 3, Min: 0.01, Max: 0.05}}}}, "positive"},
+		// max-min overflows to +Inf, so every draw is non-finite.
+		{"overflowing range", SweepSpec{Axes: Axes{Benchmarks: []string{"UTS"},
+			Scales: Axis{Dist: &DistSpec{Dist: "kumaraswamy", A: 2, B: 3, N: 2, Min: -1e308, Max: 1e308}}}}, "invalid spec: scale must be finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

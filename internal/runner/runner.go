@@ -1,8 +1,8 @@
 // Package runner provides the bounded-concurrency execution pool shared by
-// every harness that fans independent simulations out across host CPUs: the
-// experiment grids (policy × benchmark × repetition) and the cluster
-// driver's per-rank supersteps all run through one Pool instead of each
-// maintaining a private goroutine pool.
+// everything that fans independent simulations out across host CPUs: the
+// experiment grids (policy × benchmark × repetition), the fuzzer's
+// governor cells and the service's worker fleet all run through one Pool
+// instead of each maintaining a private goroutine pool.
 package runner
 
 import (

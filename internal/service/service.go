@@ -188,7 +188,6 @@ type job struct {
 	outcome Outcome
 	fl      *flight // nil when born resolved
 	body    []byte
-	err     error
 }
 
 // Service is the simulation-as-a-service core: content-addressed cache in

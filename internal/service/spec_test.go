@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -148,6 +149,12 @@ func TestValidateRejects(t *testing.T) {
 		{"negative cores", RunSpec{Benchmark: "UTS", Cores: -4}, "cores"},
 		{"negative reps", RunSpec{Benchmark: "UTS", Reps: -1}, "reps"},
 		{"negative tinv", RunSpec{Benchmark: "UTS", TinvSec: -0.02}, "tinv"},
+		{"NaN scale", RunSpec{Benchmark: "UTS", Scale: math.NaN()}, "scale must be finite"},
+		{"infinite scale", RunSpec{Benchmark: "UTS", Scale: math.Inf(1)}, "scale must be finite"},
+		{"NaN tinv", RunSpec{Benchmark: "UTS", TinvSec: math.NaN()}, "tinv_sec must be finite"},
+		{"infinite tinv", RunSpec{Benchmark: "UTS", TinvSec: math.Inf(1)}, "tinv_sec must be finite"},
+		{"NaN warmup", RunSpec{Benchmark: "UTS", WarmupSec: math.NaN()}, "warmup_sec must be finite"},
+		{"infinite warmup", RunSpec{Benchmark: "UTS", WarmupSec: math.Inf(-1)}, "warmup_sec must be finite"},
 	}
 	for _, c := range cases {
 		err := c.spec.Normalized().Validate()
