@@ -23,19 +23,20 @@
 // Observability is on by default and strictly out of band — it never
 // touches report bytes or cache keys. Every request records a span tree
 // (admission → queue wait → execute → per-region simulate → report
-// encode); -traces bounds how many recent traces are held, -trace-dir
-// additionally writes each as a Chrome trace-event JSON file. /metrics
-// serves Prometheus text. -profile adds the engine's dispatch wall time,
-// batch and quantum counts to each trace's simulate span; -pprof-addr
-// serves net/http/pprof on a separate listener so profiling endpoints
-// never share the public port.
+// encode), and each simulate span carries the engine's batch and quantum
+// counts. -traces bounds how many specs' latest traces are held,
+// -trace-dir additionally writes each as a Chrome trace-event JSON file.
+// /metrics serves Prometheus text. -pprof-addr serves net/http/pprof on a
+// separate listener so profiling endpoints never share the public port.
+// -profile is accepted and ignored: the counts it used to switch on are
+// always recorded.
 //
 // -timelines arms the deterministic flight recorder on every executed
 // spec: the simulated machine is sampled at region boundaries and every
 // governor decision lands as an event. Timelines are a pure function of
 // the spec (two executions serve byte-identical JSON), stay strictly
 // outside report bytes and cache keys, and are served from a bounded
-// ring at GET /v1/runs/{id}/timeline. Executed responses also carry an
+// LRU at GET /v1/runs/{id}/timeline. Executed responses also carry an
 // X-Timeline convergence summary header.
 //
 //	POST   /v1/runs          run a spec, wait for the report
@@ -69,11 +70,11 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/timeline"
 )
 
 func main() {
@@ -90,7 +91,7 @@ func main() {
 		traces    = flag.Int("traces", 64, "recent run traces to hold for GET /v1/runs/{id}/trace (0 disables tracing)")
 		timelines = flag.Int("timelines", 0, "recent flight-recorder timelines to hold for GET /v1/runs/{id}/timeline (0 disables timeline recording)")
 		traceDir  = flag.String("trace-dir", "", "also write each trace as Chrome trace-event JSON under this directory")
-		profile   = flag.Bool("profile", false, "record the engine's dispatch wall time, batches and quanta into each trace's simulate span")
+		_         = flag.Bool("profile", false, "ignored: traces always carry the engine's batch and quantum counts")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		grace     = flag.Duration("grace", 30*time.Second, "graceful shutdown deadline")
 	)
@@ -99,7 +100,7 @@ func main() {
 		addr: *addr, workers: *workers, queue: *queue, cache: *cache,
 		storeDir: *storeDir, storeMax: *storeMax,
 		useMemo: *useMemo, memoDir: *memoDir, memoMax: *memoMax,
-		traces: *traces, timelines: *timelines, traceDir: *traceDir, profile: *profile,
+		traces: *traces, timelines: *timelines, traceDir: *traceDir,
 		pprofAddr: *pprofAddr, grace: *grace,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cfserve: %v\n", err)
@@ -122,7 +123,6 @@ type runConfig struct {
 	traces    int
 	timelines int
 	traceDir  string
-	profile   bool
 	pprofAddr string
 	grace     time.Duration
 }
@@ -131,7 +131,7 @@ func run(rc runConfig) error {
 	// No flag here shapes a run: everything that does travels inside each
 	// spec, whose hash keys every cache tier.
 	cfg := service.Config{Workers: rc.workers, QueueDepth: rc.queue, CacheEntries: rc.cache,
-		Metrics: obs.NewRegistry(), Profile: rc.profile}
+		Metrics: obs.NewRegistry()}
 	if rc.traces > 0 || rc.traceDir != "" {
 		n := rc.traces
 		if n <= 0 {
@@ -146,7 +146,7 @@ func run(rc runConfig) error {
 		}
 	}
 	if rc.timelines > 0 {
-		cfg.Timelines = timeline.NewStore(rc.timelines)
+		cfg.Timelines = lru.New[[]byte](rc.timelines, 0)
 		log.Printf("cfserve: flight recorder on (%d timeline(s) retained)", rc.timelines)
 	}
 	if rc.storeDir != "" {

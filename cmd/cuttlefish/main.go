@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/fuzz"
 	"repro/internal/governor"
+	"repro/internal/lru"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
@@ -42,7 +43,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/timeline"
 )
 
 // options are the flags that are not part of the run's identity. cli
@@ -59,7 +59,6 @@ type options struct {
 	memoMaxBytes int64
 	traceOut     string
 	timelineOut  string
-	profile      bool
 	workers      int
 	backends     stringList
 	listGov      bool
@@ -127,9 +126,8 @@ func newFlagSet(spec *service.RunSpec, o *options) *flag.FlagSet {
 	fs.BoolVar(&o.memo, "memo", false, "enable prefix-snapshot memoization for in-process runs: shared schedule prefixes simulate once and resume")
 	fs.StringVar(&o.memoDir, "memo-dir", "", "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
 	fs.Int64Var(&o.memoMaxBytes, "memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file")
 	fs.StringVar(&o.timelineOut, "timeline-out", "", "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
-	fs.BoolVar(&o.profile, "profile", false, "record the engine's dispatch wall time, batches and quanta into the trace's simulate spans")
 	fs.BoolVar(&o.listGov, "list-governors", false, "list registered governors and exit")
 	fs.BoolVar(&o.listScen, "list-scenarios", false, "list registered workloads (benchmarks and scenarios) and exit")
 	fs.IntVar(&o.fuzzN, "n", 100, "scenarios the fuzz subcommand generates before hash-dedup")
@@ -277,9 +275,9 @@ committed snapshot (new findings or regressions exit 1);
 
 -trace-out writes the in-process service's span tree for the run —
 admission, cache probe, queue wait, execute, per-repetition lanes,
-per-region simulate spans, engine dispatch time, report encode — as
-Chrome trace-event JSON (open at chrome://tracing or ui.perfetto.dev).
-Tracing never changes report bytes:
+per-region simulate spans with the engine's batch and quantum counts,
+report encode — as Chrome trace-event JSON (open at chrome://tracing or
+ui.perfetto.dev). Tracing never changes report bytes:
   cuttlefish run -bench bursty -trace-out trace.json
 
 -timeline-out arms the deterministic flight recorder: the simulated
@@ -347,9 +345,9 @@ func run(name string, spec service.RunSpec, o *options, stdout, stderr io.Writer
 	if o.traceOut != "" {
 		traces = obs.NewTraceStore(1, "")
 	}
-	var timelines *timeline.Store
+	var timelines *lru.Cache[[]byte]
 	if o.timelineOut != "" {
-		timelines = timeline.NewStore(1)
+		timelines = lru.New[[]byte](1, 0)
 	}
 	pool, cleanup, err := buildBackendPool(o, traces, timelines)
 	if err != nil {
@@ -381,7 +379,7 @@ func run(name string, spec service.RunSpec, o *options, stdout, stderr io.Writer
 // runOne submits one normalized spec to the backend and renders what
 // comes back: the serving note and memo activity on stderr, the recorded
 // trace and timeline to their files, the report on stdout.
-func runOne(b orchestrator.Backend, spec service.RunSpec, o *options, traces *obs.TraceStore, timelines *timeline.Store, stdout, stderr io.Writer) error {
+func runOne(b orchestrator.Backend, spec service.RunSpec, o *options, traces *obs.TraceStore, timelines *lru.Cache[[]byte], stdout, stderr io.Writer) error {
 	// Hash cannot encode a spec Validate rejects (a NaN or ±Inf flag).
 	if err := spec.Validate(); err != nil {
 		return err
@@ -496,11 +494,10 @@ func runSweep(pool []orchestrator.Backend, o *options, stdout, stderr io.Writer)
 
 // buildBackendPool assembles the backends every experiment runs on:
 // every -backend URL plus -remote, or — with neither — one in-process
-// service wired with the -store and -memo cache tiers, -profile, and the
-// trace and timeline stores the recording flags read back (nil when
-// off). The cleanup func tears down whatever was built, closing the
-// stores last.
-func buildBackendPool(o *options, traces *obs.TraceStore, timelines *timeline.Store) ([]orchestrator.Backend, func(), error) {
+// service wired with the -store and -memo cache tiers and the trace and
+// timeline stores the recording flags read back (nil when off). The
+// cleanup func tears down whatever was built, closing the stores last.
+func buildBackendPool(o *options, traces *obs.TraceStore, timelines *lru.Cache[[]byte]) ([]orchestrator.Backend, func(), error) {
 	urls := append(stringList(nil), o.backends...)
 	if o.remote != "" {
 		urls = append(urls, o.remote)
@@ -515,7 +512,6 @@ func buildBackendPool(o *options, traces *obs.TraceStore, timelines *timeline.St
 	cfg := service.Config{
 		Workers:    o.workers,
 		QueueDepth: 64,
-		Profile:    o.profile || o.traceOut != "",
 		Traces:     traces,
 		Timelines:  timelines,
 	}
@@ -567,18 +563,25 @@ func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, o *options, stdo
 	cfg := fuzz.Config{N: o.fuzzN, Seed: spec.Seed, Workers: o.workers}
 	// The fuzzer's own defaults (8 cores, 0.05 scale, 1 rep) are sized
 	// for breadth, not paper fidelity; the shared flags override them
-	// only when the user spelled them out.
+	// only when the user spelled them out, and then must pass the check
+	// run applies to them. The probe's experiment needs no workload, so
+	// it checks nothing else.
+	probe := defaultSpec()
+	probe.Experiment = "table1"
 	if o.set["scale"] {
-		cfg.Scale = spec.Scale
+		cfg.Scale, probe.Scale = spec.Scale, spec.Scale
 	}
 	if o.set["cores"] {
-		cfg.Cores = spec.Cores
+		cfg.Cores, probe.Cores = spec.Cores, spec.Cores
 	}
 	if o.set["reps"] {
-		cfg.Reps = spec.Reps
+		cfg.Reps, probe.Reps = spec.Reps, spec.Reps
 	}
 	if o.set["tinv"] {
-		cfg.TinvSec = spec.TinvSec
+		cfg.TinvSec, probe.TinvSec = spec.TinvSec, spec.TinvSec
+	}
+	if err := probe.Normalized().Validate(); err != nil {
+		return err
 	}
 	var corpus *fuzz.Corpus
 	var err error

@@ -217,18 +217,33 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 
 // TestNonFiniteFlagsRejected: a NaN or infinite float flag fails the
 // run with an error naming its spec field, not a panic in the spec hash.
+// fuzz rejects an explicit -scale, -tinv, -cores or -reps that run would
+// reject the same way, before it generates a corpus, instead of turning
+// every cell into an error finding or silently using its own default.
 func TestNonFiniteFlagsRejected(t *testing.T) {
-	for _, c := range []struct{ flag, value, field string }{
-		{"-scale", "NaN", "scale"},
-		{"-scale", "Inf", "scale"},
-		{"-tinv", "NaN", "tinv_sec"},
-		{"-tinv", "Inf", "tinv_sec"},
-		{"-warmup", "NaN", "warmup_sec"},
+	run := []string{"-reps", "1", "run", "-bench", "UTS"}
+	fuzz := []string{"-n", "1", "fuzz"}
+	for _, c := range []struct {
+		flag, value string
+		cmd         []string
+		want        string
+	}{
+		{"-scale", "NaN", run, "scale must be finite"},
+		{"-scale", "Inf", run, "scale must be finite"},
+		{"-tinv", "NaN", run, "tinv_sec must be finite"},
+		{"-tinv", "Inf", run, "tinv_sec must be finite"},
+		{"-warmup", "NaN", run, "warmup_sec must be finite"},
+		{"-scale", "NaN", fuzz, "invalid spec: scale must be finite"},
+		{"-tinv", "Inf", fuzz, "invalid spec: tinv_sec must be finite"},
+		{"-scale", "-1", fuzz, "invalid spec: scale must be positive"},
+		{"-tinv", "-0.01", fuzz, "invalid spec: tinv_sec must be positive"},
+		{"-cores", "-2", fuzz, "invalid spec: cores must be positive"},
+		{"-reps", "-1", fuzz, "invalid spec: reps must be positive"},
 	} {
 		var errb bytes.Buffer
-		code := cli([]string{c.flag, c.value, "-reps", "1", "run", "-bench", "UTS"}, io.Discard, &errb)
-		if code != 1 || !strings.Contains(errb.String(), c.field+" must be finite") {
-			t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming %s", c.flag, c.value, code, errb.String(), c.field)
+		code := cli(append([]string{c.flag, c.value}, c.cmd...), io.Discard, &errb)
+		if code != 1 || !strings.Contains(errb.String(), c.want) || strings.Contains(errb.String(), "fuzz: corpus") {
+			t.Errorf("%s %s %v: exit %d, stderr %q; want exit 1 with %q before any corpus", c.flag, c.value, c.cmd, code, errb.String(), c.want)
 		}
 	}
 }

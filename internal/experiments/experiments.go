@@ -55,10 +55,6 @@ type Options struct {
 	// tracing. Like Memo it is runtime wiring, never part of a run's
 	// identity: spans live strictly outside report bytes and cache keys.
 	Span *obs.Span
-	// Profile enables the engine's wall-clock self-accounting
-	// (machine.Config.Profile); results are bit-identical either way, and
-	// the numbers surface as span arguments when Span is set.
-	Profile bool
 	// Timeline is the flight recorder this run samples into; nil disables
 	// recording. Like Span and Memo it is runtime wiring, never part of a
 	// run's identity: timelines live strictly outside report bytes, spec
@@ -85,7 +81,6 @@ func (o Options) pool() runner.Pool { return runner.Pool{Workers: o.Workers} }
 func (o Options) machineConfig() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Cores = o.Cores
-	cfg.Profile = o.Profile
 	return cfg
 }
 
@@ -271,9 +266,7 @@ func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error)
 		sp.Set("snapshots_stored", len(mp.pack))
 	}
 	sp.Set("sim_seconds", m.Now()-start)
-	if p := m.Profile(); p.Enabled {
-		sp.Set("profile", p)
-	}
+	sp.Set("profile", m.Profile())
 	sp.End()
 	if !m.Finished() {
 		return RunResult{}, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", j.entry.Name, j.gov.Name(), maxSim)

@@ -40,12 +40,7 @@ const memoContainerMagic = "cfmemo1\n"
 // re-key every snapshot of a program whenever an edit to its tail moved
 // Definition.EstimateSeconds.
 func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, regions []sched.Region) ([]string, error) {
-	keyCfg := cfg
-	// Profile is pure wall-clock instrumentation with no effect on
-	// simulated state: snapshots are shareable across profiled and
-	// unprofiled runs, so it must not fork the key chain.
-	keyCfg.Profile = false
-	cfgJSON, err := json.Marshal(keyCfg)
+	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,8 @@ import (
 // the references (inversion + slowdown), powersave finishes faster than
 // default (anomaly), and ddcm always fails (error). It makes every
 // analyze invariant fire deterministically without running simulations.
-func stubExecutor(_ context.Context, spec service.RunSpec) (*report.RunReport, error) {
+func stubExecutor(opt experiments.Options) (*report.RunReport, error) {
+	spec := opt.Spec
 	if spec.Governor == governor.DDCM {
 		return nil, fmt.Errorf("stub: ddcm refused")
 	}

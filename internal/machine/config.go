@@ -27,11 +27,6 @@ type Config struct {
 	// Mem and Power are the memory-path and power models.
 	Mem   mem.Params
 	Power power.Params
-	// Profile enables wall-clock self-accounting: per-batch dispatch wall
-	// time and batch and quantum counts, read through Machine.Profile. It
-	// adds two clock reads per batch and never affects simulated state —
-	// results are bit-identical with it on or off.
-	Profile bool
 }
 
 // DefaultConfig returns the paper's machine: a 20-core Haswell-class socket,

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/freq"
 	"repro/internal/msr"
@@ -96,8 +95,7 @@ type Machine struct {
 	totalMissR    float64
 	uncoreGHzSecs float64 // ∫ uncore frequency dt, for time-weighted averages
 
-	// wall-clock self-accounting, populated only when cfg.Profile is set
-	profWallNs int64
+	// engine self-accounting, read through Profile
 	profBatch  int64
 	profQuanta int64
 
@@ -109,34 +107,19 @@ type Machine struct {
 	timeline *timeline.Recorder
 }
 
-// Profile is the engine's wall-clock self-accounting: how long batch
-// dispatches took, and how many batches and quanta they ran. All fields
-// are zero unless Config.Profile.
+// Profile is the engine's self-accounting: how many batches it has
+// dispatched since boot and how many quanta they ran. Both are counts of
+// simulated work, so two identical runs report the same Profile.
 type Profile struct {
-	Enabled bool `json:"enabled"`
-	// RunWallNs is total wall time inside batch dispatch (snapshot, step,
-	// commit) since boot.
-	RunWallNs int64 `json:"run_wall_ns"`
-	// Batches and Quanta count engine dispatches and simulated quanta.
 	Batches int64 `json:"batches"`
 	Quanta  int64 `json:"quanta"`
 }
 
-// Profile returns the accumulated wall-clock accounting. Zero-valued (with
-// Enabled false) unless the machine was built with Config.Profile.
+// Profile returns the batch and quantum counts accumulated since boot.
 func (m *Machine) Profile() Profile {
-	if !m.cfg.Profile {
-		return Profile{}
-	}
 	m.mu.Lock()
-	p := Profile{
-		Enabled:   true,
-		RunWallNs: m.profWallNs,
-		Batches:   m.profBatch,
-		Quanta:    m.profQuanta,
-	}
-	m.mu.Unlock()
-	return p
+	defer m.mu.Unlock()
+	return Profile{Batches: m.profBatch, Quanta: m.profQuanta}
 }
 
 // UncoreFirmware decides the uncore operating point each millisecond when
@@ -551,10 +534,6 @@ func (m *Machine) Step() {
 // stepping sound.
 func (m *Machine) runBatch(quanta int) {
 	e := m.engine
-	var profT0 time.Time
-	if m.cfg.Profile {
-		profT0 = time.Now() //cfvet:allow(detsource) profiling wall-clock behind Config.Profile; profWallNs is excluded from reports, spec hashes and memo keys
-	}
 	m.mu.Lock()
 	for i := range m.cores {
 		c := &m.cores[i]
@@ -617,11 +596,8 @@ func (m *Machine) runBatch(quanta int) {
 	m.totalMissL += e.totMissL
 	m.totalMissR += e.totMissR
 	m.uncoreGHzSecs += e.uncoreGHzSecs
-	if m.cfg.Profile {
-		m.profWallNs += time.Since(profT0).Nanoseconds() //cfvet:allow(detsource) profiling wall-clock behind Config.Profile; never feeds simulated state
-		m.profBatch++
-		m.profQuanta += int64(e.quantum)
-	}
+	m.profBatch++
+	m.profQuanta += int64(e.quantum)
 	m.mu.Unlock()
 
 	// Counter hardware is only observed at batch boundaries (components and

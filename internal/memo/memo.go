@@ -14,22 +14,26 @@
 // the suffix is bit-identical to running from scratch.
 //
 // The tier has its own size budget, separate from the result store's, so
-// result pruning can never evict hot snapshots and vice versa. The
-// optional disk tier holds one pack per PutPack (one per executed run):
-// a key table followed by the snapshots, appended as one of
-// internal/store's checksummed records. Disk probes are answered from an
-// in-memory index of raw 32-byte keys to packs, built once, on the first
-// probe, from the key tables alone, so a cold probe touches no file. A
-// corrupted or truncated pack verifies false on Get, reads as a miss for
-// all of its snapshots, and is dropped from the store's index — the run
-// falls back to simulating from t=0.
+// result pruning can never evict hot snapshots and vice versa. In memory
+// the snapshots sit in an internal/lru cache bounded by that byte budget
+// alone; it evicts least recently used snapshots first and always keeps
+// the newest, even one larger than the budget. The optional disk tier
+// holds one pack per PutPack (one per executed run): a key table followed
+// by the snapshots, appended as one of internal/store's checksummed
+// records. Disk probes are answered from an in-memory index of raw
+// 32-byte keys to packs, built once, on the first probe, from the key
+// tables alone, so a cold probe touches no file. A corrupted or truncated
+// pack verifies false on Get, reads as a miss for all of its snapshots,
+// and is dropped from the store's index — the run falls back to
+// simulating from t=0.
 package memo
 
 import (
 	"bytes"
-	"container/list"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/store"
 )
 
@@ -41,19 +45,15 @@ const DefaultMaxBytes = 64 << 20
 // Tier is the snapshot cache: an in-memory byte-budget LRU over an
 // optional persistent store. Safe for concurrent use.
 type Tier struct {
-	mu       sync.Mutex
+	mem      *lru.Cache[[]byte]
 	maxBytes int64
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
-	bytes    int64
 	disk     *store.Store
 
-	lookups     uint64
-	hits        uint64
-	prefixHits  uint64
-	quantaSaved uint64
-	stored      uint64
-	evicted     uint64
+	lookups     atomic.Uint64
+	hits        atomic.Uint64
+	prefixHits  atomic.Uint64
+	quantaSaved atomic.Uint64
+	stored      atomic.Uint64
 
 	// The disk index, loaded on the first disk probe. packs names each
 	// pack once, by ordinal; packOf maps every indexed snapshot key to
@@ -64,11 +64,6 @@ type Tier struct {
 	packOf  map[packKey]uint32
 }
 
-type entry struct {
-	key  string
-	body []byte
-}
-
 // New creates a tier with the given in-memory byte budget (0 =
 // DefaultMaxBytes) over an optional disk store (nil = memory only). The
 // disk store must be dedicated to snapshots — Purge clears it.
@@ -76,40 +71,24 @@ func New(maxBytes int64, disk *store.Store) *Tier {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Tier{
-		maxBytes: maxBytes,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		disk:     disk,
-	}
+	return &Tier{mem: lru.New[[]byte](0, maxBytes), maxBytes: maxBytes, disk: disk}
 }
 
 // Get returns the snapshot stored under key, consulting memory first and
 // the disk tier second (promoting disk hits into memory). Corrupt disk
 // packs read as misses.
 func (t *Tier) Get(key string) ([]byte, bool) {
-	t.mu.Lock()
-	t.lookups++
-	if el, ok := t.entries[key]; ok {
-		t.lru.MoveToFront(el)
-		t.hits++
-		body := el.Value.(*entry).body
-		t.mu.Unlock()
-		return body, true
+	t.lookups.Add(1)
+	body, ok := t.mem.Get(key)
+	if !ok && t.disk != nil {
+		if body, ok = t.diskGet(key); ok {
+			t.mem.Add(key, body, int64(len(body)))
+		}
 	}
-	t.mu.Unlock()
-	if t.disk == nil {
-		return nil, false
+	if ok {
+		t.hits.Add(1)
 	}
-	body, ok := t.diskGet(key)
-	if !ok {
-		return nil, false
-	}
-	t.mu.Lock()
-	t.hits++
-	t.addLocked(key, body)
-	t.mu.Unlock()
-	return body, true
+	return body, ok
 }
 
 // diskGet reads key's snapshot from the pack the index names, verifying
@@ -201,12 +180,10 @@ func (t *Tier) Put(key string, body []byte) {
 // digests stay in memory only. Disk write failures are absorbed — the
 // store counts them, and a missing snapshot only costs re-simulation.
 func (t *Tier) PutPack(entries []Entry) {
-	t.mu.Lock()
 	for _, e := range entries {
-		t.stored++
-		t.addLocked(e.Key, e.Body)
+		t.mem.Add(e.Key, e.Body, int64(len(e.Body)))
 	}
-	t.mu.Unlock()
+	t.stored.Add(uint64(len(entries)))
 	if t.disk == nil {
 		return
 	}
@@ -232,51 +209,22 @@ func (t *Tier) PutPack(entries []Entry) {
 	t.idxMu.Unlock()
 }
 
-// addLocked inserts (or refreshes) a key and evicts least-recently-used
-// entries past the byte budget.
-func (t *Tier) addLocked(key string, body []byte) {
-	if el, ok := t.entries[key]; ok {
-		e := el.Value.(*entry)
-		t.bytes += int64(len(body)) - int64(len(e.body))
-		e.body = body
-		t.lru.MoveToFront(el)
-	} else {
-		t.entries[key] = t.lru.PushFront(&entry{key: key, body: body})
-		t.bytes += int64(len(body))
-	}
-	for t.bytes > t.maxBytes && t.lru.Len() > 1 {
-		back := t.lru.Back()
-		e := back.Value.(*entry)
-		t.lru.Remove(back)
-		delete(t.entries, e.key)
-		t.bytes -= int64(len(e.body))
-		t.evicted++
-	}
-}
-
 // RecordResume counts one run resumed from a snapshot, skipping the
 // given number of simulation quanta.
 func (t *Tier) RecordResume(quantaSaved int64) {
-	t.mu.Lock()
-	t.prefixHits++
+	t.prefixHits.Add(1)
 	if quantaSaved > 0 {
-		t.quantaSaved += uint64(quantaSaved)
+		t.quantaSaved.Add(uint64(quantaSaved))
 	}
-	t.mu.Unlock()
 }
 
 // Purge drops every snapshot from both tiers.
 func (t *Tier) Purge() error {
-	t.mu.Lock()
-	t.entries = make(map[string]*list.Element)
-	t.lru = list.New()
-	t.bytes = 0
-	disk := t.disk
-	t.mu.Unlock()
-	if disk == nil {
+	t.mem.Purge()
+	if t.disk == nil {
 		return nil
 	}
-	err := disk.Purge()
+	err := t.disk.Purge()
 	t.idxMu.Lock()
 	t.indexed, t.packs, t.packOf = false, nil, nil
 	t.idxMu.Unlock()
@@ -284,18 +232,10 @@ func (t *Tier) Purge() error {
 }
 
 // Len returns the number of in-memory snapshots.
-func (t *Tier) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lru.Len()
-}
+func (t *Tier) Len() int { return t.mem.Len() }
 
 // Bytes returns the in-memory snapshot payload size.
-func (t *Tier) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
-}
+func (t *Tier) Bytes() int64 { return t.mem.Bytes() }
 
 // Info is the tier's operational snapshot for /v1/stats and /v1/cache.
 type Info struct {
@@ -313,22 +253,19 @@ type Info struct {
 
 // Info snapshots the tier's sizes and counters.
 func (t *Tier) Info() Info {
-	t.mu.Lock()
 	info := Info{
-		Entries:     t.lru.Len(),
-		Bytes:       t.bytes,
+		Entries:     t.mem.Len(),
+		Bytes:       t.mem.Bytes(),
 		MaxBytes:    t.maxBytes,
-		Lookups:     t.lookups,
-		Hits:        t.hits,
-		PrefixHits:  t.prefixHits,
-		QuantaSaved: t.quantaSaved,
-		Stored:      t.stored,
-		Evicted:     t.evicted,
+		Lookups:     t.lookups.Load(),
+		Hits:        t.hits.Load(),
+		PrefixHits:  t.prefixHits.Load(),
+		QuantaSaved: t.quantaSaved.Load(),
+		Stored:      t.stored.Load(),
+		Evicted:     t.mem.Evicted(),
 	}
-	disk := t.disk
-	t.mu.Unlock()
-	if disk != nil {
-		di := disk.Info()
+	if t.disk != nil {
+		di := t.disk.Info()
 		info.Disk = &di
 	}
 	return info

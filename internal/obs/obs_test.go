@@ -146,17 +146,14 @@ func TestTraceStoreRingAndPrefix(t *testing.T) {
 			t.Fatalf("save %s: %v", id, err)
 		}
 	}
-	if st.Len() != 2 {
-		t.Fatalf("ring len = %d, want 2 (capacity)", st.Len())
+	if st.Cache().Len() != 2 {
+		t.Fatalf("ring len = %d, want 2 (capacity)", st.Cache().Len())
 	}
 	if _, ok := st.Get("aaaa1111"); ok {
 		t.Error("oldest trace must be evicted")
 	}
 	if tr, ok := st.Get("cccc"); !ok || tr.ID() != "cccc3333" {
 		t.Error("prefix lookup failed")
-	}
-	if got := st.IDs(); len(got) != 2 {
-		t.Errorf("IDs = %v, want 2 entries", got)
 	}
 	// Dir mirror: all three were written (eviction doesn't delete files).
 	files, err := filepath.Glob(filepath.Join(dir, "trace-*.json"))
@@ -173,6 +170,30 @@ func TestTraceStoreRingAndPrefix(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Error("trace file missing traceEvents")
+	}
+}
+
+// TestTraceStoreKeepsOneSlotPerID: a spec served many times must not push
+// other specs' traces out. With capacity 2, saves a, a, b, a, a keep both
+// IDs, evict nothing, and leave the latest save of a retrievable.
+func TestTraceStoreKeepsOneSlotPerID(t *testing.T) {
+	st := NewTraceStore(2, "")
+	var last *Trace
+	for _, id := range []string{"aaaa", "aaaa", "bbbb", "aaaa", "aaaa"} {
+		last = NewTrace(id)
+		last.Root().End()
+		if err := st.Save(last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := st.Get("bbbb"); !ok {
+		t.Error("bbbb was pushed out by repeated saves of aaaa")
+	}
+	if tr, ok := st.Get("aaaa"); !ok || tr != last {
+		t.Error("aaaa must resolve to its latest save")
+	}
+	if c := st.Cache(); c.Len() != 2 || c.Evicted() != 0 {
+		t.Errorf("len %d evicted %d, want 2 / 0", c.Len(), c.Evicted())
 	}
 }
 

@@ -4,69 +4,58 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
+
+	"repro/internal/lru"
 )
 
-// TraceStore keeps the most recent traces in a bounded ring, keyed by
-// trace ID (the spec content hash), and optionally mirrors each saved
-// trace to a directory as Chrome trace-event JSON. A nil *TraceStore is a
-// no-op, so the service can run untraced through the same code path.
+// TraceStore keeps the latest trace of each trace ID (the spec content
+// hash) in a bounded LRU and, when it has a directory, mirrors each saved
+// trace there as Chrome trace-event JSON. A nil *TraceStore is a no-op,
+// so the service can run untraced through the same code path.
 type TraceStore struct {
-	mu      sync.Mutex
-	cap     int
-	dir     string
-	ring    []*Trace          // oldest first
-	byID    map[string]*Trace // latest trace per ID wins
-	evicted uint64
+	traces *lru.Cache[*Trace]
+	dir    string
 }
 
-// NewTraceStore returns a store keeping up to capacity traces (minimum 1).
-// If dir is non-empty each saved trace is also written to
-// dir/trace-<id12>.json, latest save winning.
+// NewTraceStore returns a store keeping the traces of up to capacity
+// trace IDs (minimum 1). If dir is non-empty each saved trace is also
+// written to dir/trace-<id12>.json, latest save winning.
 func NewTraceStore(capacity int, dir string) *TraceStore {
-	if capacity < 1 {
-		capacity = 1
+	return &TraceStore{traces: lru.New[*Trace](max(capacity, 1), 0), dir: dir}
+}
+
+// Cache returns the retained traces, one slot per trace ID: saving an ID
+// again replaces its trace and makes it the newest entry, and Evicted
+// counts IDs dropped. It is nil, a cache that holds nothing, for a nil
+// store.
+func (s *TraceStore) Cache() *lru.Cache[*Trace] {
+	if s == nil {
+		return nil
 	}
-	return &TraceStore{cap: capacity, dir: dir, byID: make(map[string]*Trace)}
+	return s.traces
 }
 
 // Save records t as the latest trace for its ID and, when the store has a
 // directory, writes the Chrome-format file. The write error (if any) is
-// returned but the in-memory save always succeeds.
+// returned but the in-memory save always succeeds. A trace without an ID
+// is not kept: nothing could look it up.
 func (s *TraceStore) Save(t *Trace) error {
-	if s == nil || t == nil {
-		return nil
-	}
 	id := t.ID()
-	s.mu.Lock()
-	s.ring = append(s.ring, t)
-	if len(s.ring) > s.cap {
-		evict := s.ring[0]
-		s.ring = s.ring[1:]
-		if s.byID[evict.ID()] == evict {
-			delete(s.byID, evict.ID())
-		}
-		s.evicted++
-	}
-	if id != "" {
-		s.byID[id] = t
-	}
-	dir := s.dir
-	s.mu.Unlock()
-
-	if dir == "" || id == "" {
+	if s == nil || id == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s.traces.Add(id, t, 0)
+	if s.dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("trace dir: %w", err)
 	}
 	short := id
 	if len(short) > 12 {
 		short = short[:12]
 	}
-	path := filepath.Join(dir, "trace-"+short+".json")
+	path := filepath.Join(s.dir, "trace-"+short+".json")
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace file: %w", err)
@@ -78,67 +67,9 @@ func (s *TraceStore) Save(t *Trace) error {
 	return f.Close()
 }
 
-// Get returns the latest trace whose ID matches id exactly or has id as a
-// prefix (the API accepts the same short hashes as /v1/runs/{id}).
+// Get returns the trace saved under id or, failing that, the newest one
+// whose ID has id as a prefix (the API accepts the same short hashes as
+// /v1/runs/{id}). It does not change the eviction order.
 func (s *TraceStore) Get(id string) (*Trace, bool) {
-	if s == nil || id == "" {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.byID[id]; ok {
-		return t, true
-	}
-	// Prefix match, newest first.
-	for i := len(s.ring) - 1; i >= 0; i-- {
-		if strings.HasPrefix(s.ring[i].ID(), id) {
-			return s.ring[i], true
-		}
-	}
-	return nil, false
-}
-
-// IDs returns the distinct trace IDs currently held, sorted.
-func (s *TraceStore) IDs() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.byID))
-	for id := range s.byID {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Len returns the number of traces in the ring.
-func (s *TraceStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ring)
-}
-
-// Evicted reports how many traces the retention cap has dropped since
-// the store was created — the figure a long-lived cfserve exposes so
-// operators can tell a short history from a quiet one.
-func (s *TraceStore) Evicted() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
-}
-
-// Cap reports the retention capacity.
-func (s *TraceStore) Cap() int {
-	if s == nil {
-		return 0
-	}
-	return s.cap
+	return s.Cache().Find(id)
 }

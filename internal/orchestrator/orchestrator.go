@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/timeline"
@@ -450,33 +449,6 @@ func (o *Orchestrator) release(i int, success bool, dur time.Duration, retry boo
 			st.quarantines++
 		}
 	}
-}
-
-// RegisterMetrics exposes the orchestrator's dispatch health on a
-// metrics registry as summary-only counters: total dispatches,
-// failures, retry dispatches and quarantine transitions across all
-// backends. The values are read from the dispatcher's book-keeping at
-// scrape time, so a long-lived orchestrator (cfserve embedding, or a
-// looped sweep) reports its lifetime totals.
-func (o *Orchestrator) RegisterMetrics(m *obs.Registry) {
-	if o == nil || m == nil {
-		return
-	}
-	sum := func(pick func(*backendState) int) func() float64 {
-		return func() float64 {
-			o.mu.Lock()
-			defer o.mu.Unlock()
-			total := 0
-			for i := range o.states {
-				total += pick(&o.states[i])
-			}
-			return float64(total)
-		}
-	}
-	m.CounterFunc("cf_orch_runs_total", "Spec executions dispatched to backends.", sum(func(st *backendState) int { return st.runs }))
-	m.CounterFunc("cf_orch_failures_total", "Backend attempts that failed.", sum(func(st *backendState) int { return st.failures }))
-	m.CounterFunc("cf_orch_retries_total", "Re-attempt dispatches after a failed attempt.", sum(func(st *backendState) int { return st.retries }))
-	m.CounterFunc("cf_orch_quarantines_total", "Backend transitions into the quarantined state.", sum(func(st *backendState) int { return st.quarantines }))
 }
 
 // emit serializes OnEvent callbacks so observers need no locking.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -35,8 +36,8 @@ func specReport(spec service.RunSpec) *report.RunReport {
 	return rep
 }
 
-func specExecutor(_ context.Context, spec service.RunSpec) (*report.RunReport, error) {
-	return specReport(spec), nil
+func specExecutor(opt experiments.Options) (*report.RunReport, error) {
+	return specReport(opt.Spec), nil
 }
 
 // stubBackend serves specReport bodies, optionally dying (failing every

@@ -1,12 +1,10 @@
 package orchestrator
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/timeline"
 )
@@ -86,9 +84,9 @@ func TestSummaryOmitsConvergenceWithoutTimelines(t *testing.T) {
 	}
 }
 
-// TestOrchestratorMetrics drives a sweep with one flaky backend and
-// scrapes the registered counters: runs, failures, retries and
-// quarantines must reflect the dispatcher's book-keeping.
+// TestOrchestratorMetrics drives a sweep with one dead backend and reads
+// the per-backend counters the sweep summary reports: runs, failures,
+// retries and quarantines must reflect the dispatcher's book-keeping.
 func TestOrchestratorMetrics(t *testing.T) {
 	dying := &stubBackend{name: "dying", dieAfter: -1} // dead from the start
 	healthy := &stubBackend{name: "healthy"}
@@ -96,28 +94,21 @@ func TestOrchestratorMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	o.RegisterMetrics(reg)
-	if _, err := o.Run(context.Background(), smallSweep()); err != nil {
+	res, err := o.Run(context.Background(), smallSweep())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	dead, live := res.Summary.Backends["dying"], res.Summary.Backends["healthy"]
+	if dead.Quarantines != 1 {
+		t.Errorf("dead backend quarantined %d time(s), want exactly once: %+v", dead.Quarantines, res.Summary.Backends)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"cf_orch_runs_total", "cf_orch_failures_total",
-		"cf_orch_retries_total", "cf_orch_quarantines_total",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %s:\n%s", want, out)
-		}
+	if dead.Failures == 0 || dead.Failures != dead.Runs {
+		t.Errorf("dead backend: %d failure(s) of %d run(s), want every run failed", dead.Failures, dead.Runs)
 	}
-	if !strings.Contains(out, "cf_orch_quarantines_total 1") {
-		t.Errorf("dead backend should quarantine exactly once:\n%s", out)
+	if live.Failures != 0 || live.Runs < res.Summary.Specs {
+		t.Errorf("healthy backend: %d run(s), %d failure(s); want ≥ %d runs, none failed", live.Runs, live.Failures, res.Summary.Specs)
 	}
-	if strings.Contains(out, "cf_orch_failures_total 0\n") {
-		t.Errorf("failures counter never moved:\n%s", out)
+	if dead.Retries+live.Retries < dead.Failures {
+		t.Errorf("%d retry dispatch(es) for %d failure(s): every failed attempt is retried", dead.Retries+live.Retries, dead.Failures)
 	}
 }

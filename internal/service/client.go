@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 // Client talks to a cfserve instance. The zero HTTPClient uses
@@ -188,49 +187,6 @@ func (c *Client) post(ctx context.Context, raw []byte) (res Result, retryable bo
 		res.Convergence = &cv
 	}
 	return res, false, nil
-}
-
-// Governors fetches the server's registered governor names.
-func (c *Client) Governors(ctx context.Context) ([]string, error) {
-	var out struct {
-		Governors []string `json:"governors"`
-	}
-	if err := c.get(ctx, "/v1/governors", &out); err != nil {
-		return nil, err
-	}
-	return out.Governors, nil
-}
-
-// Scenarios fetches the server's registered workloads — Table 1
-// benchmarks and synthetic scenarios alike — in registration order.
-func (c *Client) Scenarios(ctx context.Context) ([]scenario.Info, error) {
-	var out struct {
-		Scenarios []scenario.Info `json:"scenarios"`
-	}
-	if err := c.get(ctx, "/v1/scenarios", &out); err != nil {
-		return nil, err
-	}
-	return out.Scenarios, nil
-}
-
-func (c *Client) get(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return remoteError(resp.StatusCode, body)
-	}
-	return json.Unmarshal(body, v)
 }
 
 // remoteError surfaces the server's {"error": ...} message when there is

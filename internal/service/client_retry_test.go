@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // flakyBackend speaks just enough of the cfserve protocol to script
@@ -39,7 +41,7 @@ func flakyBackend(t *testing.T, reject429 int64, calls *atomic.Int64) *httptest.
 // mustReport builds the canned report the stub executor would produce.
 func (e *stubExecutor) mustReport(t *testing.T) interface{ Encode() ([]byte, error) } {
 	t.Helper()
-	rep, err := e.exec(context.Background(), testSpec(1))
+	rep, err := e.exec(experiments.Options{Spec: testSpec(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

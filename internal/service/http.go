@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/governor"
+	"repro/internal/lru"
 	"repro/internal/memo"
 	"repro/internal/scenario"
 	"repro/internal/timeline"
@@ -196,11 +198,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusNotFound, errors.New("tracing disabled (start cfserve with -trace-dir or -traces)"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"traces":   s.cfg.Traces.IDs(),
-			"capacity": s.cfg.Traces.Cap(),
-			"evicted":  s.cfg.Traces.Evicted(),
-		})
+		writeJSON(w, http.StatusOK, retained("traces", s.cfg.Traces.Cache()))
 	})
 	mux.HandleFunc("GET /v1/runs/{id}/timeline", func(w http.ResponseWriter, r *http.Request) {
 		handleTimeline(s, w, r)
@@ -210,11 +208,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusNotFound, errors.New("timelines disabled (start cfserve with -timelines)"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"timelines": s.cfg.Timelines.IDs(),
-			"capacity":  s.cfg.Timelines.Cap(),
-			"evicted":   s.cfg.Timelines.Evicted(),
-		})
+		writeJSON(w, http.StatusOK, retained("timelines", s.cfg.Timelines))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -224,6 +218,14 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
+}
+
+// retained is the body of GET /v1/traces and /v1/timelines: the held IDs,
+// sorted, under field, and the store's retention counters.
+func retained[V any](field string, c *lru.Cache[V]) map[string]any {
+	ids := c.Keys()
+	sort.Strings(ids)
+	return map[string]any{field: ids, "capacity": c.Cap(), "evicted": c.Evicted()}
 }
 
 // handleTrace serves one run's span tree. The default body is Chrome
@@ -257,7 +259,7 @@ func handleTimeline(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	data, ok := s.cfg.Timelines.Get(id)
+	data, ok := s.cfg.Timelines.Find(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no timeline for %q (timelines hold executed runs only — cache hits run no simulation)", id))
 		return

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -23,6 +24,22 @@ func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 		s.Close()
 	})
 	return s, srv
+}
+
+// getJSON fetches url and decodes its 200 JSON body into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func postRun(t *testing.T, url string, spec RunSpec) *http.Response {
@@ -241,18 +258,18 @@ func TestHTTPGovernorsAndStats(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1, Executor: (&stubExecutor{}).exec})
 	c := &Client{BaseURL: srv.URL}
 
-	govs, err := c.Governors(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	var gov struct {
+		Governors []string `json:"governors"`
 	}
+	getJSON(t, srv.URL+"/v1/governors", &gov)
 	found := false
-	for _, g := range govs {
+	for _, g := range gov.Governors {
 		if g == "cuttlefish" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("governors = %v, want cuttlefish included", govs)
+		t.Errorf("governors = %v, want cuttlefish included", gov.Governors)
 	}
 
 	if _, err := c.RunResult(context.Background(), testSpec(1)); err != nil {
@@ -273,17 +290,16 @@ func TestHTTPGovernorsAndStats(t *testing.T) {
 }
 
 // TestHTTPScenarios: GET /v1/scenarios serves the full workload registry
-// — Table 1 benchmarks and synthetic scenarios — through the client.
+// — Table 1 benchmarks and synthetic scenarios.
 func TestHTTPScenarios(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1, Executor: (&stubExecutor{}).exec})
-	c := &Client{BaseURL: srv.URL}
 
-	infos, err := c.Scenarios(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	var out struct {
+		Scenarios []scenario.Info `json:"scenarios"`
 	}
+	getJSON(t, srv.URL+"/v1/scenarios", &out)
 	kinds := map[string]string{}
-	for _, info := range infos {
+	for _, info := range out.Scenarios {
 		kinds[info.Name] = string(info.Kind)
 	}
 	if kinds["bursty"] != "synthetic" {

@@ -12,12 +12,11 @@ import (
 )
 
 // newObsService builds a service with every observability feature on:
-// metrics registry, trace store (ring + Chrome files), engine profiling.
+// metrics registry, trace store (LRU + Chrome files).
 func newObsService(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Traces = obs.NewTraceStore(16, t.TempDir())
-	cfg.Profile = true
 	return newTestService(t, cfg)
 }
 
@@ -32,10 +31,10 @@ func mustStore(t *testing.T, dir string) *store.Store {
 }
 
 // TestObservabilityPreservesReportBytes is the determinism-boundary
-// regression test: a fully instrumented service (tracing + metrics +
-// engine profiling) must produce byte-identical canonical reports to an
-// uninstrumented one on every path — cold miss, memo prefix resume, LRU
-// hit and persistent-store hit. Observability is wall-clock-only; if any
+// regression test: a fully instrumented service (tracing + metrics) must
+// produce byte-identical canonical reports to an uninstrumented one on
+// every path — cold miss, memo prefix resume, LRU hit and
+// persistent-store hit. Observability is wall-clock-only; if any
 // of it leaks into simulated state or report encoding, this fails.
 func TestObservabilityPreservesReportBytes(t *testing.T) {
 	if testing.Short() {
@@ -107,7 +106,7 @@ func TestObservabilityPreservesReportBytes(t *testing.T) {
 
 	// Sanity: the instrumented service really was observing, not
 	// silently disabled — traces were recorded and metrics moved.
-	if instr.cfg.Traces.Len() == 0 {
+	if instr.cfg.Traces.Cache().Len() == 0 {
 		t.Error("instrumented service recorded no traces")
 	}
 	var buf bytes.Buffer

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/lru"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -19,15 +20,12 @@ import (
 	"repro/internal/timeline"
 )
 
-// Executor computes the report for one normalized spec. The default runs
-// the in-process experiment harnesses; tests substitute stubs.
-type Executor func(ctx context.Context, spec RunSpec) (*report.RunReport, error)
-
-// DefaultExecutor dispatches the spec to the experiment harnesses — the
-// same code path the cuttlefish CLI runs in-process.
-func DefaultExecutor(_ context.Context, spec RunSpec) (*report.RunReport, error) {
-	return experiments.BuildReport(experiments.Options{Spec: spec})
-}
+// Executor computes the report for one run: opt.Spec is the normalized
+// spec, and the rest of opt is the service's runtime wiring (memo tier,
+// trace span, flight recorder). The default, experiments.BuildReport,
+// runs the in-process experiment harnesses; tests substitute stubs that
+// read opt.Spec.
+type Executor func(opt experiments.Options) (*report.RunReport, error)
 
 // Rejection and lifecycle sentinels; the HTTP layer maps them to status
 // codes (429, 503).
@@ -51,7 +49,7 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache (0 = 256).
 	CacheEntries int
-	// Executor computes reports (nil = DefaultExecutor).
+	// Executor computes reports (nil = experiments.BuildReport).
 	Executor Executor
 	// Store is the optional persistent tier below the LRU: misses
 	// consult it before executing, and every finished execution is
@@ -60,9 +58,8 @@ type Config struct {
 	// Memo is the optional prefix-snapshot tier (internal/memo) below the
 	// result cache: a result-cache miss whose workload shares a region
 	// prefix with an earlier run restores the last common snapshot and
-	// simulates only the suffix. It only applies to the default executor
-	// (a custom Executor owns its own run path). Results stay
-	// byte-identical with or without it.
+	// simulates only the suffix. Results stay byte-identical with or
+	// without it.
 	Memo *memo.Tier
 	// Metrics is the optional registry GET /metrics scrapes. Families are
 	// registered at construction and read the service's own counters at
@@ -71,21 +68,19 @@ type Config struct {
 	Metrics *obs.Registry
 	// Traces is the optional trace store: when set, every request records
 	// a span tree (admission → cache/store probes → queue wait → execute →
-	// report encode) retrievable at GET /v1/runs/{id}/trace. Traces live
-	// strictly outside canonical report bytes and cache keys — results are
-	// byte-identical with tracing on or off.
+	// report encode, with the engine's batch and quantum counts on each
+	// simulate span) retrievable at GET /v1/runs/{id}/trace; it keeps the
+	// latest trace of each spec hash. Traces live strictly outside
+	// canonical report bytes and cache keys — results are byte-identical
+	// with tracing on or off.
 	Traces *obs.TraceStore
-	// Profile turns on the engine's wall-clock self-accounting for
-	// executed runs (machine.Config.Profile); the numbers surface as span
-	// arguments on traced runs. Simulated results are unaffected.
-	Profile bool
-	// Timelines is the optional flight-recorder store: when set, every
-	// executed run (default executor only, like Memo) records a
+	// Timelines is the optional flight-recorder store, rendered timeline
+	// JSON keyed by spec hash: when set, every executed run records a
 	// per-quantum machine/governor timeline retrievable at
 	// GET /v1/runs/{id}/timeline, merged into the run's trace as counter
 	// tracks, and reduced to convergence stats on the Result. Timelines
 	// live strictly outside canonical report bytes and cache keys.
-	Timelines *timeline.Store
+	Timelines *lru.Cache[[]byte]
 }
 
 func (c Config) withDefaults() Config {
@@ -99,7 +94,7 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 256
 	}
 	if c.Executor == nil {
-		c.Executor = DefaultExecutor
+		c.Executor = experiments.BuildReport
 	}
 	return c
 }
@@ -195,12 +190,11 @@ type job struct {
 // fleet. Create with New, submit with Submit/SubmitAsync, stop with
 // Shutdown.
 type Service struct {
-	cfg         Config
-	cache       *resultCache
-	queue       chan *flight
-	cancel      context.CancelFunc
-	fleet       chan struct{} // closed when every worker has exited
-	defaultExec bool          // Executor was defaulted, so the memo tier applies
+	cfg    Config
+	cache  *lru.Cache[[]byte] // spec hash → canonical report bytes
+	queue  chan *flight
+	cancel context.CancelFunc
+	fleet  chan struct{} // closed when every worker has exited
 
 	mu       sync.Mutex
 	closed   bool
@@ -240,21 +234,19 @@ const maxJobs = 1024
 // shared runner.Pool, like every other harness fan-out in the repo) and
 // blocks on the queue.
 func New(cfg Config) *Service {
-	defaultExec := cfg.Executor == nil
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		cfg:         cfg,
-		cache:       newResultCache(cfg.CacheEntries),
-		queue:       make(chan *flight, cfg.QueueDepth),
-		cancel:      cancel,
-		fleet:       make(chan struct{}),
-		defaultExec: defaultExec,
-		inflight:    make(map[string]*flight),
-		jobs:        make(map[string]*job),
-		execLat:     stats.NewHistogram(),
-		hitLat:      stats.NewHistogram(),
-		govLat:      make(map[string]*stats.Histogram),
+		cfg:      cfg,
+		cache:    lru.New[[]byte](cfg.CacheEntries, 0),
+		queue:    make(chan *flight, cfg.QueueDepth),
+		cancel:   cancel,
+		fleet:    make(chan struct{}),
+		inflight: make(map[string]*flight),
+		jobs:     make(map[string]*job),
+		execLat:  stats.NewHistogram(),
+		hitLat:   stats.NewHistogram(),
+		govLat:   make(map[string]*stats.Histogram),
 	}
 	s.registerMetrics()
 	workers := make([]func(context.Context) error, cfg.Workers)
@@ -347,7 +339,7 @@ func (s *Service) registerMetrics() {
 		m.GaugeFunc("cf_memo_bytes", "Memo-tier snapshot bytes.",
 			f(func(i memo.Info) float64 { return float64(i.Bytes) }))
 	}
-	if ts := s.cfg.Traces; ts != nil {
+	if ts := s.cfg.Traces.Cache(); ts != nil {
 		m.GaugeFunc("cf_trace_store_entries", "Traces retained.",
 			func() float64 { return float64(ts.Len()) })
 		m.CounterFunc("cf_trace_store_evicted_total", "Traces dropped by the retention cap.",
@@ -389,48 +381,34 @@ func (s *Service) worker(ctx context.Context) error {
 			s.finish(fl, nil, ErrClosed)
 			continue
 		}
-		s.execute(ctx, fl)
+		s.execute(fl)
 	}
 	return nil
 }
 
 // execute runs one flight on the executor and publishes its result to the
-// cache, the stats and every waiter. On a memo-enabled service (default
-// executor only — a custom Executor owns its run path) the experiment
-// options carry the snapshot tier and a per-flight stats collector whose
-// view travels back on the Result.
-func (s *Service) execute(ctx context.Context, fl *flight) {
+// cache, the stats and every waiter. The experiment options carry the
+// runtime wiring — memo tier, trace span, flight recorder — none of which
+// is part of the spec's identity or the report's bytes; the memo
+// activity collector's view travels back on the Result.
+func (s *Service) execute(fl *flight) {
 	fl.started.Store(true)
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 	fl.queueSpan.End()
 	exec := fl.trace.Root().Child("execute")
 	start := time.Now()
-	var rep *report.RunReport
-	var err error
-	var rec *timeline.Recorder
-	if s.defaultExec {
-		// The in-process harness path carries the runtime wiring — memo
-		// tier, trace span, profiling, flight recorder — none of which is
-		// part of the spec's identity or the report's bytes.
-		opt := experiments.Options{Spec: fl.spec, Span: exec, Profile: s.cfg.Profile}
-		var rs *memo.RunStats
-		if s.cfg.Memo != nil {
-			rs = &memo.RunStats{}
-			opt.Memo = s.cfg.Memo
-			opt.MemoStats = rs
-		}
-		if s.cfg.Timelines != nil {
-			rec = timeline.New(fl.hash)
-			opt.Timeline = rec
-		}
-		rep, err = experiments.BuildReport(opt)
-		if err == nil && rs != nil {
-			v := rs.View()
-			fl.memo = &v
-		}
-	} else {
-		rep, err = s.cfg.Executor(ctx, fl.spec)
+	opt := experiments.Options{Spec: fl.spec, Span: exec, Memo: s.cfg.Memo}
+	if s.cfg.Memo != nil {
+		opt.MemoStats = &memo.RunStats{}
+	}
+	if s.cfg.Timelines != nil {
+		opt.Timeline = timeline.New(fl.hash)
+	}
+	rep, err := s.cfg.Executor(opt)
+	if err == nil && opt.MemoStats != nil {
+		v := opt.MemoStats.View()
+		fl.memo = &v
 	}
 	exec.End()
 	var body []byte
@@ -440,7 +418,7 @@ func (s *Service) execute(ctx context.Context, fl *flight) {
 		enc.End()
 	}
 	if err == nil {
-		s.cache.Add(fl.hash, body)
+		s.cache.Add(fl.hash, body, int64(len(body)))
 		if s.cfg.Store != nil {
 			// Write-through to the persistent tier. A failed write only
 			// costs durability, not correctness — the store counts it.
@@ -453,11 +431,13 @@ func (s *Service) execute(ctx context.Context, fl *flight) {
 	} else {
 		s.failed.Add(1)
 	}
-	if rec != nil && err == nil {
+	if rec := opt.Timeline; rec != nil && err == nil {
 		// The timeline is published before waiters wake: its bytes are a
 		// pure function of the spec, so a re-execution overwrites with
 		// identical content.
-		_ = s.cfg.Timelines.Save(fl.hash, rec)
+		if data, err := rec.JSON(); err == nil {
+			s.cfg.Timelines.Add(fl.hash, data, int64(len(data)))
+		}
 		conv := rec.Convergence()
 		fl.conv = &conv
 		// Counter tracks and decision markers join the span tree so one
@@ -595,7 +575,7 @@ func (s *Service) admit(spec RunSpec, parentSpan string) (admission, error) {
 			// Promote the disk entry into the LRU so the next request is
 			// a memory hit; the bytes served are the stored payload
 			// verbatim, byte-identical to the original execution.
-			s.cache.Add(hash, body)
+			s.cache.Add(hash, body, int64(len(body)))
 			s.diskHits.Add(1)
 			s.saveTrace(tr, OutcomeDisk, nil)
 			return admission{outcome: OutcomeDisk, res: Result{Hash: hash, Outcome: OutcomeDisk, Body: body}, trace: tr}, nil

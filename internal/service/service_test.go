@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/report"
 )
 
@@ -21,17 +22,13 @@ type stubExecutor struct {
 	gate  chan struct{} // nil = never block
 }
 
-func (e *stubExecutor) exec(ctx context.Context, spec RunSpec) (*report.RunReport, error) {
+func (e *stubExecutor) exec(opt experiments.Options) (*report.RunReport, error) {
 	e.calls.Add(1)
 	if e.gate != nil {
-		select {
-		case <-e.gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		<-e.gate
 	}
 	r := report.New("run", "benchmark", "seed")
-	r.AddRow(spec.Benchmark, spec.Seed)
+	r.AddRow(opt.Benchmark, opt.Seed)
 	return r, nil
 }
 
@@ -244,7 +241,7 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 
 func TestExecutorFailurePropagatesToAllWaiters(t *testing.T) {
 	boom := errors.New("boom")
-	s := newTestService(t, Config{Workers: 1, Executor: func(context.Context, RunSpec) (*report.RunReport, error) {
+	s := newTestService(t, Config{Workers: 1, Executor: func(experiments.Options) (*report.RunReport, error) {
 		return nil, boom
 	}})
 	if _, err := s.Submit(context.Background(), testSpec(1)); !errors.Is(err, boom) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/timeline"
@@ -54,7 +55,7 @@ func TestTimelinesPreserveReportBytes(t *testing.T) {
 	plainDir, tlDir := t.TempDir(), t.TempDir()
 	plain := newTestService(t, Config{Workers: 1, Memo: memo.New(0, nil), Store: mustStore(t, plainDir)})
 	tl := newTestService(t, Config{Workers: 1, Memo: memo.New(0, nil), Store: mustStore(t, tlDir),
-		Timelines: timeline.NewStore(8)})
+		Timelines: lru.New[[]byte](8, 0)})
 
 	// Miss, then memo prefix resume (reps=2 shares rep 0 with reps=1).
 	for _, spec := range []RunSpec{memoSpec(1), memoSpec(2)} {
@@ -92,7 +93,7 @@ func TestTimelinesPreserveReportBytes(t *testing.T) {
 
 	// Disk hit via fresh services over the same stores.
 	plain2 := newTestService(t, Config{Workers: 1, Store: mustStore(t, plainDir)})
-	tl2 := newTestService(t, Config{Workers: 1, Store: mustStore(t, tlDir), Timelines: timeline.NewStore(8)})
+	tl2 := newTestService(t, Config{Workers: 1, Store: mustStore(t, tlDir), Timelines: lru.New[[]byte](8, 0)})
 	a2, err := plain2.Submit(ctx, memoSpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestTimelineBytesIdenticalAcrossServices(t *testing.T) {
 	}
 	ctx := context.Background()
 	run := func() []byte {
-		s := newTestService(t, Config{Workers: 1, Timelines: timeline.NewStore(4)})
+		s := newTestService(t, Config{Workers: 1, Timelines: lru.New[[]byte](4, 0)})
 		res, err := s.Submit(ctx, memoSpec(1))
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +144,7 @@ func TestHTTPTimelineEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation")
 	}
-	_, srv := newTestServer(t, Config{Workers: 1, Timelines: timeline.NewStore(4), Traces: obs.NewTraceStore(4, "")})
+	_, srv := newTestServer(t, Config{Workers: 1, Timelines: lru.New[[]byte](4, 0), Traces: obs.NewTraceStore(4, "")})
 	spec := memoSpec(1)
 
 	r1 := postRun(t, srv.URL, spec)
@@ -266,7 +267,7 @@ func TestClientStitchesTraces(t *testing.T) {
 		t.Skip("real simulation")
 	}
 	s, srv := newTestServer(t, Config{Workers: 1, Traces: obs.NewTraceStore(4, ""),
-		Timelines: timeline.NewStore(4)})
+		Timelines: lru.New[[]byte](4, 0)})
 
 	spec := memoSpec(1)
 	clientTrace := obs.NewTrace(spec.Hash())

@@ -133,25 +133,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return histBounds[histBuckets-2]
 }
 
-// Merge adds o's observations into h. Both histograms share the package's
-// fixed bucket geometry, so the merge is exact.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o == h {
-		return
-	}
-	o.mu.Lock()
-	counts := o.counts
-	sum, count := o.sum, o.count
-	o.mu.Unlock()
-	h.mu.Lock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	h.sum += sum
-	h.count += count
-	h.mu.Unlock()
-}
-
 // HistogramBucket is one cumulative bucket of a snapshot: Count is the
 // number of observations ≤ Le (Prometheus "le" semantics).
 type HistogramBucket struct {

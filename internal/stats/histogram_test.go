@@ -94,34 +94,6 @@ func TestHistogramEmptyAndEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 100; i++ {
-		a.Observe(1e-3)
-		b.Observe(1.0)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", a.Count())
-	}
-	if got, want := a.Sum(), 100*1e-3+100*1.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("merged sum = %g, want %g", got, want)
-	}
-	// Half the mass at 1 ms, half at 1 s: the median reads from the low
-	// mode, the p95 from the high one.
-	if q := a.Quantile(0.5); q > 2e-3 {
-		t.Errorf("merged p50 = %g, want ~1e-3", q)
-	}
-	if q := a.Quantile(0.95); q < 0.5 {
-		t.Errorf("merged p95 = %g, want ~1", q)
-	}
-	a.Merge(nil)
-	a.Merge(a) // self-merge must not deadlock or double
-	if a.Count() != 200 {
-		t.Errorf("count after nil/self merge = %d, want 200", a.Count())
-	}
-}
-
 // TestHistogramSnapshotCumulative pins the Prometheus contract: buckets
 // strictly increasing in Le, non-decreasing (monotone) in Count, ending
 // at le=+Inf with the total count.
@@ -145,26 +117,5 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	last := s.Buckets[len(s.Buckets)-1]
 	if !math.IsInf(last.Le, 1) || last.Count != s.Count {
 		t.Errorf("last bucket = {%g %d}, want {+Inf %d}", last.Le, last.Count, s.Count)
-	}
-}
-
-func TestPercentileEdgeCases(t *testing.T) {
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %g, want 0", got)
-	}
-	for _, p := range []float64{-10, 0, 33, 50, 100, 400} {
-		if got := Percentile([]float64{7}, p); got != 7 {
-			t.Errorf("Percentile([7], %g) = %g, want 7", p, got)
-		}
-	}
-	xs := []float64{3, 1, 2}
-	if got := Percentile(xs, -5); got != 1 {
-		t.Errorf("p<0 must clamp to min, got %g", got)
-	}
-	if got := Percentile(xs, 250); got != 3 {
-		t.Errorf("p>100 must clamp to max, got %g", got)
-	}
-	if got := Percentile(xs, math.NaN()); !math.IsNaN(got) {
-		t.Errorf("Percentile(xs, NaN) = %g, want NaN", got)
 	}
 }

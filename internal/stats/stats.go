@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean. It panics on an empty slice: an
@@ -60,41 +59,6 @@ func GeoMean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. The input is not modified.
-//
-// Edge behavior, pinned by TestPercentileEdgeCases:
-//   - an empty slice returns 0 (callers treat "no samples yet" as zero
-//     latency rather than NaN, which would poison JSON snapshots);
-//   - a single-element slice returns that element for every p;
-//   - p below 0 clamps to the minimum, p above 100 to the maximum;
-//   - a NaN p returns NaN (an impossible rank must not read as data).
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if math.IsNaN(p) {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // EDP returns the energy-delay product.

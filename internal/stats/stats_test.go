@@ -100,28 +100,3 @@ func TestStatsPropertiesQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3} // unsorted on purpose
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4}, {90, 4.6},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want) {
-			t.Errorf("Percentile(%v, %g) = %g, want %g", xs, c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %g, want 0", got)
-	}
-	if xs[0] != 5 {
-		t.Error("Percentile must not reorder its input")
-	}
-	single := []float64{7}
-	if got := Percentile(single, 95); got != 7 {
-		t.Errorf("single-element p95 = %g, want 7", got)
-	}
-}

@@ -158,39 +158,3 @@ func TestCSV(t *testing.T) {
 		t.Errorf("row grouping wrong:\n%s", buf.String())
 	}
 }
-
-func TestStore(t *testing.T) {
-	st := NewStore(2)
-	for _, id := range []string{"aaa1", "bbb2", "ccc3"} {
-		r := New(id)
-		fill(r, 1)
-		if err := st.Save(id, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Len() != 2 || st.Evicted() != 1 || st.Cap() != 2 {
-		t.Fatalf("len %d evicted %d cap %d, want 2 / 1 / 2", st.Len(), st.Evicted(), st.Cap())
-	}
-	if _, ok := st.Get("aaa1"); ok {
-		t.Error("evicted id still resolvable")
-	}
-	if _, ok := st.Get("bbb"); !ok {
-		t.Error("prefix lookup failed")
-	}
-	// Refreshing an existing id does not consume capacity.
-	r := New("ccc3")
-	fill(r, 2)
-	if err := st.Save("ccc3", r); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 2 || st.Evicted() != 1 {
-		t.Errorf("refresh consumed capacity: len %d evicted %d", st.Len(), st.Evicted())
-	}
-	var nilStore *Store
-	if err := nilStore.Save("x", r); err != nil {
-		t.Errorf("nil store Save: %v", err)
-	}
-	if nilStore.Len() != 0 || nilStore.Cap() != 0 {
-		t.Error("nil store accessors not zero")
-	}
-}
