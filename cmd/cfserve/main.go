@@ -16,9 +16,12 @@
 // machine snapshots keyed by prefix chain hash. A spec that misses the
 // result cache but shares a schedule prefix with an earlier run resumes
 // from the longest memoized snapshot and simulates only the suffix,
-// producing byte-identical reports. -memo-dir persists snapshots across
-// restarts, one pack of snapshots per executed run; -memo-max-bytes
-// bounds the in-memory snapshot LRU.
+// producing byte-identical reports. A run snapshots the starts of its
+// first pass's phases, that pass's end and its own end, the boundaries
+// where an edited spec can resume. -memo-dir persists snapshots across
+// restarts, one checksummed record per snapshot; instances sharing the
+// directory see each other's snapshots on their next miss.
+// -memo-max-bytes bounds the in-memory snapshot LRU.
 //
 // Observability is on by default and strictly out of band — it never
 // touches report bytes or cache keys. Every request records a span tree
@@ -166,9 +169,7 @@ func run(rc runConfig) error {
 				return err
 			}
 			defer disk.Close()
-			// Packs, one per executed run; the snapshot index loads on
-			// the first disk probe, not here.
-			log.Printf("cfserve: memo dir %s: %d pack(s), %d bytes", rc.memoDir, disk.Len(), disk.Bytes())
+			log.Printf("cfserve: memo dir %s: %d snapshot(s), %d bytes", rc.memoDir, disk.Len(), disk.Bytes())
 		}
 		cfg.Memo = memo.New(rc.memoMax, disk)
 		log.Printf("cfserve: prefix-snapshot memoization on")

@@ -640,7 +640,7 @@ func runFuzz(pool []orchestrator.Backend, spec service.RunSpec, o *options, stdo
 		if err != nil {
 			return err
 		}
-		violations, resolved, err := fuzz.Diff(base, rep, cfg)
+		violations, resolved, err := fuzz.Diff(base, rep)
 		if err != nil {
 			return err
 		}

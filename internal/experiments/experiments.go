@@ -201,7 +201,7 @@ const maxRegionSpans = 64
 // (up to maxRegionSpans; names carry the boundary index, so the span
 // structure is a pure function of the region schedule); a memo run's
 // simulate span instead reports where it resumed and how many snapshots
-// it stored, as one pack, at the boundaries its plan selects.
+// it stored, one record each, at the boundaries its plan selects.
 func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error) {
 	cfg := opt.machineConfig()
 	m, err := machine.New(cfg)
@@ -262,8 +262,7 @@ func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error)
 	region.End()
 	m.RecordTimeline()
 	if mp != nil {
-		mp.tier.PutPack(mp.pack)
-		sp.Set("snapshots_stored", len(mp.pack))
+		sp.Set("snapshots_stored", mp.store())
 	}
 	sp.Set("sim_seconds", m.Now()-start)
 	sp.Set("profile", m.Profile())

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/governor"
 	"repro/internal/machine"
@@ -17,10 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// maxSnapshotsPerRun caps how many region boundaries one run snapshots.
-// Snapshots cost encoding time and cache budget; past a few dozen per run
-// the marginal prefix they could save is a sliver of the program.
-const maxSnapshotsPerRun = 32
+// snapshotPhases bounds the phase starts one run snapshots: the starts
+// of phases 1 to snapshotPhases of its first pass. Counting by phase
+// index, not thinning to a budget, keeps two specs that share those
+// phases on the same boundaries.
+const snapshotPhases = 30
 
 // memoContainerMagic versions the snapshot container layout (the machine
 // snapshot inside carries its own magic and checksum).
@@ -82,40 +84,24 @@ func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int6
 	return keys, nil
 }
 
-// snapshotPoints picks which region boundaries a run snapshots: every
-// phase transition (where a diverging re-run most plausibly splits from
-// this one), the program end (so a byte-identical re-run skips simulation
-// entirely and an iterations-extended one resumes at the old end), and —
-// when the budget allows — an even stride through single-phase stretches.
-// Programs whose phase transitions alone exceed the budget keep an evenly
-// thinned subset.
-func snapshotPoints(phases []int) map[int]bool {
-	total := len(phases)
-	pts := map[int]bool{total: true}
-	var cand []int
-	for k := 1; k < total; k++ {
-		if phases[k] != phases[k-1] {
-			cand = append(cand, k)
-		}
-	}
-	if len(cand) <= maxSnapshotsPerRun-1 {
-		for _, k := range cand {
-			pts[k] = true
-		}
-		if need := maxSnapshotsPerRun - len(pts); need > 0 && total > 1 {
-			stride := (total + need - 1) / need
-			if stride < 1 {
-				stride = 1
-			}
-			for k := stride; k < total && len(pts) < maxSnapshotsPerRun; k += stride {
-				pts[k] = true
-			}
-		}
-	} else {
-		step := (len(cand) + maxSnapshotsPerRun - 2) / (maxSnapshotsPerRun - 1)
-		for i := 0; i < len(cand); i += step {
-			pts[cand[i]] = true
-		}
+// snapshotPoints picks the region boundaries a run snapshots, in
+// ascending order, from its first pass's phase bounds (bounds[j] is where
+// phase j starts, the last entry the pass's length) and its region count.
+// regionFor sizes every region from its own phase and the program's
+// Iterations, so two specs with the same Iterations share a key-chain
+// prefix that ends at one of three places, and a run snapshots all three:
+//   - the start of a first-pass phase (one was edited, inserted or
+//     re-Repeated), for phases 1 to snapshotPhases;
+//   - the end of the first pass (a phase was appended);
+//   - the end of the program (identical regions: a rename, or a re-run
+//     whose result the result cache no longer holds).
+//
+// Specs with different Iterations share no prefix.
+func snapshotPoints(bounds []int, total int) []int {
+	pass := bounds[len(bounds)-1]
+	pts := append(slices.Clone(bounds[1:min(len(bounds)-1, snapshotPhases+1)]), pass)
+	if total > pass {
+		pts = append(pts, total)
 	}
 	return pts
 }
@@ -196,24 +182,31 @@ type memoPlan struct {
 	tier      *memo.Tier
 	regions   []sched.Region
 	keys      []string
-	points    map[int]bool
+	points    []int  // ascending
 	resumeK   int    // regions the probed snapshot completed; 0 = none
 	container []byte // the probed snapshot
-	// ws, resumedAt and pack describe the latest simulate call: its
+	// ws, resumedAt and taken describe the latest simulate call: its
 	// source, the simulated time it restored to and the snapshots it
-	// took, which simulate stores as one pack when the run ends.
+	// took, which simulate stores when the run ends.
 	ws        *sched.WorkSharing
 	resumedAt float64
-	pack      []memo.Entry
+	taken     []snap
 }
 
-// newMemoPlan compiles j's region schedule and probes the tier for its
-// longest memoized prefix. It returns nil when the workload has no
-// deterministic region schedule (task-DAG decompositions, whose stealing
-// schedule is decided while they run), sending run to the plain path.
+// snap is one snapshot a run took: its boundary and its container.
+type snap struct {
+	k    int
+	body []byte
+}
+
+// newMemoPlan compiles j's region schedule and probes the tier at its
+// snapshot points, longest prefix first. It returns nil when the
+// workload has no deterministic region schedule (task-DAG
+// decompositions, whose stealing schedule is decided while they run),
+// sending run to the plain path.
 func newMemoPlan(j simJob, opt Options) *memoPlan {
 	cfg := opt.machineConfig()
-	regions, phases, err := j.entry.Def.CompiledRegions(scenario.Params{
+	regions, bounds, err := j.entry.Def.CompiledRegions(scenario.Params{
 		Cores: cfg.Cores, Scale: opt.Scale, Seed: j.seed, Model: opt.Model,
 	})
 	if err != nil {
@@ -223,12 +216,14 @@ func newMemoPlan(j simJob, opt Options) *memoPlan {
 	if err != nil {
 		return nil
 	}
-	p := &memoPlan{tier: opt.Memo, regions: regions, keys: keys, points: snapshotPoints(phases)}
-	// Probe from the whole program down. The common warm cases
-	// (identical re-run, extended program) hit on the first few probes; a
-	// cold run walks the chain once against an in-memory map.
+	p := &memoPlan{tier: opt.Memo, regions: regions, keys: keys, points: snapshotPoints(bounds, len(regions))}
+	// A stored spec that shares a prefix with this one snapshotted the
+	// prefix's end at one of these points (snapshotPoints), so probing
+	// only them misses no resume but one between programs whose regions
+	// coincide under a different phase structure.
 	probe := opt.Span.Child("memo_probe")
-	for k := len(regions); k >= 1; k-- {
+	for i := len(p.points) - 1; i >= 0; i-- {
+		k := p.points[i]
 		if body, ok := p.tier.Get(keys[k]); ok {
 			p.resumeK, p.container = k, body
 			break
@@ -264,7 +259,7 @@ func (p *memoPlan) run(j simJob, opt Options) (RunResult, error) {
 		p.tier.RecordResume(saved)
 	}
 	if opt.MemoStats != nil {
-		opt.MemoStats.Record(resumed, saved, int64(math.Round(res.Seconds/quantum)), len(p.pack))
+		opt.MemoStats.Record(resumed, saved, int64(math.Round(res.Seconds/quantum)), len(p.taken))
 	}
 	return res, nil
 }
@@ -274,7 +269,7 @@ func (p *memoPlan) run(j simJob, opt Options) (RunResult, error) {
 // freshly booted machine and attached governor, and resumes the schedule
 // at its checkpoint.
 func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Options, seed int64, fromK int) (workload.Source, error) {
-	p.resumedAt, p.pack = 0, nil
+	p.resumedAt, p.taken = 0, nil
 	gen := func(s int) (sched.Region, bool) {
 		if s >= len(p.regions) {
 			return sched.Region{}, false
@@ -315,12 +310,11 @@ func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Opti
 	return p.ws, nil
 }
 
-// snapshot takes the resumable state at region boundary n into the
-// run's pack when the plan selects it. It returns false once
-// snapshotting must stop (the governor could not export its state, e.g.
-// a latched daemon error).
+// snapshot takes the resumable state at region boundary n when the plan
+// selects it. It returns false once snapshotting must stop (the governor
+// could not export its state, e.g. a latched daemon error).
 func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int) bool {
-	if !p.points[n] {
+	if !slices.Contains(p.points, n) {
 		return true
 	}
 	cp, ok := p.ws.Checkpoint()
@@ -331,6 +325,15 @@ func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int)
 	if err != nil {
 		return false
 	}
-	p.pack = append(p.pack, memo.Entry{Key: p.keys[n], Body: encodeContainer(m.Snapshot().Encode(), govBlob, cp)})
+	p.taken = append(p.taken, snap{k: n, body: encodeContainer(m.Snapshot().Encode(), govBlob, cp)})
 	return true
+}
+
+// store writes the latest simulate call's snapshots to the tier, one
+// record each, and returns how many it wrote.
+func (p *memoPlan) store() int {
+	for _, s := range p.taken {
+		p.tier.Put(p.keys[s.k], s.body)
+	}
+	return len(p.taken)
 }

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/governor"
@@ -48,10 +51,10 @@ func requireBitEqual(t *testing.T, label string, a, b RunResult) {
 // memoKeysAndPoints recomputes the run's prefix-key chain and snapshot
 // boundaries exactly as newMemoPlan does, so tests can seed a tier with a
 // chosen subset of snapshots.
-func memoKeysAndPoints(t *testing.T, e scenario.Entry, gov string, opt Options, seed int64) (keys []string, points []int) {
+func memoKeysAndPoints(t testing.TB, e scenario.Entry, gov string, opt Options, seed int64) (keys []string, points []int) {
 	t.Helper()
 	cfg := opt.machineConfig()
-	regions, phases, err := e.Def.CompiledRegions(scenario.Params{
+	regions, bounds, err := e.Def.CompiledRegions(scenario.Params{
 		Cores: cfg.Cores, Scale: opt.Scale, Seed: seed, Model: opt.Model,
 	})
 	if err != nil {
@@ -61,11 +64,7 @@ func memoKeysAndPoints(t *testing.T, e scenario.Entry, gov string, opt Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range snapshotPoints(phases) {
-		points = append(points, k)
-	}
-	sort.Ints(points)
-	return keys, points
+	return keys, snapshotPoints(bounds, len(regions))
 }
 
 // TestMemoResumeBitIdenticalAllGovernors runs one scenario under every
@@ -221,11 +220,12 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// TestMemoColdRunWritesOnePack pins the disk tier's cold-path I/O: a
-// cold run over an empty memo dir fails no disk read and leaves one
-// object, the pack of every snapshot it took, and a fresh tier over the
-// reopened dir resumes from that pack bit-identically.
-func TestMemoColdRunWritesOnePack(t *testing.T) {
+// TestMemoColdRunWritesOneRecordPerSnapshot pins the disk tier's
+// cold-path I/O: a cold run over an empty memo dir probes each of its
+// snapshot points once, reads no record, and appends one record per
+// point; a fresh tier over the reopened dir resumes from the program-end
+// record bit-identically.
+func TestMemoColdRunWritesOneRecordPerSnapshot(t *testing.T) {
 	e := burstyEntry(t)
 	const gov = "cuttlefish"
 	opt := memoTestOptions()
@@ -247,8 +247,9 @@ func TestMemoColdRunWritesOnePack(t *testing.T) {
 	if v := rs.View(); v.SnapshotsStored != len(points) {
 		t.Errorf("cold run stored %d snapshots, want one per snapshot point (%d)", v.SnapshotsStored, len(points))
 	}
-	if info := disk.Info(); info.Entries != 1 || info.Misses != 0 {
-		t.Errorf("cold run left %d objects after %d failed reads, want 1 pack and none", info.Entries, info.Misses)
+	if info := disk.Info(); info.Entries != len(points) || info.Hits != 0 || info.Misses != uint64(len(points)) {
+		t.Errorf("cold run left %d records after %d reads and %d probe misses, want %d, none and %d",
+			info.Entries, info.Hits, info.Misses, len(points), len(points))
 	}
 
 	opt.Memo = memo.New(0, openStore(t, dir))
@@ -258,17 +259,38 @@ func TestMemoColdRunWritesOnePack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitEqual(t, "resumed from the pack vs plain", warm, plain)
+	requireBitEqual(t, "resumed from disk vs plain", warm, plain)
 	if v := rs.View(); v.PrefixHits != 1 || v.QuantaSaved != v.QuantaTotal {
-		t.Errorf("stats = %+v, want a full-program resume from the pack", v)
+		t.Errorf("stats = %+v, want a full-program resume from disk", v)
 	}
 }
 
-// TestMemoOneObjectPerSnapshotDirReadsAsMisses plants a memo dir in the
-// older layout, one raw snapshot container per key, and requires a fresh
-// tier to read every key as a miss: the run re-executes bit-identically
-// and writes its snapshots as a pack beside the old objects.
-func TestMemoOneObjectPerSnapshotDirReadsAsMisses(t *testing.T) {
+// parentPack lays snapshots out in the memo dir's former pack format,
+// one store record per run: "cfpack1\n", an entry count, a key table of
+// raw 32-byte key and body length rows, then the bodies, named by the
+// SHA-256 of the key table.
+func parentPack(t *testing.T, keys []string, bodies [][]byte) (name string, pack []byte) {
+	t.Helper()
+	pack = binary.BigEndian.AppendUint32([]byte("cfpack1\n"), uint32(len(keys)))
+	for i, k := range keys {
+		raw, err := hex.DecodeString(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pack = binary.BigEndian.AppendUint32(append(pack, raw...), uint32(len(bodies[i])))
+	}
+	sum := sha256.Sum256(pack)
+	for _, b := range bodies {
+		pack = append(pack, b...)
+	}
+	return hex.EncodeToString(sum[:]), pack
+}
+
+// TestMemoParentPackDirReadsAsMisses plants a memo dir in the former
+// layout, one pack holding every snapshot of a run, and requires a fresh
+// tier to read every snapshot key as a miss: the run re-executes
+// bit-identically and writes its snapshots as records beside the pack.
+func TestMemoParentPackDirReadsAsMisses(t *testing.T) {
 	e := burstyEntry(t)
 	const gov = "cuttlefish"
 	opt := memoTestOptions()
@@ -281,39 +303,36 @@ func TestMemoOneObjectPerSnapshotDirReadsAsMisses(t *testing.T) {
 	if _, err := RunEntry(e, gov, opt, 1); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	old := openStore(t, dir)
 	keys, points := memoKeysAndPoints(t, e, gov, opt, 1)
+	var packKeys []string
+	var bodies [][]byte
 	for _, k := range points {
 		body, ok := mem.Get(keys[k])
 		if !ok {
 			t.Fatalf("cold run stored no snapshot at boundary %d", k)
 		}
-		if err := old.Put(keys[k], body); err != nil {
-			t.Fatal(err)
-		}
+		packKeys, bodies = append(packKeys, keys[k]), append(bodies, body)
+	}
+	dir := t.TempDir()
+	name, pack := parentPack(t, packKeys, bodies)
+	if err := openStore(t, dir).Put(name, pack); err != nil {
+		t.Fatal(err)
 	}
 
 	disk := openStore(t, dir)
-	tier := memo.New(0, disk)
-	for _, k := range points {
-		if _, ok := tier.Get(keys[k]); ok {
-			t.Fatalf("one-object-per-snapshot entry at boundary %d read as a hit", k)
-		}
-	}
-	opt.Memo = tier
+	opt.Memo = memo.New(0, disk)
 	rs := &memo.RunStats{}
 	opt.MemoStats = rs
 	res, err := RunEntry(e, gov, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitEqual(t, "re-execution over an old memo dir vs plain", res, plain)
+	requireBitEqual(t, "re-execution over a pack-layout memo dir vs plain", res, plain)
 	if v := rs.View(); v.PrefixHits != 0 || v.SnapshotsStored != len(points) {
 		t.Errorf("stats = %+v, want a full re-execution storing %d snapshots", v, len(points))
 	}
 	if got := disk.Len(); got != len(points)+1 {
-		t.Errorf("memo dir holds %d objects, want the %d old ones plus one pack", got, len(points))
+		t.Errorf("memo dir holds %d records, want the pack plus %d snapshots", got, len(points))
 	}
 }
 
@@ -366,4 +385,192 @@ func TestMemoResumesAcrossTailEdits(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotPoints pins which boundaries each memoizable built-in
+// snapshots — its first pass's phase starts, that pass's end and its own
+// end — and the cap on phase starts for a long program.
+func TestSnapshotPoints(t *testing.T) {
+	want := map[string][]int{
+		"compute-bound": {1, 50},
+		"memory-bound":  {1, 40},
+		"numa-remote":   {1, 40},
+		"bursty":        {1, 2, 120},
+		"ramp":          {30, 60, 90, 120, 150},
+		"multiphase":    {1, 2, 3, 240},
+	}
+	opt := memoTestOptions()
+	for name, pts := range want {
+		e, ok := scenario.Get(name)
+		if !ok || e.Def == nil {
+			t.Fatalf("scenario %s is not a registered phase program", name)
+		}
+		if _, got := memoKeysAndPoints(t, e, "cuttlefish", opt, 1); !slices.Equal(got, pts) {
+			t.Errorf("%s snapshots %v, want %v", name, got, pts)
+		}
+	}
+	bounds := make([]int, 41) // a 40-phase program, Repeat 2, 3 iterations
+	for j := range bounds {
+		bounds[j] = 2 * j
+	}
+	got := snapshotPoints(bounds, 240)
+	if len(got) != snapshotPhases+2 || got[0] != 2 || got[snapshotPhases-1] != 60 || got[snapshotPhases] != 80 || got[snapshotPhases+1] != 240 {
+		t.Errorf("40-phase program snapshots %v, want the starts of phases 1-30, then 80 and 240", got)
+	}
+}
+
+// divergenceEdit is one edit of a memoized program, named for the test
+// log.
+type divergenceEdit struct {
+	label string
+	def   scenario.Definition
+}
+
+// divergenceEdits are the spec edits a memoized program most plausibly
+// sees next: change or re-Repeat any phase, append a phase, drop the last
+// one, rename the program, or run one more iteration.
+func divergenceEdits(base scenario.Definition) []divergenceEdit {
+	var edits []divergenceEdit
+	edit := func(label string, f func(d *scenario.Definition)) {
+		d := base
+		d.Phases = append([]scenario.PhaseDef(nil), base.Phases...)
+		f(&d)
+		edits = append(edits, divergenceEdit{label, d})
+	}
+	for j := range base.Phases {
+		edit(fmt.Sprintf("change-%d", j), func(d *scenario.Definition) { d.Phases[j].MissPerInstr += 0.01 })
+		edit(fmt.Sprintf("repeat+1-%d", j), func(d *scenario.Definition) { d.Phases[j].Repeat++ })
+	}
+	edit("append", func(d *scenario.Definition) {
+		d.Phases = append(d.Phases, scenario.PhaseDef{Name: "appended", Instructions: 1e11, MissPerInstr: 0.03, IPC: 1.5})
+	})
+	if len(base.Phases) > 1 {
+		edit("drop-last", func(d *scenario.Definition) { d.Phases = d.Phases[:len(d.Phases)-1] })
+	}
+	edit("rename", func(d *scenario.Definition) { d.Name += "-renamed" })
+	edit("iterations+1", func(d *scenario.Definition) { d.Iterations++ })
+	return edits
+}
+
+// sharedPrefix is the number of regions two key chains agree on.
+func sharedPrefix(a, b []string) int {
+	n := 0
+	for n+1 < min(len(a), len(b)) && a[n+1] == b[n+1] {
+		n++
+	}
+	return n
+}
+
+// TestMemoResumesAtDivergence memoizes each of four built-in programs,
+// then runs every edit of divergenceEdits against only those snapshots.
+// Each edited run must resume exactly where its key chain leaves the
+// stored program's — so both snapshot that boundary — and report a fresh
+// run's bits; an Iterations edit shares no region and resumes nowhere.
+func TestMemoResumesAtDivergence(t *testing.T) {
+	const gov = "cuttlefish"
+	for _, name := range []string{"bursty", "ramp", "multiphase", "compute-bound"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, ok := scenario.Get(name)
+			if !ok || e.Def == nil {
+				t.Fatalf("scenario %s is not a registered phase program", name)
+			}
+			opt := memoTestOptions()
+			opt.Governor = gov
+			g, err := governor.New(gov, opt.tuning())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored := memo.New(0, nil)
+			opt.Memo = stored
+			if _, err := RunEntry(e, gov, opt, 1); err != nil {
+				t.Fatal(err)
+			}
+			baseKeys, points := memoKeysAndPoints(t, e, gov, opt, 1)
+			snaps := map[string][]byte{}
+			for _, k := range points {
+				body, ok := stored.Get(baseKeys[k])
+				if !ok {
+					t.Fatalf("%s stored no snapshot at boundary %d", name, k)
+				}
+				snaps[baseKeys[k]] = body
+			}
+
+			for _, ed := range divergenceEdits(*e.Def) {
+				t.Run(ed.label, func(t *testing.T) {
+					o := memoTestOptions()
+					o.Governor = gov
+					o.ScenarioDef = &ed.def
+					edited, err := resolveWorkload(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := RunEntry(edited, gov, o, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Memo = memo.New(0, nil)
+					for k, body := range snaps {
+						o.Memo.Put(k, body)
+					}
+					rs := &memo.RunStats{}
+					o.MemoStats = rs
+					j := simJob{entry: edited, gov: g, seed: 1}
+					p := newMemoPlan(j, o)
+					want := sharedPrefix(baseKeys, p.keys)
+					if ed.label == "iterations+1" && want != 0 {
+						t.Fatalf("an Iterations edit shares %d regions with the stored program", want)
+					}
+					if p.resumeK != want {
+						t.Errorf("resumes at boundary %d, want %d, where the key chains diverge", p.resumeK, want)
+					}
+					res, err := p.run(j, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireBitEqual(t, "resumed vs fresh", res, fresh)
+					if v := rs.View(); (v.PrefixHits == 1) != (want > 0) {
+						t.Errorf("stats = %+v, want a prefix hit iff the chains share a region (%d)", v, want)
+					}
+				})
+			}
+		})
+	}
+}
+
+// FuzzDecodeContainer feeds arbitrary bytes to decodeContainer, which
+// reads every memo record's body: it returns an error or the container's
+// three parts, never panics, and a decoded container re-encodes to its
+// own bytes. Seeds: every snapshot of a real bursty run, each one cut
+// short, and a bare magic.
+func FuzzDecodeContainer(f *testing.F) {
+	e, ok := scenario.Get("bursty")
+	if !ok {
+		f.Fatal("scenario bursty is not registered")
+	}
+	opt := memoTestOptions()
+	tier := memo.New(0, nil)
+	opt.Memo = tier
+	if _, err := RunEntry(e, "cuttlefish", opt, 1); err != nil {
+		f.Fatal(err)
+	}
+	keys, points := memoKeysAndPoints(f, e, "cuttlefish", opt, 1)
+	for _, k := range points {
+		body, ok := tier.Get(keys[k])
+		if !ok {
+			f.Fatalf("bursty run stored no snapshot at boundary %d", k)
+		}
+		f.Add(body)
+		f.Add(body[:len(body)-9])
+	}
+	f.Add([]byte(memoContainerMagic))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		machineSnap, govBlob, cp, err := decodeContainer(raw)
+		if err != nil {
+			return
+		}
+		if again := encodeContainer(machineSnap, govBlob, cp); !bytes.Equal(again, raw) {
+			t.Fatal("a decoded container does not re-encode to its own bytes")
+		}
+	})
 }

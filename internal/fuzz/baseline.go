@@ -73,7 +73,7 @@ func (b *Baseline) Save(path string) error {
 //     now but absent from the baseline — a behavior the baseline never
 //     sanctioned;
 //   - regressions: cells whose energy or runtime worsened beyond
-//     cfg.RegressTol relative to the committed metrics (improvements
+//     regressTol relative to the committed metrics (improvements
 //     pass silently — they are a reason to refresh the baseline, not a
 //     failure).
 //
@@ -83,8 +83,7 @@ func (b *Baseline) Save(path string) error {
 // A corpus-digest or governor-set mismatch is an error, not a diff: the
 // two passes ran different work, so a cell-level comparison would be
 // meaningless.
-func Diff(b *Baseline, rep *Report, cfg Config) (violations, resolved []Finding, err error) {
-	cfg = cfg.withDefaults()
+func Diff(b *Baseline, rep *Report) (violations, resolved []Finding, err error) {
 	if b.CorpusDigest != rep.CorpusDigest {
 		return nil, nil, fmt.Errorf("fuzz: corpus digest mismatch: baseline %.12s… vs run %.12s… — the generator or its inputs changed; regenerate the baseline with -write-baseline",
 			b.CorpusDigest, rep.CorpusDigest)
@@ -129,7 +128,7 @@ func Diff(b *Baseline, rep *Report, cfg Config) (violations, resolved []Finding,
 			if m.base <= 0 || math.IsNaN(m.now) {
 				continue
 			}
-			if m.now > m.base*(1+cfg.RegressTol) {
+			if m.now > m.base*(1+regressTol) {
 				pct := 100 * (m.now/m.base - 1)
 				violations = append(violations, Finding{
 					Scenario:  c.Scenario,

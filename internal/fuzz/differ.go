@@ -111,7 +111,7 @@ func CellSpec(e Entry, gov string, cfg Config) service.RunSpec {
 		Reps:        cfg.Reps,
 		Seed:        e.Seed,
 		TinvSec:     cfg.TinvSec,
-		WarmupSec:   cfg.WarmupSec,
+		WarmupSec:   warmupSec,
 	}.Normalized()
 }
 
@@ -125,7 +125,7 @@ func Run(ctx context.Context, backends []orchestrator.Backend, corpus *Corpus, c
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("fuzz: no backends")
 	}
-	govs := cfg.Governors
+	govs := governor.Names()
 	cells := make([]Cell, len(corpus.Entries)*len(govs))
 	pool := runner.Pool{Workers: cfg.Workers}
 	err := pool.ForEach(ctx, len(cells), func(ctx context.Context, i int) error {
@@ -163,7 +163,7 @@ func Run(ctx context.Context, backends []orchestrator.Backend, corpus *Corpus, c
 		Duplicates:   corpus.Duplicates,
 		Cells:        cells,
 	}
-	rep.Findings = analyze(corpus, cells, cfg)
+	rep.Findings = analyze(corpus, cells, govs)
 	return rep, nil
 }
 
@@ -195,8 +195,7 @@ func meanMetrics(body []byte) (seconds, joules float64, err error) {
 
 // analyze derives findings from the cell grid: pure, order-deterministic
 // (corpus order × governor order), no clock, no randomness.
-func analyze(corpus *Corpus, cells []Cell, cfg Config) []Finding {
-	govs := cfg.Governors
+func analyze(corpus *Corpus, cells []Cell, govs []string) []Finding {
 	findings := []Finding{}
 	for i, e := range corpus.Entries {
 		row := map[string]Cell{}
@@ -224,7 +223,7 @@ func analyze(corpus *Corpus, cells []Cell, cfg Config) []Finding {
 				if !rok {
 					continue
 				}
-				if cf.Joules > rc.Joules*(1+cfg.InversionTol) {
+				if cf.Joules > rc.Joules*(1+inversionTol) {
 					pct := 100 * (cf.Joules/rc.Joules - 1)
 					findings = append(findings, Finding{
 						Scenario:  e.Def.Name,
@@ -236,7 +235,7 @@ func analyze(corpus *Corpus, cells []Cell, cfg Config) []Finding {
 					})
 				}
 			}
-			if dc, dok := ok(governor.Default); dok && cf.Seconds > dc.Seconds*(1+cfg.SlowdownTol) {
+			if dc, dok := ok(governor.Default); dok && cf.Seconds > dc.Seconds*(1+slowdownTol) {
 				pct := 100 * (cf.Seconds/dc.Seconds - 1)
 				findings = append(findings, Finding{
 					Scenario:  e.Def.Name,
@@ -251,7 +250,7 @@ func analyze(corpus *Corpus, cells []Cell, cfg Config) []Finding {
 		// Anomaly: minimum frequencies finishing ahead of maximum
 		// frequencies says the simulator (or a governor) misbehaved.
 		if ps, pok := ok(governor.Powersave); pok {
-			if dc, dok := ok(governor.Default); dok && ps.Seconds < dc.Seconds*(1-cfg.InversionTol) {
+			if dc, dok := ok(governor.Default); dok && ps.Seconds < dc.Seconds*(1-inversionTol) {
 				pct := 100 * (1 - ps.Seconds/dc.Seconds)
 				findings = append(findings, Finding{
 					Scenario:  e.Def.Name,

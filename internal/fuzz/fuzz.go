@@ -31,15 +31,14 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/governor"
 	"repro/internal/scenario"
 )
 
 // Config shapes one fuzzing pass. The zero value of every field picks a
 // fuzz-oriented default: small fast runs (the point is breadth over the
-// scenario space, not paper-length fidelity), every registered governor,
-// and the daemon warmup disabled so adaptive governors act within the
-// short runs instead of riding their cold-start path the whole time.
+// scenario space, not paper-length fidelity). The rest of a pass is
+// fixed: every registered governor runs every scenario, with the
+// daemon's warmup off (see the constants below).
 type Config struct {
 	// N is the number of scenarios to generate before hash-dedup
 	// (0 = 100).
@@ -47,9 +46,6 @@ type Config struct {
 	// Seed drives the whole corpus; equal (N, Seed) reproduce equal
 	// corpora bit for bit (0 = 1).
 	Seed int64
-	// Governors is the differential comparison set (nil = every
-	// registered governor, sorted).
-	Governors []string
 	// Cores is the simulated core count per run (0 = 8 — smaller than
 	// the paper's 20-core socket to keep 1000-scenario passes cheap).
 	Cores int
@@ -60,23 +56,27 @@ type Config struct {
 	Reps int
 	// TinvSec is the daemon profiling interval (0 = 20 ms).
 	TinvSec float64
-	// WarmupSec follows governor.Tuning semantics; the default is -1,
-	// warmup disabled (0 keeps -1; set a positive value to restore it).
-	WarmupSec float64
-	// MaxPhases bounds the phase count per generated scenario (0 = 4).
-	MaxPhases int
-	// InversionTol is the relative energy slack before a cross-governor
-	// ordering counts as inverted (0 = 0.02).
-	InversionTol float64
-	// SlowdownTol is the relative runtime slack before cuttlefish's
-	// overhead over default counts as a slowdown finding (0 = 0.25).
-	SlowdownTol float64
-	// RegressTol is the relative metric drift vs a baseline before a
-	// cell counts as regressed (0 = 0.05).
-	RegressTol float64
 	// Workers bounds concurrent differential cells (0 = GOMAXPROCS).
 	Workers int
 }
+
+const (
+	// maxPhases bounds the phase count per generated scenario.
+	maxPhases = 4
+	// warmupSec disables the daemon warmup (governor.Tuning semantics),
+	// so adaptive governors act within the short runs instead of riding
+	// their cold-start path the whole time.
+	warmupSec = -1
+	// inversionTol is the relative energy slack before a cross-governor
+	// ordering counts as inverted.
+	inversionTol = 0.02
+	// slowdownTol is the relative runtime slack before cuttlefish's
+	// overhead over default counts as a slowdown finding.
+	slowdownTol = 0.25
+	// regressTol is the relative metric drift vs a baseline before a
+	// cell counts as regressed.
+	regressTol = 0.05
+)
 
 func (c Config) withDefaults() Config {
 	if c.N <= 0 {
@@ -84,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if len(c.Governors) == 0 {
-		c.Governors = governor.Names()
-	} else {
-		c.Governors = append([]string(nil), c.Governors...)
-		sort.Strings(c.Governors)
 	}
 	if c.Cores <= 0 {
 		c.Cores = 8
@@ -102,21 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TinvSec <= 0 {
 		c.TinvSec = 20e-3
-	}
-	if c.WarmupSec == 0 {
-		c.WarmupSec = -1
-	}
-	if c.MaxPhases <= 0 {
-		c.MaxPhases = 4
-	}
-	if c.InversionTol <= 0 {
-		c.InversionTol = 0.02
-	}
-	if c.SlowdownTol <= 0 {
-		c.SlowdownTol = 0.25
-	}
-	if c.RegressTol <= 0 {
-		c.RegressTol = 0.05
 	}
 	return c
 }

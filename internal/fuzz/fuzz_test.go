@@ -216,7 +216,7 @@ func TestBaselineDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	violations, resolved, err := Diff(loaded, rep, cfg)
+	violations, resolved, err := Diff(loaded, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestBaselineDiff(t *testing.T) {
 			break
 		}
 	}
-	violations, _, err = Diff(loaded, &mutated, cfg)
+	violations, _, err = Diff(loaded, &mutated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestBaselineDiff(t *testing.T) {
 	// A resolved finding is reported but is not a violation.
 	shrunk := *rep
 	shrunk.Findings = rep.Findings[1:]
-	violations, resolved, err = Diff(loaded, &shrunk, cfg)
+	violations, resolved, err = Diff(loaded, &shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestBaselineDiff(t *testing.T) {
 	// Corpus drift is an error, not a diff.
 	drifted := *rep
 	drifted.CorpusDigest = "deadbeef"
-	if _, _, err := Diff(loaded, &drifted, cfg); err == nil {
+	if _, _, err := Diff(loaded, &drifted); err == nil {
 		t.Fatal("corpus digest mismatch must be an error")
 	}
 }

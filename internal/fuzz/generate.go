@@ -89,7 +89,7 @@ func generateDefinition(s *grid.Sampler, cfg Config) scenario.Definition {
 	if s.Bool(genTaskDAGProb) {
 		d.Decomposition = scenario.TaskDAG
 	}
-	phases := s.IntBetween(1, cfg.MaxPhases)
+	phases := s.IntBetween(1, maxPhases)
 	for p := 0; p < phases; p++ {
 		ph := scenario.PhaseDef{
 			Name:          fmt.Sprintf("p%d", p),

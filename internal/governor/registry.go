@@ -275,14 +275,6 @@ func List() []Info {
 	return out
 }
 
-// Describe returns the one-line listing description of a registered
-// strategy ("" for unknown names or bare registrations).
-func Describe(name string) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[name].description
-}
-
 func init() {
 	mustRegisterInfo(Default, "paper baseline: performance governor, firmware Auto uncore", func(Tuning) (Governor, error) {
 		return defaultGovernor{}, nil

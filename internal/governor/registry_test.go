@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-func testMachine(t *testing.T, cores int) *machine.Machine {
+func testMachine(t testing.TB, cores int) *machine.Machine {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Cores = cores
@@ -190,8 +190,8 @@ func TestCuttlefishAttachmentCarriesDaemon(t *testing.T) {
 
 // TestListDescribesEveryBuiltin pins the listing contract the fuzz
 // findings report and -list-governors rely on: every built-in carries a
-// non-empty one-line description, List is sorted by name (the stable
-// order), and Describe agrees with it.
+// non-empty one-line description, and List is sorted by name (the
+// stable order).
 func TestListDescribesEveryBuiltin(t *testing.T) {
 	infos := List()
 	if len(infos) < 8 {
@@ -201,14 +201,50 @@ func TestListDescribesEveryBuiltin(t *testing.T) {
 		if info.Description == "" {
 			t.Errorf("built-in %q has no listing description", info.Name)
 		}
-		if got := Describe(info.Name); got != info.Description {
-			t.Errorf("Describe(%q) = %q, List says %q", info.Name, got, info.Description)
-		}
 		if i > 0 && infos[i-1].Name >= info.Name {
 			t.Errorf("List() not sorted: %q before %q", infos[i-1].Name, info.Name)
 		}
 	}
-	if Describe("no-such-governor") != "" {
-		t.Error("Describe of an unknown name should be empty")
+}
+
+// FuzzStateRestore feeds arbitrary blobs to every registered governor's
+// StateRestore, which reads the governor half of a memo record: each
+// returns an error or restores, never panics. Seeds: each governor's
+// StateSnapshot taken mid-run on a busy machine, and its first half.
+func FuzzStateRestore(f *testing.F) {
+	tuning := Tuning{TinvSec: 5e-3, WarmupSec: -1}
+	attach := func(t testing.TB, name string) (*machine.Machine, *Attachment) {
+		m := testMachine(t, 4)
+		g, err := New(name, tuning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, err := g.Attach(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, att
 	}
+	seg := workload.Segment{Instructions: 2e7, MissPerInstr: 0.05, IPC: 2, Exposure: 0.7}
+	for _, name := range Names() {
+		m, att := attach(f, name)
+		m.SetSource(sched.NewWorkSharing(4, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 16}}, 40), 1))
+		m.Run(0.2)
+		blob, err := att.StateSnapshot()
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		if err := att.Detach(); err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, name := range Names() {
+			_, att := attach(t, name)
+			_ = att.StateRestore(blob) // an error is a refusal; only a panic fails
+			_ = att.Detach()           // restores the boot MSRs whatever the blob did
+		}
+	})
 }

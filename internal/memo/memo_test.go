@@ -29,8 +29,8 @@ func TestTierPutGetRoundTrip(t *testing.T) {
 	if _, ok := tier.Get(key("absent")); ok {
 		t.Fatal("Get on an absent key reported a hit")
 	}
-	if tier.Len() != 1 || tier.Bytes() != int64(len(body)) {
-		t.Errorf("Len/Bytes = %d/%d, want 1/%d", tier.Len(), tier.Bytes(), len(body))
+	if info := tier.Info(); info.Entries != 1 || info.Bytes != int64(len(body)) {
+		t.Errorf("entries/bytes = %d/%d, want 1/%d", info.Entries, info.Bytes, len(body))
 	}
 }
 
@@ -75,18 +75,15 @@ func TestTierDiskPromotionAndPurge(t *testing.T) {
 	if got, ok := warm.Get(key("a")); !ok || !bytes.Equal(got, body) {
 		t.Fatalf("disk Get = %q, %v; want %q, true", got, ok, body)
 	}
-	if warm.Len() != 1 {
-		t.Errorf("disk hit was not promoted into memory: Len = %d", warm.Len())
-	}
-	if info := warm.Info(); info.Disk == nil || info.Disk.Entries != 1 {
-		t.Errorf("Info.Disk = %+v, want 1 entry", info.Disk)
+	if info := warm.Info(); info.Entries != 1 || info.Disk == nil || info.Disk.Entries != 1 {
+		t.Errorf("Info = %+v, Disk = %+v; want the disk hit promoted into memory and 1 record", info, info.Disk)
 	}
 
 	if err := warm.Purge(); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Len() != 0 {
-		t.Errorf("purge left %d in-memory snapshots", warm.Len())
+	if n := warm.Info().Entries; n != 0 {
+		t.Errorf("purge left %d in-memory snapshots", n)
 	}
 	if _, ok := warm.Get(key("a")); ok {
 		t.Error("purge left the snapshot in the disk index")
@@ -96,11 +93,11 @@ func TestTierDiskPromotionAndPurge(t *testing.T) {
 	}
 }
 
-// TestTierPackIndex reads packs back through a fresh tier's index: every
-// key resolves to its own body, including in a pack whose key table is
-// longer than the index's first read, and a pack put after the index
-// loaded is found without a reload.
-func TestTierPackIndex(t *testing.T) {
+// TestTierSeesSiblingRecordsOnMiss shares one memo dir between two
+// tiers, as two cfserve processes would: every snapshot either writes
+// reads back through the other's store, including one written after
+// the reader's first probe, and a key nobody wrote misses.
+func TestTierSeesSiblingRecordsOnMiss(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Store {
 		st, err := store.Open(dir, 0)
@@ -110,37 +107,37 @@ func TestTierPackIndex(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 		return st
 	}
-	var big []Entry
-	for i := 0; i < 100; i++ {
-		big = append(big, Entry{Key: key(fmt.Sprint("big-", i)), Body: []byte(fmt.Sprint("body-", i))})
+	writer, readerDisk := New(0, open()), open()
+	reader := New(1, readerDisk) // a one-byte budget: memory keeps only the newest snapshot
+	if _, ok := reader.Get(key("late")); ok {
+		t.Fatal("a key nobody wrote read as a hit")
 	}
-	New(0, open()).PutPack(big)
-	New(0, open()).Put(key("one"), []byte("single"))
-
-	disk := open()
-	warm := New(1, disk) // a one-byte budget: memory keeps only the newest snapshot
-	for _, e := range append(big, Entry{Key: key("one"), Body: []byte("single")}) {
-		if got, ok := warm.Get(e.Key); !ok || !bytes.Equal(got, e.Body) {
-			t.Fatalf("Get(%s) = %q, %v; want %q, true", e.Key[:8], got, ok, e.Body)
+	for i := 0; i < 40; i++ {
+		writer.Put(key(fmt.Sprint("snap-", i)), []byte(fmt.Sprint("body-", i)))
+	}
+	writer.Put(key("late"), []byte("late"))
+	for i := 0; i < 40; i++ {
+		k, want := key(fmt.Sprint("snap-", i)), fmt.Sprint("body-", i)
+		if got, ok := reader.Get(k); !ok || string(got) != want {
+			t.Fatalf("Get(%s) = %q, %v; want %q, true", k[:8], got, ok, want)
 		}
 	}
-	if _, ok := warm.Get(key("absent")); ok {
-		t.Error("a key no pack holds read as a hit")
+	if got, ok := reader.Get(key("late")); !ok || string(got) != "late" {
+		t.Errorf("snapshot written after the first miss: Get = %q, %v", got, ok)
 	}
-	if info := disk.Info(); info.Entries != 2 || info.Misses != 0 {
-		t.Errorf("disk = %d objects, %d failed reads; want 2 packs and none", info.Entries, info.Misses)
+	if _, ok := reader.Get(key("absent")); ok {
+		t.Error("a key nobody wrote read as a hit")
 	}
-
-	warm.PutPack([]Entry{{Key: key("late-1"), Body: []byte("late-1")}, {Key: key("late-2"), Body: []byte("late-2")}})
-	if got, ok := warm.Get(key("late-1")); !ok || string(got) != "late-1" {
-		t.Errorf("pack put after the index loaded: Get = %q, %v", got, ok)
+	if info := readerDisk.Info(); info.Entries != 41 || info.Corrupt != 0 {
+		t.Errorf("reader's store = %d records, %d corrupt; want 41 and none", info.Entries, info.Corrupt)
 	}
 }
 
-// TestTierCorruptDiskSnapshotIsMiss flips the last byte of every store
-// file and checks the tier reads them as misses rather than serving
-// garbage: a corrupt pack misses all of its snapshots, and the store
-// drops it from its index.
+// TestTierCorruptDiskSnapshotIsMiss flips the last byte of the memo
+// dir's segment, inside the last snapshot's record, and checks that a
+// fresh tier reads that snapshot as a miss rather than serving garbage,
+// drops it from the store's index, and still serves the intact one: the
+// unit of failure is one record.
 func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, 0)
@@ -148,29 +145,21 @@ func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	New(0, st).PutPack([]Entry{
-		{Key: key("a"), Body: []byte("soon-to-be-corrupt")},
-		{Key: key("b"), Body: []byte("also-corrupt")},
-	})
+	writer := New(0, st)
+	writer.Put(key("a"), []byte("intact"))
+	writer.Put(key("b"), []byte("soon-to-be-corrupt"))
 
-	corrupted := 0
-	err = filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
-		if err != nil || fi.IsDir() {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		raw[len(raw)-1] ^= 0xff
-		corrupted++
-		return os.WriteFile(path, raw, 0o644)
-	})
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("memo dir holds segments %v (%v), want one", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corrupted == 0 {
-		t.Fatal("no snapshot files found to corrupt")
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	st2, err := store.Open(dir, 0)
 	if err != nil {
@@ -178,13 +167,14 @@ func TestTierCorruptDiskSnapshotIsMiss(t *testing.T) {
 	}
 	t.Cleanup(func() { st2.Close() })
 	tier := New(0, st2)
-	for _, k := range []string{"a", "b"} {
-		if _, ok := tier.Get(key(k)); ok {
-			t.Errorf("corrupted disk snapshot %s was served as a hit", k)
-		}
+	if _, ok := tier.Get(key("b")); ok {
+		t.Error("corrupted disk snapshot was served as a hit")
 	}
-	if info := st2.Info(); info.Entries != 0 || info.Corrupt != 1 {
-		t.Errorf("store = %+v, want the corrupt pack found once and dropped", info)
+	if got, ok := tier.Get(key("a")); !ok || string(got) != "intact" {
+		t.Errorf("intact snapshot beside a corrupt one: Get = %q, %v", got, ok)
+	}
+	if info := st2.Info(); info.Entries != 1 || info.Corrupt != 1 {
+		t.Errorf("store = %+v, want the corrupt record found once and dropped", info)
 	}
 }
 
@@ -200,9 +190,9 @@ func TestRunStatsRecordAndView(t *testing.T) {
 }
 
 // TestTierConcurrentAccess races Put, Get and RecordResume from several
-// goroutines, memory-only and over a disk tier whose two-entry budget
-// sends most Gets to the pack index while other goroutines write packs
-// (and the first probe loads the index). Every Get must hit.
+// goroutines, memory-only and over a disk tier whose four-byte budget
+// sends most Gets to the store while other goroutines append records.
+// Every Get must hit.
 func TestTierConcurrentAccess(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -17,20 +16,6 @@ type Label struct {
 	Name  string
 	Value string
 }
-
-// Counter is a monotonically increasing uint64, safe for concurrent use.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // metricKind maps to the Prometheus # TYPE line.
 type metricKind int
@@ -55,7 +40,6 @@ func (k metricKind) String() string {
 // metric is one registered series: exactly one of the value sources is set.
 type metric struct {
 	labels  []Label
-	counter *Counter
 	valueFn func() float64
 	hist    *stats.Histogram
 }
@@ -101,14 +85,6 @@ func (r *Registry) register(name, help string, kind metricKind, m *metric) {
 	f.series = append(f.series, m)
 }
 
-// Counter registers and returns a counter series. Safe on a nil registry
-// (the counter still counts; it just isn't exported).
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &metric{labels: labels, counter: c})
-	return c
-}
-
 // CounterFunc registers a counter series read from fn at scrape time, for
 // counts that already live in the instrumented component (one source of
 // truth — no shadow counting).
@@ -119,14 +95,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 // GaugeFunc registers a gauge series read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindGauge, &metric{labels: labels, valueFn: fn})
-}
-
-// Histogram registers a new log-bucketed latency histogram series
-// (observations in seconds). Safe on a nil registry.
-func (r *Registry) Histogram(name, help string, labels ...Label) *stats.Histogram {
-	h := stats.NewHistogram()
-	r.HistogramVar(name, help, h, labels...)
-	return h
 }
 
 // HistogramVar registers an existing histogram, for components that own
@@ -186,8 +154,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				fmt.Fprintf(&b, "%s_sum%s %g\n", f.name, labelString(m.labels), snap.Sum)
 				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(m.labels), snap.Count)
-			case m.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, labelString(m.labels), m.counter.Value())
 			case m.valueFn != nil:
 				fmt.Fprintf(&b, "%s%s %g\n", f.name, labelString(m.labels), m.valueFn())
 			}

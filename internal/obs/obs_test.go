@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestSpanIDsDeterministic pins the core tracing property: two traces of
@@ -85,10 +87,9 @@ func TestSpanNilSafety(t *testing.T) {
 		t.Error("nil store Get must miss")
 	}
 	var reg *Registry
-	c := reg.Counter("x_total", "h")
-	c.Inc() // still counts, just unexported
+	reg.CounterFunc("x_total", "h", func() float64 { return 1 })
 	reg.GaugeFunc("y", "h", func() float64 { return 1 })
-	reg.Histogram("z", "h").Observe(0.5)
+	reg.HistogramVar("z", "h", stats.NewHistogram())
 	if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil registry write: %v", err)
 	}
@@ -202,11 +203,11 @@ func TestTraceStoreKeepsOneSlotPerID(t *testing.T) {
 // monotone buckets ending at +Inf.
 func TestRegistryPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("cf_cache_requests_total", "Cache outcomes.", Label{"outcome", "hit"})
-	c.Add(3)
-	reg.Counter("cf_cache_requests_total", "Cache outcomes.", Label{"outcome", "miss"}).Inc()
+	reg.CounterFunc("cf_cache_requests_total", "Cache outcomes.", func() float64 { return 3 }, Label{"outcome", "hit"})
+	reg.CounterFunc("cf_cache_requests_total", "Cache outcomes.", func() float64 { return 1 }, Label{"outcome", "miss"})
 	reg.GaugeFunc("cf_queue_depth", "Jobs queued.", func() float64 { return 7 })
-	h := reg.Histogram("cf_exec_seconds", "Exec latency.", Label{"governor", `she"p`})
+	h := stats.NewHistogram()
+	reg.HistogramVar("cf_exec_seconds", "Exec latency.", h, Label{"governor", `she"p`})
 	h.Observe(0.01)
 	h.Observe(0.25)
 

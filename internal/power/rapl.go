@@ -107,12 +107,3 @@ func (r *Rapl) TotalJoules() float64 {
 	defer r.mu.Unlock()
 	return r.totalJ
 }
-
-// UnitJoules returns joules per counter tick.
-func (r *Rapl) UnitJoules() float64 { return r.unitJ }
-
-// DeltaJoules converts a pair of counter reads into joules, handling a
-// single 32-bit wraparound the way RAPL consumers must.
-func DeltaJoules(before, after uint32, unitJ float64) float64 {
-	return float64(after-before) * unitJ // uint32 arithmetic wraps correctly
-}

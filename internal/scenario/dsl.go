@@ -322,15 +322,16 @@ func (d Definition) regionFor(p Params, globalStep int, st step) sched.Region {
 
 // CompiledRegions materializes the full work-sharing region schedule for
 // one run: regions[s] is exactly the region buildWorkSharing's generator
-// yields at step s, and phases[s] is the definition phase it came from.
-// The prefix-snapshot tier hashes this list to key its snapshots, so it
-// must stay byte-for-byte the schedule the built source executes — both
-// paths size regions through the same regionFor.
+// yields at step s. bounds describes the first pass over the program:
+// bounds[j] is the step at which phase j starts, and the last entry is
+// the pass's length. The prefix-snapshot tier hashes regions to key its
+// snapshots, so it must stay byte-for-byte the schedule the built source
+// executes — both paths size regions through the same regionFor.
 //
 // Only work-sharing definitions compile to a region schedule; the
 // work-stealing runtime counts no region boundaries, so task-DAG
 // definitions have no prefix to key on.
-func (d Definition) CompiledRegions(p Params) ([]sched.Region, []int, error) {
+func (d Definition) CompiledRegions(p Params) (regions []sched.Region, bounds []int, err error) {
 	n := d.Normalized()
 	if err := n.Validate(); err != nil {
 		return nil, nil, err
@@ -345,15 +346,17 @@ func (d Definition) CompiledRegions(p Params) ([]sched.Region, []int, error) {
 		return nil, nil, fmt.Errorf("scenario: scale must be positive, got %g", p.Scale)
 	}
 	prog := n.program()
-	steps := len(prog) * n.Iterations
-	regions := make([]sched.Region, steps)
-	phases := make([]int, steps)
-	for s := 0; s < steps; s++ {
-		st := prog[s%len(prog)]
-		regions[s] = n.regionFor(p, s, st)
-		phases[s] = st.phase
+	regions = make([]sched.Region, len(prog)*n.Iterations)
+	for s := range regions {
+		regions[s] = n.regionFor(p, s, prog[s%len(prog)])
 	}
-	return regions, phases, nil
+	bounds = make([]int, 0, len(n.Phases)+1)
+	start := 0
+	for _, ph := range n.Phases {
+		bounds = append(bounds, start)
+		start += ph.Repeat
+	}
+	return regions, append(bounds, start), nil
 }
 
 // buildWorkSharing compiles to the OpenMP-style runtime: one barrier-

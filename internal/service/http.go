@@ -42,7 +42,7 @@ func FormatTraceParent(traceID, spanID string) string {
 }
 
 // ParseTraceParent decodes FormatTraceParent's output; ok is false for an
-// empty or malformed value.
+// empty or malformed value, including one that lacks either ID.
 func ParseTraceParent(s string) (traceID, spanID string, ok bool) {
 	for _, field := range strings.Fields(s) {
 		key, val, found := strings.Cut(field, "=")
@@ -56,7 +56,10 @@ func ParseTraceParent(s string) (traceID, spanID string, ok bool) {
 			spanID = val
 		}
 	}
-	return traceID, spanID, spanID != ""
+	if traceID == "" || spanID == "" {
+		return "", "", false
+	}
+	return traceID, spanID, true
 }
 
 // FormatTimelineHeader renders a convergence summary as the X-Timeline

@@ -187,7 +187,7 @@ type job struct {
 
 // Service is the simulation-as-a-service core: content-addressed cache in
 // front of a coalescing, bounded job queue drained by a persistent worker
-// fleet. Create with New, submit with Submit/SubmitAsync, stop with
+// fleet. Create with New, submit with Submit/SubmitAsyncUnder, stop with
 // Shutdown.
 type Service struct {
 	cfg    Config
@@ -610,15 +610,10 @@ func (s *Service) admit(spec RunSpec, parentSpan string) (admission, error) {
 	}
 }
 
-// SubmitAsync admits a spec and returns immediately with a job whose
+// SubmitAsyncUnder admits a spec and returns immediately with a job whose
 // progress GET-style polling reads through Job. Cache hits return an
-// already-done job; backpressure still applies.
-func (s *Service) SubmitAsync(spec RunSpec) (JobView, error) {
-	return s.SubmitAsyncUnder(spec, "")
-}
-
-// SubmitAsyncUnder is SubmitAsync with cross-process trace stitching (see
-// SubmitUnder).
+// already-done job; backpressure still applies. parentSpan stitches the
+// request's trace under a caller's span, as in SubmitUnder ("" = none).
 func (s *Service) SubmitAsyncUnder(spec RunSpec, parentSpan string) (JobView, error) {
 	adm, err := s.admit(spec, parentSpan)
 	if err != nil {

@@ -191,7 +191,7 @@ func TestSubmitAsyncLifecycle(t *testing.T) {
 	exec := &stubExecutor{gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: 1, Executor: exec.exec})
 
-	jv, err := s.SubmitAsync(testSpec(1))
+	jv, err := s.SubmitAsyncUnder(testSpec(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSubmitAsyncLifecycle(t *testing.T) {
 	}
 
 	// A second async submission of the same spec is born done via cache.
-	jv2, err := s.SubmitAsync(testSpec(1))
+	jv2, err := s.SubmitAsyncUnder(testSpec(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 	// New work is rejected while draining (async, so the probe itself
 	// never blocks on a held execution).
 	waitFor(t, func() bool {
-		_, err := s.SubmitAsync(testSpec(2))
+		_, err := s.SubmitAsyncUnder(testSpec(2), "")
 		return errors.Is(err, ErrClosed)
 	})
 	close(exec.gate) // let the in-flight run finish
@@ -316,7 +316,7 @@ func TestJobRegistryEviction(t *testing.T) {
 	s := newTestService(t, Config{Workers: 4, QueueDepth: maxJobs + 32, Executor: exec.exec})
 	var first JobView
 	for i := 0; i < maxJobs; i++ {
-		jv, err := s.SubmitAsync(testSpec(int64(i + 1)))
+		jv, err := s.SubmitAsyncUnder(testSpec(int64(i+1)), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestJobRegistryEviction(t *testing.T) {
 	// push the registry past its bound.
 	waitFor(t, func() bool { return s.Stats().Completed == maxJobs })
 	for i := 0; i < 10; i++ {
-		if _, err := s.SubmitAsync(testSpec(int64(maxJobs + i + 1))); err != nil {
+		if _, err := s.SubmitAsyncUnder(testSpec(int64(maxJobs+i+1)), ""); err != nil {
 			t.Fatal(err)
 		}
 	}

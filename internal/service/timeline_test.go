@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 
@@ -41,6 +42,57 @@ func TestTimelineHeaderRoundTrip(t *testing.T) {
 	if c, ok := ParseTimelineHeader("runs=2 future_key=9"); !ok || c.Runs != 2 {
 		t.Errorf("forward-compat parse = %+v ok=%v", c, ok)
 	}
+}
+
+// FuzzParseTraceParent feeds arbitrary X-Trace-Parent values, which any
+// HTTP client may send, to ParseTraceParent: it never panics, a value it
+// refuses yields no IDs, and a value it accepts formats back to one that
+// parses to the same IDs. The seed "span=a=b", a span without a trace,
+// was once accepted although its formatted form was refused.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Add(FormatTraceParent("abc123", "def456"))
+	for _, s := range []string{"", "span=", "trace=x", "garbage", "span=s trace=t extra=1", "span=a=b"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tid, sid, ok := ParseTraceParent(s)
+		if !ok {
+			if tid != "" || sid != "" {
+				t.Fatalf("refused %q but returned (%q, %q)", s, tid, sid)
+			}
+			return
+		}
+		tid2, sid2, ok := ParseTraceParent(FormatTraceParent(tid, sid))
+		if !ok || tid2 != tid || sid2 != sid {
+			t.Fatalf("%q parsed to (%q, %q), whose header parses to (%q, %q, %v)", s, tid, sid, tid2, sid2, ok)
+		}
+	})
+}
+
+// FuzzParseTimelineHeader feeds arbitrary X-Timeline values, which a
+// remote backend sends, to ParseTimelineHeader: it never panics, a value
+// it refuses yields the zero summary, and a value it accepts formats back
+// to one that parses to the same summary.
+func FuzzParseTimelineHeader(f *testing.F) {
+	f.Add(FormatTimelineHeader(timeline.Convergence{Runs: 3, TimeToStableSec: 1.25, ExplorationQuanta: 42, ExplorationEnergyJ: 17.5}))
+	for _, s := range []string{"", "runs", "runs=x", "runs=2 future_key=9", "stable_s=NaN explore_j=-Inf", "runs=1e300"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, ok := ParseTimelineHeader(s)
+		if !ok {
+			if c != (timeline.Convergence{}) {
+				t.Fatalf("refused %q but returned %+v", s, c)
+			}
+			return
+		}
+		again, ok := ParseTimelineHeader(FormatTimelineHeader(c))
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !ok || again.Runs != c.Runs || again.ExplorationQuanta != c.ExplorationQuanta ||
+			!same(again.TimeToStableSec, c.TimeToStableSec) || !same(again.ExplorationEnergyJ, c.ExplorationEnergyJ) {
+			t.Fatalf("%q parsed to %+v, whose header parses to %+v, %v", s, c, again, ok)
+		}
+	})
 }
 
 // TestTimelinesPreserveReportBytes extends the determinism-boundary

@@ -271,32 +271,6 @@ func nlink(fi fs.FileInfo) uint64 {
 	return 1
 }
 
-// Head returns up to n leading payload bytes of the record stored under
-// hash, reading no further. It checks the header's shape but not the
-// checksum, which covers the whole payload: a caller may use the bytes
-// to decide whether to Get the record, never as data. ok is false when
-// the record is missing or its header is malformed. Head counts nothing
-// and drops nothing; the Get that follows does both.
-func (s *Store) Head(hash string, n int) ([]byte, bool) {
-	if !validKey(hash) || n < 0 {
-		return nil, false
-	}
-	s.mu.Lock()
-	l, ok := s.findLocked(hash)
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	raw := make([]byte, int64(headerLen)+min(int64(n), l.size))
-	if _, err := l.seg.f.ReadAt(raw, l.off); err != nil {
-		return nil, false
-	}
-	if h, ok := parseHeader(raw); !ok || string(h.key) != hash || h.size != uint64(l.size) {
-		return nil, false
-	}
-	return raw[headerLen:], true
-}
-
 // findLocked looks hash up in the index, first bringing the index up to
 // date with the directory when it misses.
 func (s *Store) findLocked(hash string) (loc, bool) {
@@ -585,18 +559,6 @@ func (s *Store) pruneLocked() {
 		os.Remove(filepath.Join(s.dir, victim.name))
 		s.evicted += uint64(s.dropSegmentLocked(victim))
 	}
-}
-
-// Keys returns the hashes of every indexed record in sorted order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.index))
-	for h := range s.index {
-		keys = append(keys, h)
-	}
-	s.mu.Unlock()
-	slices.Sort(keys)
-	return keys
 }
 
 // Len returns the number of indexed entries.

@@ -5,9 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -447,9 +447,11 @@ func TestPurgeBySiblingIsSeen(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustGet(t, a, h2, []byte("two"))
-	if got := openStore(t, dir, 0).Keys(); len(got) != 1 || got[0] != h2 {
-		t.Errorf("after purge and one write: keys %v, want only the new one", got)
+	fresh := openStore(t, dir, 0)
+	if n := fresh.Len(); n != 1 {
+		t.Errorf("after purge and one write: %d keys, want only the new one", n)
 	}
+	mustGet(t, fresh, h2, []byte("two"))
 }
 
 // TestCloseReleasesDescriptors: Close gives back every descriptor and the
@@ -540,54 +542,9 @@ func TestRejectsNonHashKeys(t *testing.T) {
 	}
 }
 
-// TestKeysAndHead pins the two reads an index over the store is built
-// from: Keys lists every record in sorted order, and Head returns a
-// bounded payload prefix without verifying it (a Get still does).
-func TestKeysAndHead(t *testing.T) {
-	s := openStore(t, t.TempDir(), 0)
-	a, b := hashFor("a"), hashFor("b")
-	for _, h := range []string{a, b} {
-		if err := s.Put(h, []byte("payload-"+h[:4])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []string{a, b}
-	sort.Strings(want)
-	if got := s.Keys(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Keys = %v, want %v", got, want)
-	}
-	for n, want := range map[int]string{0: "", 3: "pay", 100: "payload-" + a[:4]} {
-		if got, ok := s.Head(a, n); !ok || string(got) != want {
-			t.Errorf("Head(a, %d) = %q, %v; want %q, true", n, got, ok, want)
-		}
-	}
-	if _, ok := s.Head(hashFor("absent"), 8); ok {
-		t.Error("Head of a missing record reported ok")
-	}
-
-	path, _, end := recordAt(t, s, a)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[end-1] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Head(a, 3); !ok || string(got) != "pay" {
-		t.Errorf("Head of a corrupt payload = %q, %v; want the unverified prefix", got, ok)
-	}
-	if _, ok := s.Get(a); ok {
-		t.Error("Get served the corrupt payload Head peeked at")
-	}
-	if info := s.Info(); info.Hits != 0 || info.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want Head to count nothing and Get one miss", info.Hits, info.Misses)
-	}
-}
-
 // FuzzVerify feeds arbitrary bytes to the segment decoder as the
 // contents of a segment file: Open never panics, every key it indexes
-// agrees with its record header under Head, and Get either serves a
+// agrees with its record header, and Get either serves a
 // payload that matches the header's checksum — a record that re-encodes
 // to its own bytes — or misses and counts the record corrupt. Seeds: a
 // segment holding a real result record (testdata/fuzz/FuzzVerify), the
@@ -608,18 +565,14 @@ func FuzzVerify(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := openStore(t, dir, 0)
-		for _, k := range s.Keys() {
-			s.mu.Lock()
-			l := s.index[k]
-			s.mu.Unlock()
+		s.mu.Lock()
+		index := maps.Clone(s.index)
+		s.mu.Unlock()
+		for k, l := range index {
 			rec := raw[l.off : l.off+int64(headerLen)+l.size]
 			h, ok := parseHeader(rec)
 			if !ok || string(h.key) != k || h.seq != l.seq || int64(h.size) != l.size {
 				t.Fatalf("index entry %+v disagrees with its record header", l)
-			}
-			const n = 16
-			if head, ok := s.Head(k, n); !ok || !bytes.Equal(head, rec[headerLen:int64(headerLen)+min(n, l.size)]) {
-				t.Fatalf("Head = %q, %v; want the first %d payload bytes", head, ok, n)
 			}
 			corrupt := s.Info().Corrupt
 			got, ok := s.Get(k)

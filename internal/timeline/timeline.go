@@ -17,10 +17,8 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -129,7 +127,7 @@ func (c *Convergence) Add(o Convergence) {
 // Recorder is one timeline lane plus any child lanes (one per
 // repetition, mirroring trace span lanes). Create the root with New,
 // split per-repetition lanes with Lane, record with AddSample/AddEvent,
-// export with WriteJSON/WriteCSV. All methods are nil-safe so the
+// export with Export, JSON or WriteJSON. All methods are nil-safe so the
 // recording and non-recording code paths are the same path. Recording
 // methods lock, so concurrent repetitions may share a root — though each
 // lane is normally owned by one simulation goroutine.
@@ -176,16 +174,6 @@ func NewWithCaps(id string, maxSamples, maxEvents int) *Recorder {
 		maxEvents = DefaultMaxEvents
 	}
 	return &Recorder{id: id, maxSamples: maxSamples, maxEvents: maxEvents}
-}
-
-// SetID names the timeline once the spec hash is known. Nil-safe.
-func (r *Recorder) SetID(id string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.id = id
-	r.mu.Unlock()
 }
 
 // Lane returns the named child lane, creating it on first use. order
@@ -417,38 +405,4 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(r.Export())
-}
-
-// WriteCSV writes a flat two-record-type CSV: sample rows and event
-// rows share a column set, with blanks where a column does not apply.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.line("record,lane,t,boundary,kind,core,from,to,slab,uncore,sum_core_ghz,instr,ipc,energy_j,miss_local,miss_remote,demand_ewma,note")
-	ex := r.Export()
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, ln := range ex.Lanes {
-		for _, s := range ln.Samples {
-			bw.line(fmt.Sprintf("sample,%s,%s,%d,,,,,,%d,%s,%s,%s,%s,%s,%s,%s,",
-				ln.Lane, f(s.T), s.Boundary, s.Uncore, f(s.SumCoreGHz), f(s.Instr),
-				f(s.IPC), f(s.EnergyJ), f(s.MissLocal), f(s.MissRemote), f(s.DemandEWMA)))
-		}
-		for _, e := range ln.Events {
-			bw.line(fmt.Sprintf("event,%s,%s,,%s,%d,%d,%d,%d,,,,,,,,,%s",
-				ln.Lane, f(e.T), e.Kind, e.Core, e.From, e.To, e.Slab, e.Note))
-		}
-	}
-	return bw.err
-}
-
-// errWriter writes lines until the first error and remembers it.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) line(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s+"\n")
 }

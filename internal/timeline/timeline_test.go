@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -126,7 +125,6 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.AddSample(Sample{T: 1})
 	r.AddEvent(Event{T: 1, Kind: KindDVFS})
-	r.SetID("x")
 	if ln := r.Lane("a", 0); ln != nil {
 		t.Error("nil recorder Lane should be nil")
 	}
@@ -136,25 +134,5 @@ func TestNilRecorder(t *testing.T) {
 	ex := r.Export()
 	if len(ex.Lanes) != 0 {
 		t.Errorf("nil export lanes = %d", len(ex.Lanes))
-	}
-}
-
-func TestCSV(t *testing.T) {
-	r := New("csv")
-	fill(r, 2)
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// Header + 2 samples + 2 events.
-	if len(lines) != 5 {
-		t.Fatalf("lines = %d, want 5:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "record,lane,t,boundary,kind") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "sample,") || !strings.HasPrefix(lines[3], "event,") {
-		t.Errorf("row grouping wrong:\n%s", buf.String())
 	}
 }
