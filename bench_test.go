@@ -276,24 +276,12 @@ func BenchmarkDaemonTick(b *testing.B) {
 
 // BenchmarkWorkStealingNextSegment measures the scheduler's task-dispatch
 // and expansion path under steady stealing pressure: every round unfolds a
-// binary DAG over 1024 leaves from one expand function, so the reported
-// allocations are the runtime's own.
+// binary DAG over 1024 leaves from one Tree, so the reported allocations
+// are the runtime's own.
 func BenchmarkWorkStealingNextSegment(b *testing.B) {
-	leaf := workload.Segment{Instructions: 1000, IPC: 2}
-	spawn := workload.Segment{Instructions: 100, IPC: 2}
-	var expand func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task
-	node := func(lo, hi int) sched.Task {
-		if hi-lo <= 1 {
-			return sched.Task{Seg: leaf}
-		}
-		return sched.Task{Seg: spawn, Lo: lo, Hi: hi, Expand: expand}
-	}
-	expand = func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
-		mid := t.Lo + (t.Hi-t.Lo)/2
-		return append(kids, node(t.Lo, mid), node(mid, t.Hi))
-	}
-	roots := []sched.Task{node(0, 1024)}
-	gen := func(int) ([]sched.Task, bool) { return roots, true } // endless rounds
+	tree := &halvingTree{leaf: workload.Segment{Instructions: 1000, IPC: 2}, spawn: workload.Segment{Instructions: 100, IPC: 2}}
+	roots := []sched.Task{{Lo: 0, Hi: 1024}}
+	gen := func(int) ([]sched.Task, sched.Tree, bool) { return roots, tree, true } // endless rounds
 	ws := sched.NewWorkStealing(20, gen, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -303,6 +291,25 @@ func BenchmarkWorkStealingNextSegment(b *testing.B) {
 			ws.Complete(core, 0)
 		}
 	}
+}
+
+// halvingTree is a binary DAG whose tasks are their own [Lo, Hi) leaf
+// ranges: one leaf is a leaf task, a wider range spawns its two halves.
+type halvingTree struct{ leaf, spawn workload.Segment }
+
+func (h halvingTree) Seg(t sched.Task) workload.Segment {
+	if t.Hi-t.Lo <= 1 {
+		return h.leaf
+	}
+	return h.spawn
+}
+
+func (h halvingTree) Expand(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
+	if t.Hi-t.Lo <= 1 {
+		return kids
+	}
+	mid := t.Lo + (t.Hi-t.Lo)/2
+	return append(kids, sched.Task{Lo: t.Lo, Hi: mid}, sched.Task{Lo: mid, Hi: t.Hi})
 }
 
 // BenchmarkMSRRead measures the emulated msr-safe read path the profiler

@@ -271,14 +271,21 @@ func NewWorkSharing(cores int, gen RegionGen, seed int64) Source {
 	return sched.NewWorkSharing(cores, gen, seed)
 }
 
-// Task is one async task in the async–finish model.
+// Task is one async task in the async–finish model: a pointer-free
+// {Lo, Hi} handle whose meaning its finish scope's Tree defines.
 type Task = sched.Task
 
-// RoundGen yields the root task set of each finish scope.
+// Tree interprets the tasks of one finish scope: Seg gives a task its
+// work when a core dispatches it, and Expand appends its children when it
+// completes (nothing, for a leaf).
+type Tree = sched.Tree
+
+// RoundGen yields the root tasks of each finish scope and the Tree that
+// interprets them, or ok == false when the program ends.
 type RoundGen = sched.RoundGen
 
-// SingleRound wraps a fixed task set as a one-round program.
-func SingleRound(tasks []Task) RoundGen { return sched.SingleRound(tasks) }
+// SingleRound wraps a fixed task set and its tree as a one-round program.
+func SingleRound(roots []Task, tree Tree) RoundGen { return sched.SingleRound(roots, tree) }
 
 // NewWorkStealing builds the HClib-style async–finish runtime.
 func NewWorkStealing(cores int, gen RoundGen, seed int64) Source {

@@ -203,18 +203,18 @@ func TestUTSAllocatesNothingPerTask(t *testing.T) {
 }
 
 // TestStencilRoundAllocatesNothingPerTask: inside an -irt finish scope,
-// whose DAG one expand function unfolds from each node's tile range,
-// dispatching and expanding tasks allocates nothing.
+// whose tree interprets each task as its own tile range, dispatching and
+// expanding tasks allocates nothing.
 func TestStencilRoundAllocatesNothingPerTask(t *testing.T) {
 	const cores = 4
 	sp := heatParams()
-	leaf := sp.seg
-	leaf.Instructions = 1e5
-	spawn := workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5}
+	tree := &stencilTree{style: IrregularTasks, leaf: sp.seg, spawn: workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5}}
+	tree.leaf.Instructions = 1e5
+	roots := []sched.Task{{Lo: 0, Hi: stencilTiles}}
 	rounds := 0
-	gen := func(int) ([]sched.Task, bool) {
+	gen := func(int) ([]sched.Task, sched.Tree, bool) {
 		rounds++
-		return []sched.Task{stencilDAG(IrregularTasks, leaf, spawn, 0, stencilTiles)}, true
+		return roots, tree, true
 	}
 	ws := sched.NewWorkStealing(cores, gen, 7)
 	step, drive := pairs(ws, cores, 1), pairs(ws, cores, 1000)
@@ -227,5 +227,26 @@ func TestStencilRoundAllocatesNothingPerTask(t *testing.T) {
 	}
 	if rounds != 4 {
 		t.Fatalf("the measured window crossed into round %d", rounds)
+	}
+}
+
+// BenchmarkUTSUnfold unfolds one whole UTS tree (20 cores, scale 0.03,
+// about 153,000 tasks) through NextSegment and Complete, with no machine:
+// what it reports is the work-stealing runtime's own cost per tree,
+// deque growth included.
+func BenchmarkUTSUnfold(b *testing.B) {
+	const cores = 20
+	spec, _ := Get("UTS")
+	b.ReportAllocs()
+	for b.Loop() {
+		src, err := spec.Build(Params{Cores: cores, Scale: 0.03, Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for c := 0; !src.Done(); c = (c + 1) % cores {
+			if _, ok := src.NextSegment(c, 0); ok {
+				src.Complete(c, 0)
+			}
+		}
 	}
 }

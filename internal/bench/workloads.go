@@ -51,39 +51,15 @@ func utsSpec() Spec {
 		HClibPort: false,
 		build: func(p Params) workload.Source {
 			const nodeInstr = 1e6
-			budget := int(utsTotalInstr * p.Scale / nodeInstr)
-			nodeSeg := workload.Segment{
-				Instructions: nodeInstr,
-				MissPerInstr: 0.0015,
-				IPC:          1.6,
-				RemoteFrac:   remoteFrac,
-				Exposure:     1.0,
-			}
-			// All nodes share one Expand closure over the common budget,
-			// and children go into the runtime's buffer: millions of tasks
-			// per run allocate nothing per node.
-			var expand func(kids []sched.Task, _ sched.Task, r *rand.Rand) []sched.Task
-			mkNode := func() sched.Task {
-				return sched.Task{Seg: nodeSeg, Expand: expand}
-			}
-			expand = func(kids []sched.Task, _ sched.Task, r *rand.Rand) []sched.Task {
-				if budget <= 0 {
-					return kids
-				}
-				// Geometric-flavoured branching: 0–7 children with a long
-				// tail of leaves, the UTS imbalance source.
-				n := 0
-				if r.Float64() < 0.30 {
-					n = 1 + r.Intn(7)
-				}
-				if n > budget {
-					n = budget
-				}
-				budget -= n
-				for range n {
-					kids = append(kids, mkNode())
-				}
-				return kids
+			tree := &utsTree{
+				node: workload.Segment{
+					Instructions: nodeInstr,
+					MissPerInstr: 0.0015,
+					IPC:          1.6,
+					RemoteFrac:   remoteFrac,
+					Exposure:     1.0,
+				},
+				budget: int(utsTotalInstr * p.Scale / nodeInstr),
 			}
 			// UTS trees hang off a root with a large fixed branching factor
 			// (b0); the interior branching process alone is near-critical
@@ -91,13 +67,40 @@ func utsSpec() Spec {
 			// make whole-tree extinction vanishingly unlikely while
 			// preserving the subtree-size imbalance.
 			roots := make([]sched.Task, 10*p.Cores)
-			budget -= len(roots)
-			for i := range roots {
-				roots[i] = mkNode()
-			}
-			return newTaskRuntime(p, sched.SingleRound(roots))
+			tree.budget -= len(roots)
+			return newTaskRuntime(p, sched.SingleRound(roots, tree))
 		},
 	}
+}
+
+// utsTree unfolds a UTS tree. Every node does the same work, so its tasks
+// are zero handles; what differs between runs is how many children each
+// node draws before the shared node budget runs out.
+type utsTree struct {
+	node   workload.Segment
+	budget int // nodes left to spawn
+}
+
+func (u *utsTree) Seg(sched.Task) workload.Segment { return u.node }
+
+func (u *utsTree) Expand(kids []sched.Task, _ sched.Task, r *rand.Rand) []sched.Task {
+	if u.budget <= 0 {
+		return kids
+	}
+	// Geometric-flavoured branching: 0–7 children with a long tail of
+	// leaves, the UTS imbalance source.
+	n := 0
+	if r.Float64() < 0.30 {
+		n = 1 + r.Intn(7)
+	}
+	if n > u.budget {
+		n = u.budget
+	}
+	u.budget -= n
+	for range n {
+		kids = append(kids, sched.Task{})
+	}
+	return kids
 }
 
 // ------------------------------------------------------------ SOR/Heat ----
@@ -157,39 +160,46 @@ func heatParams() stencilParams {
 // averages that swamp the few-percent deltas exploration compares.
 const stencilTiles = 4096
 
-// stencilDAG builds the root of one iteration's task tree over the tile
-// range, in the Chen et al. construction of Fig. 1: regular variants split
-// the range evenly (binary, degree-3 interior counting the parent edge),
-// irregular variants split it unevenly into three parts so subtree sizes —
-// and hence steal targets — vary wildly. One expand function unfolds every
-// interior node from its own [Lo, Hi) tile range.
-func stencilDAG(style Style, leaf workload.Segment, spawn workload.Segment, lo, hi int) sched.Task {
-	const leafTiles = 2
-	var expand func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task
-	node := func(lo, hi int) sched.Task {
-		if n := hi - lo; n <= leafTiles {
-			seg := leaf
-			seg.Instructions *= float64(n)
-			return sched.Task{Seg: seg}
-		}
-		return sched.Task{Seg: spawn, Lo: lo, Hi: hi, Expand: expand}
+// stencilTree is one iteration's task tree over the tile range, in the
+// Chen et al. construction of Fig. 1: regular variants split the range
+// evenly (binary, degree-3 interior counting the parent edge), irregular
+// variants split it unevenly into three parts so subtree sizes — and hence
+// steal targets — vary wildly. A task is its own [Lo, Hi) tile range: a
+// range of at most leafTiles tiles is a leaf doing that many tiles' work,
+// and a wider one is an interior node that only spawns.
+type stencilTree struct {
+	style       Style
+	leaf, spawn workload.Segment // leaf is one tile's work
+}
+
+const leafTiles = 2
+
+func (s *stencilTree) Seg(t sched.Task) workload.Segment {
+	if n := t.Hi - t.Lo; n <= leafTiles {
+		seg := s.leaf
+		seg.Instructions *= float64(n)
+		return seg
 	}
-	expand = func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
-		lo, hi := t.Lo, t.Hi
-		n := hi - lo
-		if style == RegularTasks {
-			mid := lo + n/2
-			return append(kids, node(lo, mid), node(mid, hi))
-		}
-		// Irregular: 1/6, 1/3, remainder — skewed ternary.
-		a := lo + max(1, n/6)
-		b := a + max(1, n/3)
-		if b >= hi {
-			b = hi - 1
-		}
-		return append(kids, node(lo, a), node(a, b), node(b, hi))
+	return s.spawn
+}
+
+func (s *stencilTree) Expand(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
+	lo, hi := t.Lo, t.Hi
+	n := hi - lo
+	if n <= leafTiles {
+		return kids
 	}
-	return node(lo, hi)
+	if s.style == RegularTasks {
+		mid := lo + n/2
+		return append(kids, sched.Task{Lo: lo, Hi: mid}, sched.Task{Lo: mid, Hi: hi})
+	}
+	// Irregular: 1/6, 1/3, remainder — skewed ternary.
+	a := lo + max(1, n/6)
+	b := a + max(1, n/3)
+	if b >= hi {
+		b = hi - 1
+	}
+	return append(kids, sched.Task{Lo: lo, Hi: a}, sched.Task{Lo: a, Hi: b}, sched.Task{Lo: b, Hi: hi})
 }
 
 // stencilTaskSpec builds the irt/rt variants of a stencil benchmark.
@@ -217,13 +227,15 @@ func stencilTaskSpec(sp stencilParams, style Style) Spec {
 				RemoteFrac:   remoteFrac,
 			}
 			jitterRng := rand.New(rand.NewSource(p.Seed ^ 0x5717))
-			gen := func(round int) ([]sched.Task, bool) {
+			roots := []sched.Task{{Lo: 0, Hi: stencilTiles}}
+			tree := &stencilTree{style: style, spawn: spawn}
+			gen := func(round int) ([]sched.Task, sched.Tree, bool) {
 				if round >= iters {
-					return nil, false
+					return nil, nil, false
 				}
-				l := leaf
-				l.MissPerInstr += (jitterRng.Float64()*2 - 1) * sp.mJitter
-				return []sched.Task{stencilDAG(style, l, spawn, 0, stencilTiles)}, true
+				tree.leaf = leaf
+				tree.leaf.MissPerInstr += (jitterRng.Float64()*2 - 1) * sp.mJitter
+				return roots, tree, true
 			}
 			return newTaskRuntime(p, gen)
 		},

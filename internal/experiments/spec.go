@@ -17,6 +17,16 @@ import (
 // to 400 responses; the wrapped message names the offending field.
 var ErrInvalidSpec = errors.New("experiments: invalid spec")
 
+// Upper bounds on the work one spec may ask for. Without them a single
+// request could ask for a socket whose per-core state exhausts memory or
+// for runs that pin a worker for days. Each cap sits far above anything
+// the paper measures, so no reproduction needs more.
+const (
+	maxCores = 1024 // 51× the paper's 20-core socket
+	maxReps  = 1000 // 100× the paper's ten repetitions per data point
+	maxScale = 10   // ten times the paper's 60–80 s runs
+)
+
 // Spec is one run as a value. Every field is part of the canonical form
 // and therefore of the content hash, and the harnesses read the spec
 // itself (Options embeds it), so the hashed description of a run is the
@@ -177,6 +187,9 @@ func (s Spec) Validate() error {
 	if s.Cores < 1 {
 		return fmt.Errorf("%w: cores must be positive, got %d", ErrInvalidSpec, s.Cores)
 	}
+	if s.Cores > maxCores {
+		return fmt.Errorf("%w: cores must be at most %d, got %d", ErrInvalidSpec, maxCores, s.Cores)
+	}
 	// JSON has no NaN or ±Inf, so Canonical could not encode them; a
 	// NaN would also pass every ordered comparison below.
 	for _, f := range []struct {
@@ -190,8 +203,14 @@ func (s Spec) Validate() error {
 	if s.Scale <= 0 {
 		return fmt.Errorf("%w: scale must be positive, got %g", ErrInvalidSpec, s.Scale)
 	}
+	if s.Scale > maxScale {
+		return fmt.Errorf("%w: scale must be at most %d, got %g", ErrInvalidSpec, maxScale, s.Scale)
+	}
 	if s.Reps < 1 {
 		return fmt.Errorf("%w: reps must be positive, got %d", ErrInvalidSpec, s.Reps)
+	}
+	if s.Reps > maxReps {
+		return fmt.Errorf("%w: reps must be at most %d, got %d", ErrInvalidSpec, maxReps, s.Reps)
 	}
 	if s.TinvSec <= 0 {
 		return fmt.Errorf("%w: tinv_sec must be positive, got %g", ErrInvalidSpec, s.TinvSec)

@@ -389,40 +389,51 @@ func stealOverheadInstr(model string) float64 {
 func (d Definition) buildTaskDAG(p Params) workload.Source {
 	prog := d.program()
 	rounds := len(prog) * d.Iterations
-	gen := func(round int) ([]sched.Task, bool) {
+	roots, tree := make([]sched.Task, 1), &dagTree{seed: p.Seed}
+	gen := func(round int) ([]sched.Task, sched.Tree, bool) {
 		if round >= rounds {
-			return nil, false
+			return nil, nil, false
 		}
 		region := d.regionFor(p, round, prog[round%len(prog)])
-		spawn := workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5, RemoteFrac: region.Seg.RemoteFrac}
-		return []sched.Task{dagOver(region, spawn, p.Seed, round)}, true
+		tree.region, tree.round = region, round
+		tree.spawn = workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5, RemoteFrac: region.Seg.RemoteFrac}
+		roots[0] = sched.Task{Lo: 0, Hi: region.Chunks}
+		return roots, tree, true
 	}
 	ws := sched.NewWorkStealing(p.Cores, gen, p.Seed)
 	ws.StealOverheadInstr = stealOverheadInstr(p.Model)
 	return ws
 }
 
-// dagOver builds the root of a regular binary task tree whose leaves carry
-// the region's chunks; one expand function unfolds every interior node from
-// its own [Lo, Hi) chunk range. Leaf instruction counts take the region's
-// jitter through the same pure hash the work-sharing path uses, so the
-// DAG's work distribution depends only on (definition, seed), never on
-// expansion order.
-func dagOver(region sched.Region, spawn workload.Segment, seed int64, round int) sched.Task {
-	var expand func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task
-	node := func(lo, hi int) sched.Task {
-		if hi-lo <= 1 {
-			seg := region.Seg
-			if j := region.JitterFrac; j > 0 {
-				seg.Instructions *= 1 + (jitter(seed, round, lo)*2-1)*j
-			}
-			return sched.Task{Seg: seg}
+// dagTree is one program step's regular binary task tree. A task is its
+// own [Lo, Hi) range of the region's chunks: a single chunk is a leaf
+// carrying that chunk's work, and a wider range is an interior node that
+// only spawns. Leaf instruction counts take the region's jitter through
+// the same pure hash the work-sharing path uses, so the DAG's work
+// distribution depends only on (definition, seed), never on expansion
+// order.
+type dagTree struct {
+	region sched.Region
+	spawn  workload.Segment
+	seed   int64
+	round  int
+}
+
+func (d *dagTree) Seg(t sched.Task) workload.Segment {
+	if t.Hi-t.Lo <= 1 {
+		seg := d.region.Seg
+		if j := d.region.JitterFrac; j > 0 {
+			seg.Instructions *= 1 + (jitter(d.seed, d.round, t.Lo)*2-1)*j
 		}
-		return sched.Task{Seg: spawn, Lo: lo, Hi: hi, Expand: expand}
+		return seg
 	}
-	expand = func(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
-		mid := t.Lo + (t.Hi-t.Lo)/2
-		return append(kids, node(t.Lo, mid), node(mid, t.Hi))
+	return d.spawn
+}
+
+func (d *dagTree) Expand(kids []sched.Task, t sched.Task, _ *rand.Rand) []sched.Task {
+	if t.Hi-t.Lo <= 1 {
+		return kids
 	}
-	return node(0, region.Chunks)
+	mid := t.Lo + (t.Hi-t.Lo)/2
+	return append(kids, sched.Task{Lo: t.Lo, Hi: mid}, sched.Task{Lo: mid, Hi: t.Hi})
 }

@@ -291,16 +291,21 @@ func TestEstimateSecondsPositive(t *testing.T) {
 }
 
 // TestTaskDAGRoundAllocatesNothingPerTask: inside a task-dag finish scope,
-// whose DAG one expand function unfolds from each node's chunk range,
-// dispatching and expanding tasks allocates nothing.
+// whose tree interprets each task as its own chunk range, dispatching and
+// expanding tasks allocates nothing.
 func TestTaskDAGRoundAllocatesNothingPerTask(t *testing.T) {
 	const cores = 4
-	region := sched.Region{Seg: workload.Segment{Instructions: 1e5, MissPerInstr: 0.01, IPC: 1.5}, Chunks: 4096, JitterFrac: 0.1}
-	spawn := workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5}
+	tree := &dagTree{
+		region: sched.Region{Seg: workload.Segment{Instructions: 1e5, MissPerInstr: 0.01, IPC: 1.5}, Chunks: 4096, JitterFrac: 0.1},
+		spawn:  workload.Segment{Instructions: 2000, MissPerInstr: 0.002, IPC: 1.5},
+		seed:   7,
+	}
+	roots := []sched.Task{{Lo: 0, Hi: tree.region.Chunks}}
 	rounds := 0
-	gen := func(round int) ([]sched.Task, bool) {
+	gen := func(round int) ([]sched.Task, sched.Tree, bool) {
 		rounds++
-		return []sched.Task{dagOver(region, spawn, 7, round)}, true
+		tree.round = round
+		return roots, tree, true
 	}
 	ws := sched.NewWorkStealing(cores, gen, 7)
 	pair := func() {

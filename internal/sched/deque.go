@@ -9,9 +9,8 @@ import "math/rand"
 // concurrently, so the structure carries the semantics rather than the
 // lock-freedom of the original.
 //
-// Vacated slots are not cleared: a deque lives only as long as its run,
-// and a stale slot holds nothing but an Expand closure the run already
-// made.
+// Vacated slots are not cleared: a Task holds no pointer, so a stale
+// slot keeps nothing alive.
 type deque struct {
 	buf    []Task
 	top    int // next steal position
@@ -31,14 +30,14 @@ func (d *deque) pushBottom(t Task) {
 }
 
 // expand spawns t's children at the owner's end and returns how many it
-// spawned. Expand appends them straight into the buffer, so each child is
-// written once. A stolen prefix at least half the used length is
+// spawned. tree.Expand appends them straight into the buffer, so each
+// child is written once. A stolen prefix at least half the used length is
 // compacted away first, so a deque in steady state never grows.
-func (d *deque) expand(t Task, r *rand.Rand) int {
+func (d *deque) expand(t Task, tree Tree, r *rand.Rand) int {
 	if d.top > 0 && 2*d.top >= d.bottom {
 		d.compact()
 	}
-	buf := t.Expand(d.buf[:d.bottom], t, r)
+	buf := tree.Expand(d.buf[:d.bottom], t, r)
 	n := len(buf) - d.bottom
 	d.buf, d.bottom = buf[:cap(buf)], len(buf)
 	return n

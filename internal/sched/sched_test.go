@@ -2,9 +2,11 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -158,16 +160,78 @@ func TestWorkSharingEmptyProgram(t *testing.T) {
 	}
 }
 
+// spawnTree is a test Tree that identifies each task by Lo: task t's work
+// is t.Lo instructions, and spawn, when set, appends t's children.
+type spawnTree func(kids []Task, t Task) []Task
+
+func (f spawnTree) Seg(t Task) workload.Segment { return seg(float64(t.Lo)) }
+
+func (f spawnTree) Expand(kids []Task, t Task, _ *rand.Rand) []Task {
+	if f == nil {
+		return kids
+	}
+	return f(kids, t)
+}
+
+// binaryTree returns a tree over the complete binary tree of the given
+// depth, its root, and its node count. Nodes are numbered in heap order
+// from 1 (node i spawns 2i and 2i+1), so every node is distinct.
+func binaryTree(depth int) (Tree, Task, int) {
+	nodes := 1<<(depth+1) - 1
+	tree := spawnTree(func(kids []Task, t Task) []Task {
+		if 2*t.Lo < nodes {
+			kids = append(kids, Task{Lo: 2 * t.Lo}, Task{Lo: 2*t.Lo + 1})
+		}
+		return kids
+	})
+	return tree, Task{Lo: 1}, nodes
+}
+
+// TestTaskIsPointerFree: the deques are no-scan memory, which the GC
+// neither scans nor guards with write barriers, only while a Task holds no
+// pointer, and each task is copied several times between spawn and
+// completion.
+func TestTaskIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(Task{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("Task.%s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
+	if n := unsafe.Sizeof(Task{}); n > 16 {
+		t.Errorf("Task is %d bytes, want at most 16", n)
+	}
+}
+
+// pointerFree reports whether a value of type typ holds no pointer.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+		reflect.Func, reflect.Chan, reflect.Interface:
+		return false
+	}
+	return true
+}
+
 func TestDequeLIFOOwnerFIFOThief(t *testing.T) {
 	var d deque
 	for i := 0; i < 5; i++ {
-		d.pushBottom(Task{Seg: seg(float64(i))})
+		d.pushBottom(Task{Lo: i})
 	}
-	if top, _ := d.stealTop(); top.Seg.Instructions != 0 {
-		t.Errorf("thief got %g, want oldest (0)", top.Seg.Instructions)
+	if top, _ := d.stealTop(); top.Lo != 0 {
+		t.Errorf("thief got %d, want oldest (0)", top.Lo)
 	}
-	if bot, _ := d.popBottom(); bot.Seg.Instructions != 4 {
-		t.Errorf("owner got %g, want newest (4)", bot.Seg.Instructions)
+	if bot, _ := d.popBottom(); bot.Lo != 4 {
+		t.Errorf("owner got %d, want newest (4)", bot.Lo)
 	}
 	if d.size() != 3 {
 		t.Errorf("size = %d, want 3", d.size())
@@ -178,21 +242,21 @@ func TestDequeGrowthPreservesOrder(t *testing.T) {
 	var d deque
 	const n = 1000
 	for i := 0; i < n; i++ {
-		d.pushBottom(Task{Seg: seg(float64(i))})
+		d.pushBottom(Task{Lo: i})
 		if i%3 == 0 {
 			d.stealTop() // interleave steals to exercise compaction
 		}
 	}
-	prev := -1.0
+	prev := -1
 	for {
 		task, ok := d.stealTop()
 		if !ok {
 			break
 		}
-		if task.Seg.Instructions <= prev {
-			t.Fatalf("steal order broken: %g after %g", task.Seg.Instructions, prev)
+		if task.Lo <= prev {
+			t.Fatalf("steal order broken: %d after %d", task.Lo, prev)
 		}
-		prev = task.Seg.Instructions
+		prev = task.Lo
 	}
 
 	// Thieves take more than half of a deque, then its owner expands a
@@ -200,32 +264,32 @@ func TestDequeGrowthPreservesOrder(t *testing.T) {
 	// owner pops LIFO and thieves steal FIFO.
 	var e deque
 	for i := 0; i < 10; i++ {
-		e.pushBottom(Task{Seg: seg(float64(i))})
+		e.pushBottom(Task{Lo: i})
 	}
 	for i := 0; i < 6; i++ {
 		e.stealTop()
 	}
-	three := func(kids []Task, t Task, _ *rand.Rand) []Task {
+	three := spawnTree(func(kids []Task, t Task) []Task {
 		for i := 0; i < 3; i++ {
-			kids = append(kids, Task{Seg: seg(float64(t.Lo + i)), Lo: t.Lo + 10*(i+1), Expand: t.Expand})
+			kids = append(kids, Task{Lo: t.Lo + i})
 		}
 		return kids
-	}
-	if n := e.expand(Task{Lo: 100, Expand: three}, nil); n != 3 {
+	})
+	if n := e.expand(Task{Lo: 100}, three, nil); n != 3 {
 		t.Fatalf("expand spawned %d children, want 3", n)
 	}
-	var order []float64
+	var order []int
 	for _, task := range e.buf[e.top:e.bottom] {
-		order = append(order, task.Seg.Instructions)
+		order = append(order, task.Lo)
 	}
-	if want := []float64{6, 7, 8, 9, 100, 101, 102}; !slices.Equal(order, want) {
+	if want := []int{6, 7, 8, 9, 100, 101, 102}; !slices.Equal(order, want) {
 		t.Fatalf("deque after expand = %v, want %v", order, want)
 	}
-	if bot, _ := e.popBottom(); bot.Seg.Instructions != 102 {
-		t.Errorf("owner got %g, want the last child (102)", bot.Seg.Instructions)
+	if bot, _ := e.popBottom(); bot.Lo != 102 {
+		t.Errorf("owner got %d, want the last child (102)", bot.Lo)
 	}
-	if top, _ := e.stealTop(); top.Seg.Instructions != 6 {
-		t.Errorf("thief got %g, want the oldest task (6)", top.Seg.Instructions)
+	if top, _ := e.stealTop(); top.Lo != 6 {
+		t.Errorf("thief got %d, want the oldest task (6)", top.Lo)
 	}
 
 	// Steady state: each cycle the owner pops one task and expands it into
@@ -237,7 +301,7 @@ func TestDequeGrowthPreservesOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("cycle %d: deque ran dry", cycle)
 		}
-		e.expand(task, nil)
+		e.expand(task, three, nil)
 		e.stealTop()
 		e.stealTop()
 		if cycle == 10 {
@@ -262,26 +326,9 @@ func TestDequeEmpty(t *testing.T) {
 	}
 }
 
-// binaryTree builds the root of a binary tree of the given depth, whose
-// nodes carry their remaining depth in Lo; returns total node count.
-func binaryTree(depth int) (Task, int) {
-	var expand func(kids []Task, t Task, r *rand.Rand) []Task
-	mk := func(d int) Task {
-		t := Task{Seg: seg(100), Lo: d}
-		if d > 0 {
-			t.Expand = expand
-		}
-		return t
-	}
-	expand = func(kids []Task, t Task, r *rand.Rand) []Task {
-		return append(kids, mk(t.Lo-1), mk(t.Lo-1))
-	}
-	return mk(depth), 1<<(depth+1) - 1
-}
-
 func TestWorkStealingExecutesWholeTree(t *testing.T) {
-	root, want := binaryTree(8)
-	ws := NewWorkStealing(4, SingleRound([]Task{root}), 42)
+	tree, root, want := binaryTree(8)
+	ws := NewWorkStealing(4, SingleRound([]Task{root}, tree), 42)
 	drive(t, ws, 4, 100000)
 	tasks, steals, _ := ws.Stats()
 	if tasks != want {
@@ -293,9 +340,9 @@ func TestWorkStealingExecutesWholeTree(t *testing.T) {
 }
 
 func TestWorkStealingDistributesLoad(t *testing.T) {
-	root, want := binaryTree(10)
+	tree, root, want := binaryTree(10)
 	const cores = 4
-	ws := NewWorkStealing(cores, SingleRound([]Task{root}), 7)
+	ws := NewWorkStealing(cores, SingleRound([]Task{root}, tree), 7)
 	perCore := drive(t, ws, cores, 1000000)
 	for c, n := range perCore {
 		if n < want/cores/4 {
@@ -309,16 +356,16 @@ func TestWorkStealingRounds(t *testing.T) {
 	// drains (finish semantics). We detect ordering via the generator call
 	// sequence.
 	var started []int
-	gen := func(round int) ([]Task, bool) {
+	gen := func(round int) ([]Task, Tree, bool) {
 		if round >= 3 {
-			return nil, false
+			return nil, nil, false
 		}
 		started = append(started, round)
 		tasks := make([]Task, 8)
 		for i := range tasks {
-			tasks[i] = Task{Seg: seg(10)}
+			tasks[i] = Task{Lo: 10}
 		}
-		return tasks, true
+		return tasks, spawnTree(nil), true
 	}
 	ws := NewWorkStealing(2, gen, 1)
 	drive(t, ws, 2, 10000)
@@ -333,12 +380,10 @@ func TestWorkStealingRounds(t *testing.T) {
 
 func TestWorkStealingStealOverheadCharged(t *testing.T) {
 	// Worker 1 must steal its first task from worker 0's deque; the segment
-	// it receives carries the steal overhead.
-	tasks := []Task{{Seg: seg(100)}, {Seg: seg(100)}}
-	// Both roots land on different deques (round-robin); force both onto
-	// deque 0 by using 1 root that expands into 2.
-	root := Task{Seg: seg(1), Expand: func(kids []Task, _ Task, _ *rand.Rand) []Task { return append(kids, tasks...) }}
-	ws := NewWorkStealing(2, SingleRound([]Task{root}), 3)
+	// it receives carries the steal overhead. Both children land on deque 0
+	// because one root (1 instruction) spawns them (2 and 3 instructions).
+	tree, root, _ := binaryTree(1)
+	ws := NewWorkStealing(2, SingleRound([]Task{root}, tree), 3)
 	s0, ok := ws.NextSegment(0, 0)
 	if !ok || s0.Instructions != 1 {
 		t.Fatalf("root segment = %v %v", s0, ok)
@@ -348,34 +393,34 @@ func TestWorkStealingStealOverheadCharged(t *testing.T) {
 	if !ok {
 		t.Fatal("worker 1 failed to steal")
 	}
-	if s1.Instructions != 100+ws.StealOverheadInstr {
-		t.Errorf("stolen segment = %g instr, want %g", s1.Instructions, 100+ws.StealOverheadInstr)
+	if s1.Instructions != 2+ws.StealOverheadInstr {
+		t.Errorf("stolen segment = %g instr, want the oldest child (2) plus %g", s1.Instructions, ws.StealOverheadInstr)
 	}
 	s0b, ok := ws.NextSegment(0, 0)
 	if !ok {
 		t.Fatal("worker 0 denied local task")
 	}
-	if s0b.Instructions != 100 {
-		t.Errorf("local segment = %g instr, want 100 (no overhead)", s0b.Instructions)
+	if s0b.Instructions != 3 {
+		t.Errorf("local segment = %g instr, want the newest child (3) with no overhead", s0b.Instructions)
 	}
 }
 
 func TestWorkStealingEmptyProgram(t *testing.T) {
-	ws := NewWorkStealing(2, func(int) ([]Task, bool) { return nil, false }, 1)
+	ws := NewWorkStealing(2, func(int) ([]Task, Tree, bool) { return nil, nil, false }, 1)
 	if !ws.Done() {
 		t.Error("empty program must be done")
 	}
 }
 
 func TestWorkStealingSkipsEmptyRounds(t *testing.T) {
-	gen := func(round int) ([]Task, bool) {
+	gen := func(round int) ([]Task, Tree, bool) {
 		switch round {
 		case 0:
-			return []Task{}, true // empty round: skip
+			return []Task{}, spawnTree(nil), true // empty round: skip
 		case 1:
-			return []Task{{Seg: seg(5)}}, true
+			return []Task{{Lo: 5}}, spawnTree(nil), true
 		default:
-			return nil, false
+			return nil, nil, false
 		}
 	}
 	ws := NewWorkStealing(1, gen, 1)
@@ -392,8 +437,8 @@ func TestWorkStealingConservationQuick(t *testing.T) {
 	prop := func(depthRaw, coresRaw uint8) bool {
 		depth := int(depthRaw % 6)
 		cores := 1 + int(coresRaw%8)
-		root, want := binaryTree(depth)
-		ws := NewWorkStealing(cores, SingleRound([]Task{root}), int64(depthRaw)*31+int64(coresRaw))
+		tree, root, want := binaryTree(depth)
+		ws := NewWorkStealing(cores, SingleRound([]Task{root}, tree), int64(depthRaw)*31+int64(coresRaw))
 		for steps := 0; !ws.Done(); steps++ {
 			if steps > 100000 {
 				return false

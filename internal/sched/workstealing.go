@@ -7,36 +7,52 @@ import (
 	"repro/internal/workload"
 )
 
-// Task is one async task in the async–finish model: a segment of work plus
-// an optional Expand hook that spawns the children of the task's body.
-// Expansion happens when the task completes, which unfolds the same DAG as
-// body-time spawning with slightly coarser interleaving.
-//
-// Expand receives the task itself and must append its children to kids
-// and return the extended slice, leaving kids' existing elements alone:
-// kids is the completing core's own deque, so the children land at its
-// bottom in append order without a second copy. Lo and Hi belong to the
-// DAG builder: a node that carries its own index range lets one Expand
-// function unfold a whole tree, so spawning allocates nothing per task.
+// Task is one async task in the async–finish model, as a pointer-free
+// handle: an index range that the task's finish scope (its round's Tree)
+// interprets. The runtime never looks inside it, so a DAG builder may give
+// Lo and Hi any meaning, and a tree whose tasks need no identity may leave
+// them zero. Holding no pointer keeps a task at 16 bytes and makes the
+// deques no-scan memory: the GC neither scans them nor guards their writes
+// with barriers.
 type Task struct {
-	Seg    workload.Segment
 	Lo, Hi int
-	Expand func(kids []Task, t Task, r *rand.Rand) []Task
 }
 
-// RoundGen supplies the root task set of each finish scope ("round"), or
-// ok == false when the program ends. Iterative benchmarks (Heat, SOR) have
-// one round per outer iteration; UTS has a single round holding the tree
-// root.
-type RoundGen func(round int) ([]Task, bool)
+// Tree interprets the tasks of one finish scope. Seg gives a task its work
+// when a core dispatches it. Expand spawns the children of the task's body
+// when it completes, which unfolds the same DAG as body-time spawning with
+// slightly coarser interleaving: it appends t's children to kids and
+// returns the extended slice, leaving kids' existing elements alone, and
+// returns kids unchanged for a leaf. kids is the completing core's own
+// deque, so the children land at its bottom in append order without a
+// second copy. r is the runtime's RNG, shared with victim selection.
+//
+// The runtime calls Seg for every dispatched task and Expand for every
+// completed one, in the order the machine steps them, so Expand may keep
+// state across calls (UTS's shared node budget). Seg must depend only on
+// the task and on what the tree fixed when its round started: a segment
+// computed at dispatch is then the same floating-point operation on the
+// same operands as one computed when the task was spawned.
+type Tree interface {
+	Seg(t Task) workload.Segment
+	Expand(kids []Task, t Task, r *rand.Rand) []Task
+}
 
-// SingleRound wraps a fixed task set as a one-round program.
-func SingleRound(tasks []Task) RoundGen {
-	return func(round int) ([]Task, bool) {
+// RoundGen supplies the root tasks of each finish scope ("round") and the
+// Tree that interprets them, or ok == false when the program ends.
+// Iterative benchmarks (Heat, SOR) have one round per outer iteration; UTS
+// has a single round holding the tree roots. The runtime copies the roots
+// into its deques and is done with the previous round's roots and tree
+// when it asks for the next round, so a generator may reuse both.
+type RoundGen func(round int) (roots []Task, tree Tree, ok bool)
+
+// SingleRound wraps a fixed task set and its tree as a one-round program.
+func SingleRound(roots []Task, tree Tree) RoundGen {
+	return func(round int) ([]Task, Tree, bool) {
 		if round > 0 {
-			return nil, false
+			return nil, nil, false
 		}
-		return tasks, true
+		return roots, tree, true
 	}
 }
 
@@ -60,6 +76,7 @@ const (
 type WorkStealing struct {
 	cores   int
 	gen     RoundGen
+	tree    Tree // the current round's
 	rng     *rand.Rand
 	deques  []deque
 	current []Task // task executing on each core
@@ -102,7 +119,7 @@ func NewWorkStealing(cores int, gen RoundGen, seed int64) *WorkStealing {
 // round-robin across the deques (HClib seeds the root at worker 0; we
 // spread multi-root rounds to shorten ramp-up the way its loop-fork does).
 func (w *WorkStealing) startRound() {
-	roots, ok := w.gen(w.round)
+	roots, tree, ok := w.gen(w.round)
 	w.round++
 	if !ok {
 		w.done = true
@@ -113,6 +130,7 @@ func (w *WorkStealing) startRound() {
 		w.startRound()
 		return
 	}
+	w.tree = tree
 	for i, t := range roots {
 		w.deques[i%w.cores].pushBottom(t)
 	}
@@ -143,7 +161,7 @@ func (w *WorkStealing) NextSegment(core int, now float64) (workload.Segment, boo
 	w.current[core] = t
 	w.running[core] = true
 	w.tasksRun++
-	seg := t.Seg
+	seg := w.tree.Seg(t)
 	if stole {
 		seg.Instructions += w.StealOverheadInstr
 	}
@@ -176,13 +194,10 @@ func (w *WorkStealing) Complete(core int, now float64) {
 	if !w.running[core] {
 		return
 	}
-	t := &w.current[core]
 	w.running[core] = false
-	if t.Expand != nil {
-		n := w.deques[core].expand(*t, w.rng)
-		w.queued += n
-		w.pending += n
-	}
+	n := w.deques[core].expand(w.current[core], w.tree, w.rng)
+	w.queued += n
+	w.pending += n
 	w.pending--
 	if w.pending == 0 {
 		w.startRound()

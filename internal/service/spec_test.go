@@ -149,6 +149,12 @@ func TestValidateRejects(t *testing.T) {
 		{"negative cores", RunSpec{Benchmark: "UTS", Cores: -4}, "cores"},
 		{"negative reps", RunSpec{Benchmark: "UTS", Reps: -1}, "reps"},
 		{"negative tinv", RunSpec{Benchmark: "UTS", TinvSec: -0.02}, "tinv"},
+		{"cores over the cap", RunSpec{Benchmark: "UTS", Cores: 1025}, "cores must be at most 1024"},
+		{"cores 2^30", RunSpec{Benchmark: "UTS", Cores: 1 << 30}, "cores must be at most 1024"},
+		{"reps over the cap", RunSpec{Benchmark: "UTS", Reps: 1001}, "reps must be at most 1000"},
+		{"reps 2^30", RunSpec{Benchmark: "UTS", Reps: 1 << 30}, "reps must be at most 1000"},
+		{"scale over the cap", RunSpec{Benchmark: "UTS", Scale: 10.000001}, "scale must be at most 10"},
+		{"scale 1e9", RunSpec{Benchmark: "UTS", Scale: 1e9}, "scale must be at most 10"},
 		{"NaN scale", RunSpec{Benchmark: "UTS", Scale: math.NaN()}, "scale must be finite"},
 		{"infinite scale", RunSpec{Benchmark: "UTS", Scale: math.Inf(1)}, "scale must be finite"},
 		{"NaN tinv", RunSpec{Benchmark: "UTS", TinvSec: math.NaN()}, "tinv_sec must be finite"},
@@ -168,6 +174,11 @@ func TestValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+	// Each cap is itself valid. Only Validate runs here, never a run.
+	atCaps := RunSpec{Benchmark: "UTS", Cores: 1024, Reps: 1000, Scale: 10}
+	if err := atCaps.Normalized().Validate(); err != nil {
+		t.Errorf("a spec at every cap: %v", err)
 	}
 }
 
