@@ -25,8 +25,11 @@ import (
 const snapshotPhases = 30
 
 // memoContainerMagic versions the snapshot container layout (the machine
-// snapshot inside carries its own magic and checksum).
-const memoContainerMagic = "cfmemo1\n"
+// snapshot inside carries its own magic and checksum). cfmemo2 holds the
+// governor state in its binary layout; a cfmemo1 container, whose
+// governor state was JSON, fails to restore, so its run re-executes
+// from boot and overwrites it under the same key.
+const memoContainerMagic = "cfmemo2\n"
 
 // prefixKeys derives the snapshot key chain for one run: keys[k] commits
 // to everything the simulation's future depends on after k completed
@@ -107,7 +110,7 @@ func snapshotPoints(bounds []int, total int) []int {
 }
 
 // encodeContainer packs one resumable boundary: the machine snapshot (its
-// own checksummed encoding), the governor's opaque state blob, and the
+// own checksummed encoding), the governor's state blob, and the
 // work-sharing checkpoint.
 func encodeContainer(machineSnap, govBlob []byte, cp sched.WSCheckpoint) []byte {
 	b := make([]byte, 0, len(memoContainerMagic)+4+len(machineSnap)+4+len(govBlob)+24)

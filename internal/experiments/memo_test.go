@@ -5,15 +5,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/governor"
 	"repro/internal/memo"
 	"repro/internal/scenario"
 	"repro/internal/store"
+	"repro/internal/tipi"
 )
 
 // memoTestOptions shrink runs enough that resuming every governor stays
@@ -333,6 +336,91 @@ func TestMemoParentPackDirReadsAsMisses(t *testing.T) {
 	}
 	if got := disk.Len(); got != len(points)+1 {
 		t.Errorf("memo dir holds %d records, want the pack plus %d snapshots", got, len(points))
+	}
+}
+
+// parentContainer rewrites a snapshot container in the cfmemo1 layout
+// the previous version wrote: the same machine snapshot and checkpoint,
+// with the daemon's state as the JSON its tagged state types produced.
+func parentContainer(t *testing.T, body []byte) []byte {
+	t.Helper()
+	machineSnap, govBlob, cp, err := decodeContainer(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.DecodeDaemonState(govBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explorer := func(e tipi.ExplorerState) map[string]any {
+		readings := make([]map[string]any, len(e.Readings))
+		for i, r := range e.Readings {
+			readings[i] = map[string]any{"sum": r.Sum, "n": r.N}
+		}
+		return map[string]any{"lb": e.LB, "rb": e.RB, "opt": e.Opt, "readings": readings}
+	}
+	nodes := make([]map[string]any, len(st.Nodes))
+	for i, n := range st.Nodes {
+		nodes[i] = map[string]any{"slab": n.Slab, "cf": explorer(n.CF), "uf": explorer(n.UF), "uf_range_set": n.UFRangeSet, "hits": n.Hits}
+	}
+	blob, err := json.Marshal(map[string]any{
+		"nprev": st.NPrev, "cf_prev": st.CFPrev, "uf_prev": st.UFPrev, "warmup_end": st.WarmupEnd,
+		"warmed": st.Warmed, "stopped": st.Stopped, "samples": st.Samples, "exploring": st.Exploring,
+		"profiler": map[string]any{"last_instr": st.Profiler.LastInstr, "last_tor": st.Profiler.LastTor,
+			"last_energy": st.Profiler.LastEnergy, "primed": st.Profiler.Primed},
+		"nodes": nodes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte("cfmemo1\n"), encodeContainer(machineSnap, blob, cp)[len(memoContainerMagic):]...)
+}
+
+// TestMemoParentJSONRecordsReExecuteOnce plants a memo dir as the
+// previous version left it, a cfmemo1 container with a JSON daemon state
+// under every snapshot key of a run. The run probes one of those keys,
+// cannot restore it, and re-executes from boot bit-identically, writing
+// its own containers under the same keys; the next run resumes from them.
+func TestMemoParentJSONRecordsReExecuteOnce(t *testing.T) {
+	e := burstyEntry(t)
+	const gov = "cuttlefish"
+	opt := memoTestOptions()
+	plain, err := RunEntry(e, gov, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := memo.New(0, nil)
+	opt.Memo = mem
+	if _, err := RunEntry(e, gov, opt, 1); err != nil {
+		t.Fatal(err)
+	}
+	keys, points := memoKeysAndPoints(t, e, gov, opt, 1)
+	dir := t.TempDir()
+	parentDir := openStore(t, dir)
+	for _, k := range points {
+		body, ok := mem.Get(keys[k])
+		if !ok {
+			t.Fatalf("cold run stored no snapshot at boundary %d", k)
+		}
+		if err := parentDir.Put(keys[k], parentContainer(t, body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for run, wantHits := range []int{0, 1} {
+		disk := openStore(t, dir)
+		opt.Memo = memo.New(0, disk)
+		rs := &memo.RunStats{}
+		opt.MemoStats = rs
+		res, err := RunEntry(e, gov, opt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitEqual(t, fmt.Sprintf("run %d over a cfmemo1 memo dir vs plain", run), res, plain)
+		if v := rs.View(); v.PrefixHits != wantHits || disk.Info().Hits != 1 {
+			t.Errorf("run %d: stats = %+v after %d record reads, want %d prefix hits after one read",
+				run, v, disk.Info().Hits, wantHits)
+		}
 	}
 }
 

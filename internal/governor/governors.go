@@ -1,10 +1,11 @@
 package governor
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/freq"
 	"repro/internal/machine"
@@ -126,14 +127,14 @@ func (g *cuttlefishGovernor) Attach(m *machine.Machine) (*Attachment, error) {
 			if err != nil {
 				return nil, err
 			}
-			return json.Marshal(st)
+			return st.Encode(), nil
 		},
 		func(blob []byte) error {
-			var st core.DaemonState
-			if err := json.Unmarshal(blob, &st); err != nil {
+			st, err := core.DecodeDaemonState(blob)
+			if err != nil {
 				return fmt.Errorf("governor: %s state blob: %w", g.name, err)
 			}
-			return d.StateRestore(&st)
+			return d.StateRestore(st)
 		},
 	), nil
 }
@@ -330,28 +331,62 @@ func (g ondemandGovernor) Attach(m *machine.Machine) (*Attachment, error) {
 			if tickErr != nil {
 				return nil, fmt.Errorf("governor: ondemand sampler in error state: %w", tickErr)
 			}
-			return json.Marshal(ondemandState{Prev: prev, Ratios: ratios})
+			return encodeOndemandState(prev, ratios), nil
 		},
 		func(blob []byte) error {
-			var st ondemandState
-			if err := json.Unmarshal(blob, &st); err != nil {
-				return fmt.Errorf("governor: ondemand state blob: %w", err)
-			}
-			if len(st.Prev) != cfg.Cores || len(st.Ratios) != cfg.Cores {
-				return fmt.Errorf("governor: ondemand state has %d/%d cores, machine has %d",
-					len(st.Prev), len(st.Ratios), cfg.Cores)
-			}
-			copy(prev, st.Prev)
-			copy(ratios, st.Ratios)
-			return nil
+			return decodeOndemandState(blob, prev, ratios, cfg.CoreGrid)
 		},
 	), nil
 }
 
-// ondemandState is the sampler's private state between ticks: the
-// previous per-core counter readings and the ratio last actuated per
-// core (the write-skip cache).
-type ondemandState struct {
-	Prev   []uint64     `json:"prev"`
-	Ratios []freq.Ratio `json:"ratios"`
+// ondemandStateMagic versions the sampler's state layout; bump it on any
+// change so an older blob reads as a refusal, never as wrong state.
+const ondemandStateMagic = "cfondm1\n"
+
+// encodeOndemandState lays out the sampler's private state between ticks
+// — the previous per-core counter readings and the ratio last actuated
+// per core (the write-skip cache) — canonically (internal/canon): the
+// magic, the core count as a uint32, each core's reading as a uint64,
+// then each core's ratio as one byte.
+func encodeOndemandState(prev []uint64, ratios []freq.Ratio) []byte {
+	w := canon.Writer{B: make([]byte, 0, len(ondemandStateMagic)+4+9*len(prev))}
+	w.Bytes([]byte(ondemandStateMagic))
+	w.U32(uint32(len(prev)))
+	for _, v := range prev {
+		w.U64(v)
+	}
+	for _, r := range ratios {
+		w.U8(uint8(r))
+	}
+	return w.B
+}
+
+// decodeOndemandState reads encodeOndemandState's layout into prev and
+// ratios, which hold one entry per core of the machine. A bad magic, a
+// core count other than the machine's, a length other than the layout's
+// or a ratio off the core grid is refused, and prev and ratios are then
+// left untouched.
+func decodeOndemandState(blob []byte, prev []uint64, ratios []freq.Ratio, grid freq.Grid) error {
+	if !bytes.HasPrefix(blob, []byte(ondemandStateMagic)) {
+		return errors.New("governor: ondemand state has a bad magic")
+	}
+	r := canon.NewReader(blob[len(ondemandStateMagic):], "governor: ondemand state")
+	if n := r.U32(); r.Err() == nil && n != uint32(len(prev)) {
+		return fmt.Errorf("governor: ondemand state has %d cores, machine has %d", n, len(prev))
+	}
+	p, rs := make([]uint64, len(prev)), make([]freq.Ratio, len(ratios))
+	for c := range p {
+		p[c] = r.U64()
+	}
+	for c := range rs {
+		if rs[c] = freq.Ratio(r.U8()); r.Err() == nil && !grid.Contains(rs[c]) {
+			r.Fail("has core %d at ratio %d, off the core grid %v", c, rs[c], grid)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	copy(prev, p)
+	copy(ratios, rs)
+	return nil
 }

@@ -65,9 +65,12 @@ func (a *Attachment) withState(snap func() ([]byte, error), restore func([]byte)
 	return a
 }
 
-// StateSnapshot exports the strategy's private mutable state as an opaque
-// blob (nil for stateless strategies). Together with a machine.Snapshot
-// taken at the same boundary it fully determines the rest of the run.
+// StateSnapshot exports the strategy's private mutable state as a blob
+// in the strategy's fixed binary layout (core.DaemonState's for the
+// daemon-backed strategies, the sampler's for ondemand; nil for
+// stateless strategies). Equal states give equal bytes. Together with a
+// machine.Snapshot taken at the same boundary it fully determines the
+// rest of the run.
 func (a *Attachment) StateSnapshot() ([]byte, error) {
 	if a.stateSnap == nil {
 		return nil, nil
@@ -76,8 +79,12 @@ func (a *Attachment) StateSnapshot() ([]byte, error) {
 }
 
 // StateRestore re-imports a blob produced by StateSnapshot on an
-// attachment of the same strategy and tuning. A non-empty blob handed to
-// a stateless strategy is a strategy mismatch and errors.
+// attachment of the same strategy and tuning, after which StateSnapshot
+// returns the same bytes. A blob that is not exactly that layout, or
+// holds a value the strategy's write path never produces (a level or
+// ratio off the machine's grids, another core count), is refused and
+// leaves the strategy as it was. A non-empty blob handed to a stateless
+// strategy is a strategy mismatch and errors.
 func (a *Attachment) StateRestore(blob []byte) error {
 	if a.stateRestore == nil {
 		if len(blob) > 0 {

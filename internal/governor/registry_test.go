@@ -1,12 +1,16 @@
 package governor
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/freq"
 	"repro/internal/machine"
 	"repro/internal/msr"
 	"repro/internal/sched"
+	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -207,44 +211,138 @@ func TestListDescribesEveryBuiltin(t *testing.T) {
 	}
 }
 
+// stateTuning is the tuning every state test attaches with: a 5 ms
+// period, so daemon and sampler act within a short run, and no warmup.
+var stateTuning = Tuning{TinvSec: 5e-3, WarmupSec: -1}
+
+// attachFresh attaches the named governor to a fresh 4-core machine that
+// carries a flight recorder, as cfserve's -timelines runs do.
+func attachFresh(t testing.TB, name string) (*machine.Machine, *Attachment) {
+	t.Helper()
+	m := testMachine(t, 4)
+	m.SetTimeline(timeline.New("state-test"))
+	g, err := New(name, stateTuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := g.Attach(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, att
+}
+
+// busyState runs the named governor for 0.2 s on a busy 4-core machine,
+// alternating compute and memory regions so a daemon meets several
+// slabs, and returns its state blob.
+func busyState(t testing.TB, name string) []byte {
+	t.Helper()
+	m, att := attachFresh(t, name)
+	regions := []sched.Region{
+		{Seg: workload.Segment{Instructions: 2e7, MissPerInstr: 5e-4, IPC: 2}, Chunks: 16},
+		{Seg: workload.Segment{Instructions: 2e7, MissPerInstr: 0.05, IPC: 1.2, Exposure: 0.7}, Chunks: 16},
+	}
+	m.SetSource(sched.NewWorkSharing(4, sched.StaticProgram(regions, 40), 1))
+	m.Run(0.2)
+	blob, err := att.StateSnapshot()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := att.Detach(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return blob
+}
+
+// TestStateRoundTrip: every governor's state restores into a fresh
+// attachment that snapshots the same bytes, and the layout is exact:
+// no proper prefix of the blob, nor the blob with a byte appended,
+// restores.
+func TestStateRoundTrip(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			blob := busyState(t, name)
+			_, att := attachFresh(t, name)
+			defer att.Detach()
+			for n := 0; n < len(blob); n++ {
+				if err := att.StateRestore(blob[:n]); err == nil {
+					t.Fatalf("a %d-byte prefix of the %d-byte state restored", n, len(blob))
+				}
+			}
+			if err := att.StateRestore(append(blob[:len(blob):len(blob)], 0)); err == nil {
+				t.Error("the state with a byte appended restored")
+			}
+			if err := att.StateRestore(blob); err != nil {
+				t.Fatal(err)
+			}
+			again, err := att.StateSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Errorf("restore → snapshot is not a fixed point: %d bytes in, %d out", len(blob), len(again))
+			}
+		})
+	}
+}
+
+// TestStateRestoreRefusesOffGridLevels: a state naming a level or ratio
+// off the machine's grids, or another core count, is refused. A
+// cuttlefish daemon restored to cf_prev 99 used to panic in
+// freq.Grid.Ratio at its next frequency change when a flight recorder
+// was attached; after the refusal the run goes on at its own state.
+func TestStateRestoreRefusesOffGridLevels(t *testing.T) {
+	st, err := core.DecodeDaemonState(busyState(t, Cuttlefish))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.CFPrev = 99
+	daemonBlob := st.Encode()
+	ondemand := busyState(t, Ondemand)
+	ratioOff := bytes.Clone(ondemand)
+	ratioOff[len(ratioOff)-1] = uint8(machine.DefaultConfig().CoreGrid.Max + 1)
+	twoCores := encodeOndemandState(make([]uint64, 2), []freq.Ratio{12, 12})
+	for _, tc := range []struct {
+		gov  string
+		blob []byte
+	}{{Cuttlefish, daemonBlob}, {Ondemand, ratioOff}, {Ondemand, twoCores}} {
+		m, att := attachFresh(t, tc.gov)
+		if err := att.StateRestore(tc.blob); err == nil {
+			t.Errorf("%s: off-domain state restored", tc.gov)
+		}
+		seg := workload.Segment{Instructions: 2e7, MissPerInstr: 0.05, IPC: 2}
+		m.SetSource(sched.NewWorkSharing(4, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 16}}, 40), 1))
+		m.Run(0.1)
+		if err := att.Detach(); err != nil {
+			t.Errorf("%s: %v", tc.gov, err)
+		}
+	}
+}
+
 // FuzzStateRestore feeds arbitrary blobs to every registered governor's
 // StateRestore, which reads the governor half of a memo record: each
-// returns an error or restores, never panics. Seeds: each governor's
+// returns an error or restores, never panics, and a restored state
+// snapshots back to the blob's own bytes. Seeds: each governor's
 // StateSnapshot taken mid-run on a busy machine, and its first half.
 func FuzzStateRestore(f *testing.F) {
-	tuning := Tuning{TinvSec: 5e-3, WarmupSec: -1}
-	attach := func(t testing.TB, name string) (*machine.Machine, *Attachment) {
-		m := testMachine(t, 4)
-		g, err := New(name, tuning)
-		if err != nil {
-			t.Fatal(err)
-		}
-		att, err := g.Attach(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, att
-	}
-	seg := workload.Segment{Instructions: 2e7, MissPerInstr: 0.05, IPC: 2, Exposure: 0.7}
 	for _, name := range Names() {
-		m, att := attach(f, name)
-		m.SetSource(sched.NewWorkSharing(4, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 16}}, 40), 1))
-		m.Run(0.2)
-		blob, err := att.StateSnapshot()
-		if err != nil {
-			f.Fatalf("%s: %v", name, err)
-		}
+		blob := busyState(f, name)
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
-		if err := att.Detach(); err != nil {
-			f.Fatalf("%s: %v", name, err)
-		}
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		for _, name := range Names() {
-			_, att := attach(t, name)
-			_ = att.StateRestore(blob) // an error is a refusal; only a panic fails
-			_ = att.Detach()           // restores the boot MSRs whatever the blob did
+			_, att := attachFresh(t, name)
+			if err := att.StateRestore(blob); err == nil {
+				again, err := att.StateSnapshot()
+				if err != nil {
+					t.Fatalf("%s: a restored state does not snapshot: %v", name, err)
+				}
+				if !bytes.Equal(again, blob) {
+					t.Fatalf("%s: a restored state snapshots to other bytes", name)
+				}
+			}
+			_ = att.Detach() // restores the boot MSRs whatever the blob did
 		}
 	})
 }

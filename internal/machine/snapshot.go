@@ -2,11 +2,10 @@ package machine
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
+	"repro/internal/canon"
 	"repro/internal/freq"
 	"repro/internal/msr"
 	"repro/internal/power"
@@ -142,6 +141,9 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.PMUInstr) != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot PMU has %d cores, config has %d", len(s.PMUInstr), m.cfg.Cores)
 	}
+	if len(s.MSR.PerCore) != m.cfg.Cores {
+		return fmt.Errorf("machine: snapshot has %d MSR core banks, config has %d cores", len(s.MSR.PerCore), m.cfg.Cores)
+	}
 	// Every field must lie in the domain the write path produces: a NaN
 	// duty or an off-grid ratio would run on to NaN joules, not fail.
 	for i, c := range s.Cores {
@@ -214,63 +216,82 @@ func (m *Machine) Restore(s *Snapshot) error {
 // instead of as wrong state.
 const snapshotMagic = "cfsnap1\n"
 
-// Encode serializes the snapshot canonically: fixed field order, sorted
-// MSR addresses, IEEE-754 bit patterns for floats, and a SHA-256 trailer
-// over the payload. Two snapshots of identical machine state encode to
-// identical bytes, and any bit flip in storage fails the checksum.
+// Encode serializes the snapshot canonically: fixed field order, MSR
+// cells in their banks' ascending address order, IEEE-754 bit patterns
+// for floats, and a SHA-256 trailer over the payload. Two snapshots of
+// identical machine state encode to identical bytes, and any bit flip in
+// storage fails the checksum.
 func (s *Snapshot) Encode() []byte {
-	var w encBuf
-	w.bytes([]byte(snapshotMagic))
-	w.f64(s.Now)
-	w.f64(s.DemandEWMA)
-	w.u8(uint8(s.UncoreMin))
-	w.u8(uint8(s.UncoreMax))
-	w.u8(uint8(s.UncoreRatio))
-	w.u32(uint32(len(s.Cores)))
+	w := canon.Writer{B: make([]byte, 0, s.encodedLen())}
+	w.Bytes([]byte(snapshotMagic))
+	w.F64(s.Now)
+	w.F64(s.DemandEWMA)
+	w.U8(uint8(s.UncoreMin))
+	w.U8(uint8(s.UncoreMax))
+	w.U8(uint8(s.UncoreRatio))
+	w.U32(uint32(len(s.Cores)))
 	for i := range s.Cores {
 		c := &s.Cores[i]
-		w.u8(uint8(c.Ratio))
-		w.f64(c.Duty)
-		w.f64(c.Seg.Instructions)
-		w.f64(c.Seg.MissPerInstr)
-		w.f64(c.Seg.IPC)
-		w.f64(c.Seg.RemoteFrac)
-		w.f64(c.Seg.Exposure)
-		w.f64(c.SegLeft)
-		w.bool(c.HaveSeg)
-		w.f64(c.Stolen)
-		w.f64(c.BusySec)
-		w.f64(c.StallSec)
-		w.f64(c.IdleSec)
+		w.U8(uint8(c.Ratio))
+		w.F64(c.Duty)
+		w.F64(c.Seg.Instructions)
+		w.F64(c.Seg.MissPerInstr)
+		w.F64(c.Seg.IPC)
+		w.F64(c.Seg.RemoteFrac)
+		w.F64(c.Seg.Exposure)
+		w.F64(c.SegLeft)
+		w.Flag(c.HaveSeg)
+		w.F64(c.Stolen)
+		w.F64(c.BusySec)
+		w.F64(c.StallSec)
+		w.F64(c.IdleSec)
 	}
-	w.f64(s.TotalInstr)
-	w.f64(s.TotalMissL)
-	w.f64(s.TotalMissR)
-	w.f64(s.UncoreGHzSecs)
-	w.msrBank(s.MSR.Pkg)
-	w.u32(uint32(len(s.MSR.PerCore)))
+	w.F64(s.TotalInstr)
+	w.F64(s.TotalMissL)
+	w.F64(s.TotalMissR)
+	w.F64(s.UncoreGHzSecs)
+	writeBank(&w, s.MSR.Pkg)
+	w.U32(uint32(len(s.MSR.PerCore)))
 	for _, bank := range s.MSR.PerCore {
-		w.msrBank(bank)
+		writeBank(&w, bank)
 	}
-	w.u32(uint32(len(s.PMUInstr)))
+	w.U32(uint32(len(s.PMUInstr)))
 	for _, v := range s.PMUInstr {
-		w.f64(v)
+		w.F64(v)
 	}
-	w.f64(s.PMUTorLocal)
-	w.f64(s.PMUTorRemote)
-	w.f64(s.Rapl.PendingJ)
-	w.f64(s.Rapl.ResidualJ)
-	w.u32(s.Rapl.Counter)
-	w.f64(s.Rapl.LastPublish)
-	w.f64(s.Rapl.TotalJ)
-	w.u32(uint32(len(s.Components)))
+	w.F64(s.PMUTorLocal)
+	w.F64(s.PMUTorRemote)
+	w.F64(s.Rapl.PendingJ)
+	w.F64(s.Rapl.ResidualJ)
+	w.U32(s.Rapl.Counter)
+	w.F64(s.Rapl.LastPublish)
+	w.F64(s.Rapl.TotalJ)
+	w.U32(uint32(len(s.Components)))
 	for _, c := range s.Components {
-		w.f64(c.Period)
-		w.i64(int64(c.Core))
-		w.f64(c.Next)
+		w.F64(c.Period)
+		w.I64(int64(c.Core))
+		w.F64(c.Next)
 	}
-	sum := sha256.Sum256(w.b)
-	return append(w.b, sum[:]...)
+	sum := sha256.Sum256(w.B)
+	return append(w.B, sum[:]...)
+}
+
+// Encoded lengths of one core, one MSR cell and one component.
+const (
+	coreLen      = 1 + 11*8 + 1 // ratio, eleven floats and the segment flag
+	cellLen      = 4 + 8
+	componentLen = 3 * 8
+)
+
+// encodedLen is the exact length of Encode's output, so Encode fills one
+// allocation.
+func (s *Snapshot) encodedLen() int {
+	const fixed = len(snapshotMagic) + 2*8 + 3 + 4 + 4*8 + 4 + 4 + 4 + 2*8 + 4*8 + 4 + 4 + sha256.Size
+	n := fixed + coreLen*len(s.Cores) + cellLen*len(s.MSR.Pkg) + 8*len(s.PMUInstr) + componentLen*len(s.Components)
+	for _, bank := range s.MSR.PerCore {
+		n += 4 + cellLen*len(bank)
+	}
+	return n
 }
 
 // DecodeSnapshot parses bytes produced by Encode, verifying the magic and
@@ -287,197 +308,85 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 	if string(payload[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("machine: bad snapshot magic")
 	}
-	r := decBuf{b: payload[len(snapshotMagic):]}
+	r := canon.NewReader(payload[len(snapshotMagic):], "machine: snapshot")
 	s := &Snapshot{}
-	s.Now = r.f64()
-	s.DemandEWMA = r.f64()
-	s.UncoreMin = freq.Ratio(r.u8())
-	s.UncoreMax = freq.Ratio(r.u8())
-	s.UncoreRatio = freq.Ratio(r.u8())
-	nCores := int(r.u32())
-	if r.err == nil && nCores > maxSnapshotCores {
-		return nil, fmt.Errorf("machine: snapshot claims %d cores", nCores)
+	s.Now = r.F64()
+	s.DemandEWMA = r.F64()
+	s.UncoreMin = freq.Ratio(r.U8())
+	s.UncoreMax = freq.Ratio(r.U8())
+	s.UncoreRatio = freq.Ratio(r.U8())
+	s.Cores = make([]CoreSnapshot, r.Count(coreLen))
+	for i := range s.Cores {
+		c := &s.Cores[i]
+		c.Ratio = freq.Ratio(r.U8())
+		c.Duty = r.F64()
+		c.Seg = workload.Segment{
+			Instructions: r.F64(),
+			MissPerInstr: r.F64(),
+			IPC:          r.F64(),
+			RemoteFrac:   r.F64(),
+			Exposure:     r.F64(),
+		}
+		c.SegLeft = r.F64()
+		c.HaveSeg = r.Flag()
+		c.Stolen = r.F64()
+		c.BusySec = r.F64()
+		c.StallSec = r.F64()
+		c.IdleSec = r.F64()
 	}
-	if r.err == nil {
-		s.Cores = make([]CoreSnapshot, nCores)
-		for i := range s.Cores {
-			c := &s.Cores[i]
-			c.Ratio = freq.Ratio(r.u8())
-			c.Duty = r.f64()
-			c.Seg = workload.Segment{
-				Instructions: r.f64(),
-				MissPerInstr: r.f64(),
-				IPC:          r.f64(),
-				RemoteFrac:   r.f64(),
-				Exposure:     r.f64(),
-			}
-			c.SegLeft = r.f64()
-			c.HaveSeg = r.bool()
-			c.Stolen = r.f64()
-			c.BusySec = r.f64()
-			c.StallSec = r.f64()
-			c.IdleSec = r.f64()
+	s.TotalInstr = r.F64()
+	s.TotalMissL = r.F64()
+	s.TotalMissR = r.F64()
+	s.UncoreGHzSecs = r.F64()
+	s.MSR.Pkg = readBank(r)
+	s.MSR.PerCore = make([][]msr.Cell, r.Count(4))
+	for i := range s.MSR.PerCore {
+		s.MSR.PerCore[i] = readBank(r)
+	}
+	s.PMUInstr = make([]float64, r.Count(8))
+	for i := range s.PMUInstr {
+		s.PMUInstr[i] = r.F64()
+	}
+	s.PMUTorLocal = r.F64()
+	s.PMUTorRemote = r.F64()
+	s.Rapl.PendingJ = r.F64()
+	s.Rapl.ResidualJ = r.F64()
+	s.Rapl.Counter = r.U32()
+	s.Rapl.LastPublish = r.F64()
+	s.Rapl.TotalJ = r.F64()
+	s.Components = make([]ComponentSnapshot, r.Count(componentLen))
+	for i := range s.Components {
+		s.Components[i] = ComponentSnapshot{
+			Period: r.F64(),
+			Core:   int(r.I64()),
+			Next:   r.F64(),
 		}
 	}
-	s.TotalInstr = r.f64()
-	s.TotalMissL = r.f64()
-	s.TotalMissR = r.f64()
-	s.UncoreGHzSecs = r.f64()
-	s.MSR.Pkg = r.msrBank()
-	nBanks := int(r.u32())
-	if r.err == nil && nBanks > maxSnapshotCores {
-		return nil, fmt.Errorf("machine: snapshot claims %d MSR banks", nBanks)
-	}
-	if r.err == nil {
-		s.MSR.PerCore = make([]map[uint32]uint64, nBanks)
-		for i := range s.MSR.PerCore {
-			s.MSR.PerCore[i] = r.msrBank()
-		}
-	}
-	nPMU := int(r.u32())
-	if r.err == nil && nPMU > maxSnapshotCores {
-		return nil, fmt.Errorf("machine: snapshot claims %d PMU counters", nPMU)
-	}
-	if r.err == nil {
-		s.PMUInstr = make([]float64, nPMU)
-		for i := range s.PMUInstr {
-			s.PMUInstr[i] = r.f64()
-		}
-	}
-	s.PMUTorLocal = r.f64()
-	s.PMUTorRemote = r.f64()
-	s.Rapl.PendingJ = r.f64()
-	s.Rapl.ResidualJ = r.f64()
-	s.Rapl.Counter = r.u32()
-	s.Rapl.LastPublish = r.f64()
-	s.Rapl.TotalJ = r.f64()
-	nComp := int(r.u32())
-	if r.err == nil && nComp > maxSnapshotComponents {
-		return nil, fmt.Errorf("machine: snapshot claims %d components", nComp)
-	}
-	if r.err == nil {
-		s.Components = make([]ComponentSnapshot, nComp)
-		for i := range s.Components {
-			s.Components[i] = ComponentSnapshot{
-				Period: r.f64(),
-				Core:   int(r.i64()),
-				Next:   r.f64(),
-			}
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("machine: %d trailing snapshot bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Sanity bounds for decoded lengths: generous multiples of anything a real
-// configuration produces, so a corrupt length field can't drive a huge
-// allocation (the checksum already catches random corruption; this guards
-// the adversarial case).
-const (
-	maxSnapshotCores      = 1 << 16
-	maxSnapshotComponents = 1 << 16
-)
-
-// encBuf is a minimal canonical binary writer (big-endian, IEEE-754 bits).
-type encBuf struct{ b []byte }
-
-func (w *encBuf) bytes(p []byte) { w.b = append(w.b, p...) }
-func (w *encBuf) u8(v uint8)     { w.b = append(w.b, v) }
-func (w *encBuf) u32(v uint32)   { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *encBuf) u64(v uint64)   { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *encBuf) i64(v int64)    { w.u64(uint64(v)) }
-func (w *encBuf) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *encBuf) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+// writeBank writes one MSR bank, its cells in the bank's address order.
+func writeBank(w *canon.Writer, bank []msr.Cell) {
+	w.U32(uint32(len(bank)))
+	for _, c := range bank {
+		w.U32(c.Addr)
+		w.U64(c.Val)
 	}
 }
 
-func (w *encBuf) msrBank(bank map[uint32]uint64) {
-	addrs := make([]uint32, 0, len(bank))
-	for a := range bank {
-		addrs = append(addrs, a)
+// readBank reads one MSR bank, refusing addresses that do not strictly
+// ascend: Encode never writes such a bank, and a register file keeps
+// that order.
+func readBank(r *canon.Reader) []msr.Cell {
+	bank := make([]msr.Cell, r.Count(cellLen))
+	for i := range bank {
+		bank[i] = msr.Cell{Addr: r.U32(), Val: r.U64()}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w.u32(uint32(len(addrs)))
-	for _, a := range addrs {
-		w.u32(a)
-		w.u64(bank[a])
-	}
-}
-
-// decBuf is the matching reader; the first short read latches err and
-// zero-fills every subsequent read.
-type decBuf struct {
-	b   []byte
-	err error
-}
-
-func (r *decBuf) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("machine: snapshot truncated mid-field")
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *decBuf) u8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *decBuf) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(p)
-}
-
-func (r *decBuf) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
-}
-
-func (r *decBuf) i64() int64   { return int64(r.u64()) }
-func (r *decBuf) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *decBuf) bool() bool   { return r.u8() != 0 }
-
-func (r *decBuf) msrBank() map[uint32]uint64 {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n > 1<<20 {
-		r.err = fmt.Errorf("machine: snapshot claims %d MSR cells", n)
-		return nil
-	}
-	bank := make(map[uint32]uint64, n)
-	for i := 0; i < n; i++ {
-		a := r.u32()
-		v := r.u64()
-		if r.err != nil {
-			return nil
-		}
-		bank[a] = v
+	if !msr.Ascending(bank) {
+		r.Fail("has an MSR bank whose addresses do not strictly ascend")
 	}
 	return bank
 }

@@ -3,9 +3,11 @@ package machine
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
+	"repro/internal/msr"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -44,6 +46,9 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if again := s.Encode(); !bytes.Equal(raw, again) {
 		t.Errorf("decode/encode is not a fixed point: %d vs %d bytes", len(raw), len(again))
+	}
+	if n := s.encodedLen(); n != len(raw) {
+		t.Errorf("encodedLen = %d, Encode wrote %d bytes", n, len(raw))
 	}
 }
 
@@ -144,6 +149,7 @@ func TestRestoreRejectsInvalidInFlightSegments(t *testing.T) {
 		{"uncore ratio below min", func(s *Snapshot, _ *CoreSnapshot) {
 			s.UncoreMin, s.UncoreMax, s.UncoreRatio = cfg.UncoreGrid.Min+2, cfg.UncoreGrid.Max, cfg.UncoreGrid.Min+1
 		}, true},
+		{"one MSR core bank short", func(s *Snapshot, _ *CoreSnapshot) { s.MSR.PerCore = s.MSR.PerCore[1:] }, true},
 	} {
 		s, err := DecodeSnapshot(raw)
 		if err != nil {
@@ -191,6 +197,83 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	for _, n := range []int{0, 7, len(raw) / 3, len(raw) - 1} {
 		if _, err := DecodeSnapshot(raw[:n]); err == nil {
 			t.Errorf("truncation to %d bytes decoded without error", n)
+		}
+	}
+}
+
+// TestSnapshotEncodingPinned pins the cfsnap1 bytes of one mid-run
+// snapshot whose MSR banks hold several cells, some stored out of address
+// order. Memo dirs keep these records across versions, so neither the
+// layout nor the cell order may move; the digest is what the map-backed
+// register file encoded.
+func TestSnapshotEncodingPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 4
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := m.Device()
+	for c := 0; c < cfg.Cores; c++ {
+		if err := dev.Write(msr.IA32ClockModulation, c, msr.ClockModRaw(uint8(4+c))); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Write(msr.IA32PerfCtl, c, msr.PerfCtlRaw(uint8(cfg.CoreGrid.Min)+uint8(2*c))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dev.Write(msr.UncoreRatioLimit, 0, msr.UncoreLimitRaw(uint8(cfg.UncoreGrid.Min)+2, uint8(cfg.UncoreGrid.Max)-3)); err != nil {
+		t.Fatal(err)
+	}
+	m.File().Poke(msr.TorInsertMissRemote, 0, 0x5eed)
+	m.File().Poke(msr.IA32FixedCtr0, 2, 0xc0ffee)
+	m.File().Poke(msr.IA32PerfStatus, 1, 0xbeef)
+	m.File().Poke(msr.PkgEnergyStatus, 0, 0xfeed)
+	regions := []sched.Region{
+		{Seg: workload.Segment{Instructions: 4e8, MissPerInstr: 1e-3, IPC: 1.5, RemoteFrac: 0.2, Exposure: 0.5}, Chunks: 8, JitterFrac: 0.1},
+		{Seg: workload.Segment{Instructions: 2e8, MissPerInstr: 8e-3, IPC: 0.7, RemoteFrac: 0.4, Exposure: 0.9}, Chunks: 8, JitterFrac: 0.1},
+	}
+	m.SetSource(sched.NewWorkSharing(cfg.Cores, sched.StaticProgram(regions, 4), 1))
+	m.Run(0.02)
+	if m.Finished() {
+		t.Fatal("workload finished before the snapshot point")
+	}
+	sum := sha256.Sum256(m.Snapshot().Encode())
+	const want = "ce56606423531def8f81b16b47e6c8eee4eaf3e4931b1f4f5832cea553250f24"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("cfsnap1 digest = %s, want %s", got, want)
+	}
+}
+
+// TestSnapshotRefusesUnorderedBanks: Encode writes a bank's cells as it
+// finds them, so a snapshot whose bank is out of address order, or
+// repeats an address, encodes to bytes no register file produces.
+// DecodeSnapshot must refuse them and RestoreRaw must refuse the bank.
+func TestSnapshotRefusesUnorderedBanks(t *testing.T) {
+	snapshot := func() *Snapshot {
+		m := midRunMachine(t)
+		m.File().Poke(msr.IA32FixedCtr0, 1, 7)
+		return m.Snapshot()
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(bank []msr.Cell)
+	}{
+		{"swapped", func(b []msr.Cell) { b[0], b[1] = b[1], b[0] }},
+		{"repeated", func(b []msr.Cell) { b[1].Addr = b[0].Addr }},
+	} {
+		s := snapshot()
+		tc.edit(s.MSR.Pkg)
+		if _, err := DecodeSnapshot(s.Encode()); err == nil {
+			t.Errorf("%s package bank: DecodeSnapshot accepted it", tc.name)
+		}
+		s = snapshot()
+		tc.edit(s.MSR.PerCore[1])
+		if _, err := DecodeSnapshot(s.Encode()); err == nil {
+			t.Errorf("%s core bank: DecodeSnapshot accepted it", tc.name)
+		}
+		if err := midRunMachine(t).File().RestoreRaw(s.MSR); err == nil {
+			t.Errorf("%s core bank: RestoreRaw accepted it", tc.name)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package msr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -15,15 +15,31 @@ type Handler struct {
 	Write func(core int, v uint64) error
 }
 
+// Cell is one stored register: its address and raw value.
+type Cell struct {
+	Addr uint32
+	Val  uint64
+}
+
+// Bank capacities reserved at NewFile: the emulation defines four
+// core-scoped addresses and five package-scoped ones, so no bank of a
+// simulated machine outgrows its reservation.
+const (
+	coreBankCap = 4
+	pkgBankCap  = 5
+)
+
 // File is the socket's register file: one bank per core plus one package
-// bank, with optional live handlers per address. It is safe for concurrent
-// use; the simulator's parallel step driver and the daemon may touch it from
+// bank, with optional live handlers per address. Each bank is a slice of
+// cells in strictly ascending address order, so a snapshot is a copy and
+// its encoding needs no sort. It is safe for concurrent use; the
+// simulator's parallel step driver and the daemon may touch it from
 // different goroutines.
 type File struct {
 	mu       sync.RWMutex
 	cores    int
-	coreRegs []map[uint32]uint64
-	pkgRegs  map[uint32]uint64
+	coreRegs [][]Cell
+	pkgRegs  []Cell
 	handlers map[uint32]Handler
 }
 
@@ -33,16 +49,17 @@ func NewFile(cores int) *File {
 	if cores <= 0 {
 		panic(fmt.Sprintf("msr: invalid core count %d", cores))
 	}
+	cells := make([]Cell, pkgBankCap+cores*coreBankCap)
 	f := &File{
 		cores:    cores,
-		coreRegs: make([]map[uint32]uint64, cores),
-		pkgRegs:  make(map[uint32]uint64),
+		coreRegs: make([][]Cell, cores),
+		pkgRegs:  append(cells[:0:pkgBankCap], Cell{RaplPowerUnit, DefaultRaplPowerUnitRaw}),
 		handlers: make(map[uint32]Handler),
 	}
 	for i := range f.coreRegs {
-		f.coreRegs[i] = make(map[uint32]uint64)
+		lo := pkgBankCap + i*coreBankCap
+		f.coreRegs[i] = cells[lo : lo : lo+coreBankCap]
 	}
-	f.pkgRegs[RaplPowerUnit] = DefaultRaplPowerUnitRaw
 	return f
 }
 
@@ -85,9 +102,9 @@ func (f *File) Read(addr uint32, core int) (uint64, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if AddrScope(addr) == ScopeCore {
-		return f.coreRegs[core][addr], nil
+		return lookup(f.coreRegs[core], addr), nil
 	}
-	return f.pkgRegs[addr], nil
+	return lookup(f.pkgRegs, addr), nil
 }
 
 // Write stores v to addr on the given core (0 for package scope).
@@ -106,9 +123,9 @@ func (f *File) Write(addr uint32, core int, v uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if AddrScope(addr) == ScopeCore {
-		f.coreRegs[core][addr] = v
+		f.coreRegs[core] = store(f.coreRegs[core], addr, v)
 	} else {
-		f.pkgRegs[addr] = v
+		f.pkgRegs = store(f.pkgRegs, addr, v)
 	}
 	return nil
 }
@@ -119,47 +136,50 @@ func (f *File) Poke(addr uint32, core int, v uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if AddrScope(addr) == ScopeCore && core >= 0 && core < f.cores {
-		f.coreRegs[core][addr] = v
+		f.coreRegs[core] = store(f.coreRegs[core], addr, v)
 		return
 	}
-	f.pkgRegs[addr] = v
+	f.pkgRegs = store(f.pkgRegs, addr, v)
 }
 
 // Snapshot captures every stored register (handlers are not consulted), for
-// msr-safe style save/restore.
+// msr-safe style save/restore. All banks share one array of cells.
 func (f *File) Snapshot() Snapshot {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	s := Snapshot{Pkg: make(map[uint32]uint64, len(f.pkgRegs))}
-	for k, v := range f.pkgRegs {
-		s.Pkg[k] = v
+	n := len(f.pkgRegs)
+	for _, bank := range f.coreRegs {
+		n += len(bank)
 	}
-	s.PerCore = make([]map[uint32]uint64, f.cores)
+	cells := append(make([]Cell, 0, n), f.pkgRegs...)
+	s := Snapshot{Pkg: cells[:len(cells):len(cells)], PerCore: make([][]Cell, f.cores)}
 	for i, bank := range f.coreRegs {
-		m := make(map[uint32]uint64, len(bank))
-		for k, v := range bank {
-			m[k] = v
-		}
-		s.PerCore[i] = m
+		lo := len(cells)
+		cells = append(cells, bank...)
+		s.PerCore[i] = cells[lo:len(cells):len(cells)]
 	}
 	return s
 }
 
 // Restore writes a snapshot back through Write so handlers observe the
 // restored values (the msr-safe semantics: restoring PERF_CTL re-actuates
-// the frequency). Registers are written in address order for determinism.
+// the frequency): the package bank first, then each core's, every bank in
+// address order.
 func (f *File) Restore(s Snapshot) error {
-	for _, addr := range sortedAddrs(s.Pkg) {
-		if err := f.Write(addr, 0, s.Pkg[addr]); err != nil {
+	if len(s.PerCore) > f.cores {
+		return fmt.Errorf("msr: snapshot has %d cores, file has %d", len(s.PerCore), f.cores)
+	}
+	if err := s.ordered(); err != nil {
+		return err
+	}
+	for _, c := range s.Pkg {
+		if err := f.Write(c.Addr, 0, c.Val); err != nil {
 			return err
 		}
 	}
 	for core, bank := range s.PerCore {
-		if core >= f.cores {
-			return fmt.Errorf("msr: snapshot has %d cores, file has %d", len(s.PerCore), f.cores)
-		}
-		for _, addr := range sortedAddrs(bank) {
-			if err := f.Write(addr, core, bank[addr]); err != nil {
+		for _, c := range bank {
+			if err := f.Write(c.Addr, core, c.Val); err != nil {
 				return err
 			}
 		}
@@ -173,37 +193,81 @@ func (f *File) Restore(s Snapshot) error {
 // separately and a handler side effect would double-apply it. Unlike
 // Restore, banks are replaced wholesale: cells absent from the snapshot
 // are cleared, so the file's visible contents equal the snapshot exactly.
+// The cells are copied; the file never aliases the snapshot.
 func (f *File) RestoreRaw(s Snapshot) error {
 	if len(s.PerCore) != f.cores {
 		return fmt.Errorf("msr: snapshot has %d cores, file has %d", len(s.PerCore), f.cores)
 	}
+	if err := s.ordered(); err != nil {
+		return err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pkgRegs = make(map[uint32]uint64, len(s.Pkg))
-	for k, v := range s.Pkg {
-		f.pkgRegs[k] = v
-	}
+	f.pkgRegs = append(f.pkgRegs[:0], s.Pkg...)
 	for core, bank := range s.PerCore {
-		m := make(map[uint32]uint64, len(bank))
-		for k, v := range bank {
-			m[k] = v
-		}
-		f.coreRegs[core] = m
+		f.coreRegs[core] = append(f.coreRegs[core][:0], bank...)
 	}
 	return nil
 }
 
-// Snapshot is a point-in-time copy of the register file's stored cells.
+// Snapshot is a point-in-time copy of the register file's stored cells,
+// each bank in strictly ascending address order.
 type Snapshot struct {
-	Pkg     map[uint32]uint64
-	PerCore []map[uint32]uint64
+	Pkg     []Cell
+	PerCore [][]Cell
 }
 
-func sortedAddrs(m map[uint32]uint64) []uint32 {
-	addrs := make([]uint32, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
+// ordered refuses a snapshot with a bank out of address order, before
+// any cell is written.
+func (s Snapshot) ordered() error {
+	if !Ascending(s.Pkg) {
+		return fmt.Errorf("msr: snapshot package bank is not in ascending address order")
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
+	for core, bank := range s.PerCore {
+		if !Ascending(bank) {
+			return fmt.Errorf("msr: snapshot core %d bank is not in ascending address order", core)
+		}
+	}
+	return nil
+}
+
+// Ascending reports whether a bank's addresses strictly ascend, the order
+// every bank of a File and of its snapshots keeps.
+func Ascending(bank []Cell) bool {
+	for i := 1; i < len(bank); i++ {
+		if bank[i].Addr <= bank[i-1].Addr {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns where addr sits in an ascending bank, or where it would be
+// inserted, and whether it is stored. Banks hold a handful of cells, so a
+// scan beats a binary search.
+func find(bank []Cell, addr uint32) (int, bool) {
+	for i, c := range bank {
+		if c.Addr >= addr {
+			return i, c.Addr == addr
+		}
+	}
+	return len(bank), false
+}
+
+// lookup returns addr's stored value in bank, 0 when it was never stored.
+func lookup(bank []Cell, addr uint32) uint64 {
+	if i, ok := find(bank, addr); ok {
+		return bank[i].Val
+	}
+	return 0
+}
+
+// store sets addr to v in bank, inserting the cell in address order.
+func store(bank []Cell, addr uint32, v uint64) []Cell {
+	i, ok := find(bank, addr)
+	if ok {
+		bank[i].Val = v
+		return bank
+	}
+	return slices.Insert(bank, i, Cell{addr, v})
 }

@@ -2,6 +2,7 @@ package msr
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -219,5 +220,59 @@ func TestWriteMaskPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBanksStayAddressOrdered: cells stored in any order sit in strictly
+// ascending address order, a snapshot is a copy the file no longer
+// touches, and RestoreRaw copies a snapshot in without aliasing it.
+func TestBanksStayAddressOrdered(t *testing.T) {
+	f := NewFile(2)
+	for _, addr := range []uint32{IA32FixedCtr0, IA32ClockModulation, IA32PerfStatus, IA32PerfCtl} {
+		f.Poke(addr, 1, uint64(addr))
+	}
+	for _, addr := range []uint32{TorInsertMissRemote, UncoreRatioLimit, TorInsertMissLocal, PkgEnergyStatus} {
+		f.Poke(addr, 0, uint64(addr))
+	}
+	s := f.Snapshot()
+	wantCore := []Cell{{IA32PerfStatus, IA32PerfStatus}, {IA32PerfCtl, IA32PerfCtl}, {IA32ClockModulation, IA32ClockModulation}, {IA32FixedCtr0, IA32FixedCtr0}}
+	wantPkg := []Cell{{RaplPowerUnit, DefaultRaplPowerUnitRaw}, {PkgEnergyStatus, PkgEnergyStatus}, {UncoreRatioLimit, UncoreRatioLimit},
+		{TorInsertMissLocal, TorInsertMissLocal}, {TorInsertMissRemote, TorInsertMissRemote}}
+	if !slices.Equal(s.PerCore[1], wantCore) || len(s.PerCore[0]) != 0 || !slices.Equal(s.Pkg, wantPkg) {
+		t.Fatalf("snapshot banks = %v, %v, %v; want %v, [], %v", s.Pkg, s.PerCore[0], s.PerCore[1], wantPkg, wantCore)
+	}
+	f.Poke(IA32PerfCtl, 1, 0)
+	if s.PerCore[1][1].Val != IA32PerfCtl {
+		t.Error("a store after Snapshot reached the snapshot")
+	}
+	g := NewFile(2)
+	if err := g.RestoreRaw(s); err != nil {
+		t.Fatal(err)
+	}
+	s.PerCore[1][0].Val = 0
+	if v, _ := g.Read(IA32PerfStatus, 1); v != IA32PerfStatus {
+		t.Errorf("restored PERF_STATUS = %#x after the snapshot changed, want %#x", v, IA32PerfStatus)
+	}
+	if got := g.Snapshot(); !slices.Equal(got.Pkg, wantPkg) || !slices.Equal(got.PerCore[1], []Cell{{IA32PerfStatus, IA32PerfStatus}, wantCore[1], wantCore[2], wantCore[3]}) {
+		t.Errorf("restored file snapshots as %v, %v", got.Pkg, got.PerCore)
+	}
+}
+
+// TestDeviceSaveCapturesWritableCells: Save records exactly the
+// allow-listed writable registers of every bank, in address order, with
+// 0 for a register never stored.
+func TestDeviceSaveCapturesWritableCells(t *testing.T) {
+	f := NewFile(2)
+	f.Poke(IA32PerfCtl, 0, PerfCtlRaw(23))
+	f.Poke(IA32FixedCtr0, 0, 99)
+	d := NewDevice(f, DefaultAllowlist())
+	d.Save()
+	want := Snapshot{
+		Pkg:     []Cell{{UncoreRatioLimit, 0}},
+		PerCore: [][]Cell{{{IA32PerfCtl, PerfCtlRaw(23)}, {IA32ClockModulation, 0}}, {{IA32PerfCtl, 0}, {IA32ClockModulation, 0}}},
+	}
+	got := *d.saved
+	if !slices.Equal(got.Pkg, want.Pkg) || !slices.EqualFunc(got.PerCore, want.PerCore, slices.Equal) {
+		t.Errorf("saved %v, want %v", got, want)
 	}
 }

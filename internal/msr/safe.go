@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,14 +89,26 @@ func (e *ErrDenied) Error() string {
 type Device struct {
 	file  *File
 	allow Allowlist
+	// pkgW and coreW are the writable package- and core-scoped addresses
+	// in ascending order: the cells Save captures.
+	pkgW, coreW []uint32
 
 	mu    sync.Mutex
 	saved *Snapshot
 }
 
-// NewDevice wraps file with the allow-list.
+// NewDevice wraps file with the allow-list. Save captures the addresses
+// the list makes writable when NewDevice runs.
 func NewDevice(file *File, allow Allowlist) *Device {
-	return &Device{file: file, allow: allow}
+	d := &Device{file: file, allow: allow}
+	for _, addr := range slices.Sorted(maps.Keys(allow.WriteMask)) {
+		if AddrScope(addr) == ScopeCore {
+			d.coreW = append(d.coreW, addr)
+		} else {
+			d.pkgW = append(d.pkgW, addr)
+		}
+	}
+	return d
 }
 
 // Read reads addr on core through the allow-list.
@@ -123,26 +137,27 @@ func (d *Device) Write(addr uint32, core int, v uint64) error {
 }
 
 // Save snapshots every writable register so Restore can put the machine back
-// the way the library found it.
+// the way the library found it. A register never stored saves as 0.
 func (d *Device) Save() {
+	f := d.file
+	np, nc := len(d.pkgW), len(d.coreW)
+	cells := make([]Cell, np+f.cores*nc)
+	s := Snapshot{Pkg: cells[:np:np], PerCore: make([][]Cell, f.cores)}
+	f.mu.RLock()
+	for i, addr := range d.pkgW {
+		s.Pkg[i] = Cell{addr, lookup(f.pkgRegs, addr)}
+	}
+	for core, bank := range f.coreRegs {
+		lo := np + core*nc
+		saved := cells[lo : lo+nc : lo+nc]
+		for i, addr := range d.coreW {
+			saved[i] = Cell{addr, lookup(bank, addr)}
+		}
+		s.PerCore[core] = saved
+	}
+	f.mu.RUnlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	full := d.file.Snapshot()
-	s := Snapshot{Pkg: make(map[uint32]uint64), PerCore: make([]map[uint32]uint64, len(full.PerCore))}
-	for addr := range d.allow.WriteMask {
-		if AddrScope(addr) == ScopePackage {
-			s.Pkg[addr] = full.Pkg[addr]
-		}
-	}
-	for i, bank := range full.PerCore {
-		m := make(map[uint32]uint64)
-		for addr := range d.allow.WriteMask {
-			if AddrScope(addr) == ScopeCore {
-				m[addr] = bank[addr]
-			}
-		}
-		s.PerCore[i] = m
-	}
 	d.saved = &s
 }
 

@@ -2,6 +2,7 @@ package tipi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/freq"
 )
@@ -111,20 +112,19 @@ func (e *Explorer) resolveCollapsed() {
 	}
 }
 
-// ReadingState is one frequency level's JPI accumulator in serializable
-// form.
+// ReadingState is one frequency level's JPI accumulator.
 type ReadingState struct {
-	Sum float64 `json:"sum"`
-	N   int     `json:"n"`
+	Sum float64
+	N   int
 }
 
 // ExplorerState is the explorer's complete mutable state, exported for
 // daemon snapshots (the grid is configuration, not state).
 type ExplorerState struct {
-	LB       freq.Level     `json:"lb"`
-	RB       freq.Level     `json:"rb"`
-	Opt      freq.Level     `json:"opt"`
-	Readings []ReadingState `json:"readings"`
+	LB       freq.Level
+	RB       freq.Level
+	Opt      freq.Level
+	Readings []ReadingState
 }
 
 // State exports the mutable exploration state.
@@ -137,7 +137,9 @@ func (e *Explorer) State() ExplorerState {
 }
 
 // SetState overwrites the exploration state from a snapshot taken by
-// State. The reading table must match the grid's level count.
+// State. The reading table must match the grid's level count, and each
+// reading must be one Record can produce: a finite sum over at most
+// SamplesPerAvg readings. A refused state leaves the explorer untouched.
 func (e *Explorer) SetState(s ExplorerState) error {
 	if len(s.Readings) != e.grid.Levels() {
 		return fmt.Errorf("tipi: state has %d readings, grid has %d levels", len(s.Readings), e.grid.Levels())
@@ -147,6 +149,11 @@ func (e *Explorer) SetState(s ExplorerState) error {
 	}
 	if s.Opt != NoOpt && (s.Opt < 0 || int(s.Opt) >= e.grid.Levels()) {
 		return fmt.Errorf("tipi: state optimum %d outside grid %v", s.Opt, e.grid)
+	}
+	for l, r := range s.Readings {
+		if r.N < 0 || r.N > SamplesPerAvg || math.IsNaN(r.Sum) || math.IsInf(r.Sum, 0) {
+			return fmt.Errorf("tipi: state reading at level %d sums %g over %d samples", l, r.Sum, r.N)
+		}
 	}
 	e.lb, e.rb, e.opt = s.LB, s.RB, s.Opt
 	for i, r := range s.Readings {
