@@ -20,8 +20,11 @@
 // first pass's phases, that pass's end and its own end, the boundaries
 // where an edited spec can resume. -memo-dir persists snapshots across
 // restarts, one checksummed record per snapshot; instances sharing the
-// directory see each other's snapshots on their next miss.
-// -memo-max-bytes bounds the in-memory snapshot LRU.
+// directory see each other's snapshots on their next miss. With it,
+// snapshots are written around memory: each goes to disk only, and the
+// in-memory LRU holds just the snapshots a resume has read from disk.
+// -memo-max-bytes bounds that LRU; without -memo-dir the LRU holds every
+// snapshot under the same budget.
 //
 // Observability is on by default and strictly out of band — it never
 // touches report bytes or cache keys. Every request records a span tree
@@ -90,7 +93,7 @@ func main() {
 		storeMax  = flag.Int64("store-max-bytes", 0, "prune the store oldest-first past this many payload bytes (0 = unbounded)")
 		useMemo   = flag.Bool("memo", false, "enable the prefix-snapshot memo tier: executions resume from the longest memoized prefix of their region schedule")
 		memoDir   = flag.String("memo-dir", "", "persistent snapshot directory below the memo LRU (empty = memory only); implies -memo")
-		memoMax   = flag.Int64("memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
+		memoMax   = flag.Int64("memo-max-bytes", 0, "in-memory budget for snapshots a resume has read, or for every snapshot without -memo-dir (0 = 64 MiB)")
 		traces    = flag.Int("traces", 64, "recent run traces to hold for GET /v1/runs/{id}/trace (0 disables tracing)")
 		timelines = flag.Int("timelines", 0, "recent flight-recorder timelines to hold for GET /v1/runs/{id}/timeline (0 disables timeline recording)")
 		traceDir  = flag.String("trace-dir", "", "also write each trace as Chrome trace-event JSON under this directory")

@@ -125,7 +125,7 @@ func newFlagSet(spec *service.RunSpec, o *options) *flag.FlagSet {
 	fs.StringVar(&o.storeDir, "store", "", "persistent result store directory for in-process runs: results survive invocations and repeats are served from it")
 	fs.BoolVar(&o.memo, "memo", false, "enable prefix-snapshot memoization for in-process runs: shared schedule prefixes simulate once and resume")
 	fs.StringVar(&o.memoDir, "memo-dir", "", "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
-	fs.Int64Var(&o.memoMaxBytes, "memo-max-bytes", 0, "memo LRU byte budget (0 = 64 MiB)")
+	fs.Int64Var(&o.memoMaxBytes, "memo-max-bytes", 0, "in-memory budget for snapshots a resume has read, or for every snapshot without -memo-dir (0 = 64 MiB)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the in-process run's span trace as Chrome trace-event JSON to this file")
 	fs.StringVar(&o.timelineOut, "timeline-out", "", "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
 	fs.BoolVar(&o.listGov, "list-governors", false, "list registered governors and exit")

@@ -201,7 +201,10 @@ const maxRegionSpans = 64
 // (up to maxRegionSpans; names carry the boundary index, so the span
 // structure is a pure function of the region schedule); a memo run's
 // simulate span instead reports where it resumed and how many snapshots
-// it stored, one record each, at the boundaries its plan selects.
+// it stored, one record each, at the boundaries its plan selects. Its
+// children time the memo writes apart from the simulation: one
+// memo_snapshot-<k> per snapshot taken at boundary k, and memo_store
+// around the tier Puts.
 func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error) {
 	cfg := opt.machineConfig()
 	m, err := machine.New(cfg)
@@ -255,14 +258,16 @@ func simulate(j simJob, opt Options, mp *memoPlan, fromK int) (RunResult, error)
 			}
 		}
 		if snapshotting {
-			snapshotting = mp.snapshot(m, att, n)
+			snapshotting = mp.snapshot(m, att, n, sp)
 		}
 		return rec || region != nil || snapshotting
 	})
 	region.End()
 	m.RecordTimeline()
 	if mp != nil {
+		store := sp.Child("memo_store")
 		sp.Set("snapshots_stored", mp.store())
+		store.End()
 	}
 	sp.Set("sim_seconds", m.Now()-start)
 	sp.Set("profile", m.Profile())

@@ -12,6 +12,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/machine"
 	"repro/internal/memo"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/timeline"
@@ -314,9 +315,10 @@ func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Opti
 }
 
 // snapshot takes the resumable state at region boundary n when the plan
-// selects it. It returns false once snapshotting must stop (the governor
-// could not export its state, e.g. a latched daemon error).
-func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int) bool {
+// selects it, timed by a memo_snapshot-<n> child of the simulate span
+// sp. It returns false once snapshotting must stop (the governor could
+// not export its state, e.g. a latched daemon error).
+func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int, sp *obs.Span) bool {
 	if !slices.Contains(p.points, n) {
 		return true
 	}
@@ -324,6 +326,11 @@ func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int)
 	if !ok || cp.RegionsDone != n {
 		return true
 	}
+	var span *obs.Span
+	if sp != nil {
+		span = sp.Child(fmt.Sprintf("memo_snapshot-%d", n))
+	}
+	defer span.End()
 	govBlob, err := att.StateSnapshot()
 	if err != nil {
 		return false

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/governor"
 	"repro/internal/memo"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/tipi"
@@ -661,4 +662,101 @@ func FuzzDecodeContainer(f *testing.F) {
 			t.Fatal("a decoded container does not re-encode to its own bytes")
 		}
 	})
+}
+
+// TestWriteAroundHoldsOnlyResumedSnapshots replays cfbench's memo-resume
+// traffic for every governor through one disk-backed tier: a population
+// run of the nine-phase program, then tail edits that each resume at the
+// tail's start. Every snapshot goes to disk only, and the first resume
+// of each governor promotes the one snapshot the later ones read from
+// memory, so the LRU ends holding exactly those. Every edit's report is
+// byte-identical to a run with no tier.
+func TestWriteAroundHoldsOnlyResumedSnapshots(t *testing.T) {
+	const edits = 3
+	disk := openStore(t, t.TempDir())
+	tier := memo.New(0, disk)
+	opt := DefaultOptions()
+	opt.Scale, opt.Reps, opt.Seed, opt.WarmupSec = 0.05, 1, 7, 0.25
+	program := func(tailRemote float64) *scenario.Definition {
+		d := tailProgram(1e11)
+		d.Phases[8].RemoteFrac = tailRemote
+		return d
+	}
+	stored := 0
+	for promoted, gov := range governor.Names() {
+		opt.Governor, opt.Memo, opt.ScenarioDef = gov, tier, program(0)
+		rs := &memo.RunStats{}
+		opt.MemoStats = rs
+		runReportBytes(t, opt, "")
+		stored += rs.View().SnapshotsStored
+		if info := tier.Info(); info.Entries != promoted || info.Stored != uint64(stored) || info.Disk.Entries != stored {
+			t.Fatalf("%s population: %d snapshots in memory, %d stored, %d on disk; want %d, %d and %d",
+				gov, info.Entries, info.Stored, info.Disk.Entries, promoted, stored, stored)
+		}
+		for i := 1; i <= edits; i++ {
+			opt.ScenarioDef, opt.Memo, opt.MemoStats = program(0.1*float64(i)), nil, nil
+			fresh := runReportBytes(t, opt, "")
+			rs := &memo.RunStats{}
+			opt.Memo, opt.MemoStats = tier, rs
+			if got := runReportBytes(t, opt, ""); !bytes.Equal(got, fresh) {
+				t.Errorf("%s edit %d: resumed report differs from a run with no tier", gov, i)
+			}
+			if v := rs.View(); v.PrefixHits != 1 || v.SnapshotsStored != 1 {
+				t.Fatalf("%s edit %d: stats = %+v, want one resume that stores its end snapshot", gov, i, v)
+			}
+			stored++
+		}
+	}
+	n := len(governor.Names())
+	info := tier.Info()
+	if info.Entries != n || info.Evicted != 0 || info.Stored != uint64(stored) || info.Disk.Entries != stored {
+		t.Errorf("after the edits: %d snapshots in memory (%d evicted), %d stored, %d on disk; want %d, none, %d and %d",
+			info.Entries, info.Evicted, info.Stored, info.Disk.Entries, n, stored, stored)
+	}
+	if info.Disk.Hits != uint64(n) || info.PrefixHits != uint64(n*edits) {
+		t.Errorf("%d disk reads for %d resumes, want one per governor (%d): later resumes read the promoted snapshot",
+			info.Disk.Hits, info.PrefixHits, n)
+	}
+}
+
+// TestMemoSpansTimeSnapshotsApart: a memo run's simulate span has one
+// memo_snapshot-<k> child per snapshot it takes, named by its boundary,
+// and one memo_store child around the tier writes. A run that resumes
+// at its program end takes no snapshot and still records memo_store.
+func TestMemoSpansTimeSnapshotsApart(t *testing.T) {
+	e := burstyEntry(t)
+	const gov = "cuttlefish"
+	opt := memoTestOptions()
+	opt.Memo = memo.New(0, nil)
+	_, points := memoKeysAndPoints(t, e, gov, opt, 1)
+	children := func() []string {
+		tr := obs.NewTrace("")
+		o := opt
+		o.Span = tr.Root()
+		if _, err := RunEntry(e, gov, o, 1); err != nil {
+			t.Fatal(err)
+		}
+		spans := tr.Export().Spans
+		i := slices.IndexFunc(spans, func(sp obs.SpanExport) bool { return sp.Name == "simulate" })
+		if i < 0 {
+			t.Fatal("the run recorded no simulate span")
+		}
+		var names []string
+		for _, sp := range spans {
+			if sp.Parent == spans[i].ID {
+				names = append(names, sp.Name)
+			}
+		}
+		return names
+	}
+	var want []string
+	for _, k := range points {
+		want = append(want, fmt.Sprintf("memo_snapshot-%d", k))
+	}
+	if got := children(); !slices.Equal(got, append(want, "memo_store")) {
+		t.Errorf("cold run's simulate children = %v, want %v and memo_store", got, want)
+	}
+	if got := children(); !slices.Equal(got, []string{"memo_store"}) {
+		t.Errorf("resumed run's simulate children = %v, want only memo_store", got)
+	}
 }

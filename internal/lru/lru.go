@@ -110,6 +110,20 @@ func (c *Cache[V]) Add(key string, v V, size int64) {
 	}
 }
 
+// Remove drops the entry under key, if there is one; it counts as no
+// eviction.
+func (c *Cache[V]) Remove(key string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.bytes -= c.order.Remove(el).(*entry[V]).size
+		delete(c.items, key)
+	}
+}
+
 // Len returns the number of entries held.
 func (c *Cache[V]) Len() int {
 	if c == nil {

@@ -140,7 +140,8 @@ func TestFindLeavesOrder(t *testing.T) {
 
 // TestByteBudgetKeepsNewest: the byte bound evicts oldest first, the
 // count of evictions is kept, and an entry larger than the whole budget
-// is still held, alone.
+// is still held, alone. Remove and Purge free bytes without counting
+// evictions.
 func TestByteBudgetKeepsNewest(t *testing.T) {
 	c := New[[]byte](0, 100)
 	for i := 0; i < 5; i++ {
@@ -153,14 +154,20 @@ func TestByteBudgetKeepsNewest(t *testing.T) {
 	if got := c.Keys(); !reflect.DeepEqual(got, []string{"big"}) || c.Bytes() != 1000 {
 		t.Errorf("keys %v bytes %d, want only the oversized newest entry", got, c.Bytes())
 	}
+	c.Remove("absent")
+	c.Remove("big")
+	if c.Len() != 0 || c.Bytes() != 0 || c.Evicted() != 5 {
+		t.Errorf("after remove: len %d bytes %d evicted %d, want 0 / 0 / 5", c.Len(), c.Bytes(), c.Evicted())
+	}
+	c.Add("x", nil, 30)
 	c.Purge()
 	if c.Len() != 0 || c.Bytes() != 0 || c.Evicted() != 5 {
 		t.Errorf("after purge: len %d bytes %d evicted %d, want 0 / 0 / 5", c.Len(), c.Bytes(), c.Evicted())
 	}
 }
 
-// TestConcurrentBounds hammers one cache with Add, Get, Find and Purge
-// under both bounds (run it with -race). Len never exceeds the entry
+// TestConcurrentBounds hammers one cache with Add, Get, Find, Remove and
+// Purge under both bounds (run it with -race). Len never exceeds the entry
 // cap, and once the writers stop, Bytes is exactly the summed sizes of
 // the entries held (each value is its own size).
 func TestConcurrentBounds(t *testing.T) {
@@ -181,8 +188,10 @@ func TestConcurrentBounds(t *testing.T) {
 					c.Add(key, size, size)
 				case op < 75:
 					c.Get(key)
-				case op < 99:
+				case op < 95:
 					c.Find(key[:2])
+				case op < 99:
+					c.Remove(key)
 				default:
 					c.Purge()
 				}

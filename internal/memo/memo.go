@@ -24,6 +24,14 @@
 // run falls back to the longest intact prefix, or to simulating from
 // t=0. Records another process sharing the directory appends become
 // visible on the next miss.
+//
+// Over a disk tier, Put is write-around: a snapshot the disk accepted
+// stays out of memory, and memory holds only the snapshots a Get
+// promoted from disk. Most snapshots are never read (a run stores the
+// boundaries any later spec might resume from, and few specs do), so
+// the byte budget goes to the snapshots resumes actually read. Without
+// a disk tier, or when the disk write fails, Put keeps the snapshot in
+// memory instead.
 package memo
 
 import (
@@ -40,7 +48,8 @@ import (
 const DefaultMaxBytes = 64 << 20
 
 // Tier is the snapshot cache: an in-memory byte-budget LRU over an
-// optional persistent store. Safe for concurrent use.
+// optional persistent store, which Put writes around. Safe for
+// concurrent use.
 type Tier struct {
 	mem      *lru.Cache[[]byte]
 	maxBytes int64
@@ -80,17 +89,19 @@ func (t *Tier) Get(key string) ([]byte, bool) {
 	return body, ok
 }
 
-// Put stores one snapshot in memory and, when configured, writes it
-// through to the disk tier as one record. A key that is not a hex
-// SHA-256 digest stays in memory only. Disk write failures are absorbed
-// — the store counts them, and a missing snapshot only costs
-// re-simulation.
+// Put stores one snapshot. Over a disk tier it writes around memory: the
+// snapshot becomes one disk record and memory drops any copy it held
+// under key, so the next Get promotes the record just written instead of
+// serving an older body. Memory keeps the snapshot only when there is no
+// disk tier or the store refused it (a key that is not a hex SHA-256
+// digest, or a failed write, which the store counts).
 func (t *Tier) Put(key string, body []byte) {
-	t.mem.Add(key, body, int64(len(body)))
 	t.stored.Add(1)
-	if t.disk != nil {
-		_ = t.disk.Put(key, body) // counted in the store's Info; a lost snapshot costs re-simulation
+	if t.disk != nil && t.disk.Put(key, body) == nil {
+		t.mem.Remove(key)
+		return
 	}
+	t.mem.Add(key, body, int64(len(body)))
 }
 
 // RecordResume counts one run resumed from a snapshot, skipping the

@@ -93,6 +93,59 @@ func TestTierDiskPromotionAndPurge(t *testing.T) {
 	}
 }
 
+// TestTierWritesAroundMemory: over a disk tier a snapshot the store
+// accepts goes to disk only, and memory takes it when a Get promotes it.
+// A Put over a key memory holds drops the older copy, so the next Get
+// promotes the record just written. A memory-only tier, a key the store
+// refuses and a tier whose store has closed all keep the snapshot in
+// memory.
+func TestTierWritesAroundMemory(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	tier := New(0, st)
+	tier.Put(key("a"), []byte("v1"))
+	if info := tier.Info(); info.Entries != 0 || info.Bytes != 0 || info.Stored != 1 || info.Disk.Entries != 1 {
+		t.Fatalf("after Put: %d entries, %d bytes in memory, %d stored, %d on disk; want 0, 0, 1, 1",
+			info.Entries, info.Bytes, info.Stored, info.Disk.Entries)
+	}
+	if got, ok := tier.Get(key("a")); !ok || string(got) != "v1" {
+		t.Fatalf("Get = %q, %v; want v1 from disk", got, ok)
+	}
+	if info := tier.Info(); info.Entries != 1 || info.Bytes != 2 || info.Disk.Hits != 1 {
+		t.Fatalf("after Get: %d entries, %d bytes, %d disk reads; want the snapshot promoted after one read",
+			info.Entries, info.Bytes, info.Disk.Hits)
+	}
+	tier.Put(key("a"), []byte("v2"))
+	if got, ok := tier.Get(key("a")); !ok || string(got) != "v2" {
+		t.Errorf("Get after a re-Put = %q, %v; want v2, not the older copy memory held", got, ok)
+	}
+	if info := tier.Info(); info.Entries != 1 || info.Stored != 2 || info.Disk.Hits != 2 {
+		t.Errorf("after the re-Put: %d entries, %d stored, %d disk reads; want 1, 2, 2", info.Entries, info.Stored, info.Disk.Hits)
+	}
+
+	tier.Put("not-a-digest", []byte("kept"))
+	if got, ok := tier.Get("not-a-digest"); !ok || string(got) != "kept" {
+		t.Errorf("a key the store refuses: Get = %q, %v; want it kept in memory", got, ok)
+	}
+	st.Close()
+	tier.Put(key("b"), []byte("after-close"))
+	if got, ok := tier.Get(key("b")); !ok || string(got) != "after-close" {
+		t.Errorf("a failed disk write: Get = %q, %v; want the snapshot kept in memory", got, ok)
+	}
+	if info := tier.Info(); info.Entries != 3 || info.Stored != 4 || info.Disk.WriteErr != 1 {
+		t.Errorf("%d entries, %d stored, %d write errors; want 3, 4, 1", info.Entries, info.Stored, info.Disk.WriteErr)
+	}
+
+	mem := New(0, nil)
+	mem.Put(key("a"), []byte("v1"))
+	if info := mem.Info(); info.Entries != 1 || info.Bytes != 2 || info.Stored != 1 {
+		t.Errorf("memory-only tier: %d entries, %d bytes, %d stored; want 1, 2, 1", info.Entries, info.Bytes, info.Stored)
+	}
+}
+
 // TestTierSeesSiblingRecordsOnMiss shares one memo dir between two
 // tiers, as two cfserve processes would: every snapshot either writes
 // reads back through the other's store, including one written after

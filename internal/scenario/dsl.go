@@ -151,32 +151,39 @@ func (d Definition) Validate() error {
 		return fmt.Errorf("%w: a scenario needs at least one phase", ErrBadDefinition)
 	}
 	for i, p := range d.Phases {
-		where := fmt.Sprintf("phase %d", i)
-		if p.Name != "" {
-			where = fmt.Sprintf("phase %d (%s)", i, p.Name)
-		}
 		switch {
 		case !finite(p.Instructions) || p.Instructions <= 0:
-			return fmt.Errorf("%w: %s: instructions must be positive and finite, got %g", ErrBadDefinition, where, p.Instructions)
+			return phaseError(i, p.Name, "instructions must be positive and finite, got %g", p.Instructions)
 		case !finite(p.IPC) || p.IPC <= 0:
-			return fmt.Errorf("%w: %s: ipc must be positive and finite, got %g", ErrBadDefinition, where, p.IPC)
+			return phaseError(i, p.Name, "ipc must be positive and finite, got %g", p.IPC)
 		case !finite(p.MissPerInstr) || p.MissPerInstr < 0:
-			return fmt.Errorf("%w: %s: miss_per_instr must be non-negative and finite, got %g", ErrBadDefinition, where, p.MissPerInstr)
+			return phaseError(i, p.Name, "miss_per_instr must be non-negative and finite, got %g", p.MissPerInstr)
 		case !(p.RemoteFrac >= 0 && p.RemoteFrac <= 1):
-			return fmt.Errorf("%w: %s: remote_frac must lie in [0, 1], got %g", ErrBadDefinition, where, p.RemoteFrac)
+			return phaseError(i, p.Name, "remote_frac must lie in [0, 1], got %g", p.RemoteFrac)
 		case p.Exposure != nil && !(*p.Exposure >= 0 && *p.Exposure <= 1):
-			return fmt.Errorf("%w: %s: exposure must lie in [0, 1], got %g", ErrBadDefinition, where, *p.Exposure)
+			return phaseError(i, p.Name, "exposure must lie in [0, 1], got %g", *p.Exposure)
 		case p.ChunksPerCore < 1:
-			return fmt.Errorf("%w: %s: chunks_per_core must be positive, got %d", ErrBadDefinition, where, p.ChunksPerCore)
+			return phaseError(i, p.Name, "chunks_per_core must be positive, got %d", p.ChunksPerCore)
 		case !(p.JitterFrac >= 0 && p.JitterFrac < 1):
-			return fmt.Errorf("%w: %s: jitter_frac must lie in [0, 1), got %g", ErrBadDefinition, where, p.JitterFrac)
+			return phaseError(i, p.Name, "jitter_frac must lie in [0, 1), got %g", p.JitterFrac)
 		case !finite(p.MissJitter) || p.MissJitter < 0:
-			return fmt.Errorf("%w: %s: miss_jitter must be non-negative and finite, got %g", ErrBadDefinition, where, p.MissJitter)
+			return phaseError(i, p.Name, "miss_jitter must be non-negative and finite, got %g", p.MissJitter)
 		case p.Repeat < 1:
-			return fmt.Errorf("%w: %s: repeat must be positive, got %d", ErrBadDefinition, where, p.Repeat)
+			return phaseError(i, p.Name, "repeat must be positive, got %d", p.Repeat)
 		}
 	}
 	return nil
+}
+
+// phaseError reports what is wrong with phase i, labelling the phase by
+// index and name only here, on the error path: a valid definition is
+// validated several times per request and should not pay for labels.
+func phaseError(i int, name, format string, v any) error {
+	where := fmt.Sprintf("phase %d", i)
+	if name != "" {
+		where = fmt.Sprintf("phase %d (%s)", i, name)
+	}
+	return fmt.Errorf("%w: %s: "+format, ErrBadDefinition, where, v)
 }
 
 // segment compiles the phase's densities (not its instruction budget).

@@ -78,6 +78,30 @@ func TestValidateAdversarialInputs(t *testing.T) {
 	}
 }
 
+// TestValidateLabelsPhasesOnlyOnError: a valid definition validates
+// without allocating, and a phase error names the phase by index and,
+// when it has one, by name, in the exact wording clients have seen.
+func TestValidateLabelsPhasesOnlyOnError(t *testing.T) {
+	d := validBase().Normalized()
+	if n := testing.AllocsPerRun(100, func() {
+		if d.Validate() != nil {
+			t.Fatal("well-formed base rejected")
+		}
+	}); n != 0 {
+		t.Errorf("validating a well-formed definition allocated %v times, want 0", n)
+	}
+	d.Phases[1].Repeat = -2
+	const named = "scenario: invalid definition: phase 1 (b): repeat must be positive, got -2"
+	if err := d.Validate(); err == nil || err.Error() != named {
+		t.Errorf("err = %v, want %q", err, named)
+	}
+	d.Phases[1].Name = ""
+	const unnamed = "scenario: invalid definition: phase 1: repeat must be positive, got -2"
+	if err := d.Validate(); err == nil || err.Error() != unnamed {
+		t.Errorf("err = %v, want %q", err, unnamed)
+	}
+}
+
 // TestValidateRejectsUnnormalizedZeroes pins that Validate is strict on
 // the raw (un-normalized) form too: zero iterations / chunks / repeat are
 // "unset" only to Normalized — handing Validate a definition that skipped

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -455,4 +457,147 @@ func TestWorkStealingConservationQuick(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// utsTree is a UTS-style tree: a completed node draws 1-7 children with
+// probability 0.3 from the runtime's RNG until a shared node budget runs
+// out. A task's Lo is its depth, which sets its work, so the segment
+// sequence tells a deep node from a shallow one.
+type utsTree struct{ budget int }
+
+func (u *utsTree) Seg(t Task) workload.Segment { return seg(float64(1 + t.Lo)) }
+
+func (u *utsTree) Expand(kids []Task, t Task, r *rand.Rand) []Task {
+	n := 0
+	if r.Float64() < 0.30 {
+		n = min(1+r.Intn(7), u.budget)
+	}
+	u.budget -= n
+	for range n {
+		kids = append(kids, Task{Lo: t.Lo + 1})
+	}
+	return kids
+}
+
+// dispatch is one segment handed out, and the core it went to.
+type dispatch struct {
+	core int
+	seg  workload.Segment
+}
+
+// unfold runs ws to completion, polling its cores in turn, and returns
+// every segment it handed out in order.
+func unfold(ws *WorkStealing, cores int) []dispatch {
+	var out []dispatch
+	for c := 0; !ws.Done(); c = (c + 1) % cores {
+		if s, ok := ws.NextSegment(c, 0); ok {
+			out = append(out, dispatch{c, s})
+			ws.Complete(c, 0)
+		}
+	}
+	return out
+}
+
+// spareArrays lists the free list's buffers by backing array and
+// capacity, largest first.
+func spareArrays() []string {
+	spare.Lock()
+	defer spare.Unlock()
+	var out []string
+	for _, s := range spare.bufs {
+		out = append(out, fmt.Sprintf("%p/%d", unsafe.SliceData(s.buf), cap(s.buf)))
+	}
+	return out
+}
+
+// TestFinishedRuntimeLendsDequeBuffers: a runtime built after another one
+// finished starts from that runtime's deque buffers, so a second unfold
+// of the same UTS tree grows no deque: the free list holds the same
+// arrays after it as before. And a runtime whose deques start from
+// dirty buffers hands out the same segments to the same cores in the
+// same order as one built in a fresh process, whose free list is empty.
+func TestFinishedRuntimeLendsDequeBuffers(t *testing.T) {
+	const cores = 20
+	freshProcess := func() {
+		spare.Lock()
+		spare.bufs = nil
+		spare.Unlock()
+	}
+	build := func(seed int64) *WorkStealing {
+		return NewWorkStealing(cores, SingleRound(make([]Task, 10*cores), &utsTree{budget: 50000}), seed)
+	}
+	freshProcess()
+	want := unfold(build(8), cores)
+
+	freshProcess()
+	first := build(7)
+	unfold(first, cores)
+	kept := spareArrays()
+	if len(kept) != cores {
+		t.Fatalf("a finished %d-core runtime left %d buffers on the free list", cores, len(kept))
+	}
+	second := build(7)
+	for i, d := range second.deques {
+		if !slices.Contains(kept, fmt.Sprintf("%p/%d", unsafe.SliceData(d.buf), cap(d.buf))) {
+			t.Errorf("deque %d started from a buffer the first runtime did not leave", i)
+		}
+	}
+	if n := len(spareArrays()); n != 0 {
+		t.Errorf("the second runtime left %d buffers on the list, want it to take all %d", n, cores)
+	}
+	unfold(second, cores)
+	if first.tasksRun != 50000+10*cores || second.tasksRun != first.tasksRun {
+		t.Errorf("tasks run = %d and %d, want %d", first.tasksRun, second.tasksRun, 50000+10*cores)
+	}
+	if after := spareArrays(); !slices.Equal(after, kept) {
+		t.Errorf("the second unfold grew its deques: free list %v, was %v", after, kept)
+	}
+
+	// Poison every slot, so that a deque reading one it did not write
+	// would hand out a 2^40-instruction segment.
+	spare.Lock()
+	for _, s := range spare.bufs {
+		for i := range s.buf {
+			s.buf[i] = Task{Lo: 1 << 40}
+		}
+	}
+	spare.Unlock()
+	if got := unfold(build(8), cores); !slices.Equal(got, want) {
+		t.Errorf("a runtime on reused buffers handed out %d segments that differ from a fresh process's %d", len(got), len(want))
+	}
+}
+
+// TestConcurrentRuntimesShareTheFreeList runs work-stealing programs of
+// several core counts from several goroutines at once (run it with
+// -race), all taking buffers from and giving them back to the one free
+// list. Every run must execute its whole tree with the same counters as
+// the same program run alone.
+func TestConcurrentRuntimesShareTheFreeList(t *testing.T) {
+	tree, root, nodes := binaryTree(9)
+	stats := func(cores int) [3]int {
+		ws := NewWorkStealing(cores, SingleRound([]Task{root}, tree), int64(cores))
+		unfold(ws, cores)
+		tasks, steals, failed := ws.Stats()
+		return [3]int{tasks, steals, failed}
+	}
+	want := map[int][3]int{}
+	for cores := 1; cores <= 24; cores += 7 {
+		if want[cores] = stats(cores); want[cores][0] != nodes {
+			t.Fatalf("%d cores ran %d tasks, want %d", cores, want[cores][0], nodes)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				cores := 1 + 7*((g+i)%4)
+				if got := stats(cores); got != want[cores] {
+					t.Errorf("goroutine %d run %d (%d cores): tasks/steals/failed = %v, want %v", g, i, cores, got, want[cores])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

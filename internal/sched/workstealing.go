@@ -111,6 +111,7 @@ func NewWorkStealing(cores int, gen RoundGen, seed int64) *WorkStealing {
 		running:            make([]bool, cores),
 		StealOverheadInstr: 400,
 	}
+	takeBuffers(w.deques)
 	w.startRound()
 	return w
 }
@@ -122,7 +123,9 @@ func (w *WorkStealing) startRound() {
 	roots, tree, ok := w.gen(w.round)
 	w.round++
 	if !ok {
+		// The last round has joined, so every deque is empty.
 		w.done = true
+		keepBuffers(w.deques)
 		return
 	}
 	if len(roots) == 0 {
