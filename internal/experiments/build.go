@@ -189,14 +189,17 @@ func RunOneReport(opt Options) (*report.RunReport, error) {
 		ropt := opt
 		// Each repetition records under its own span lane; the index-bearing
 		// name keeps span IDs deterministic under concurrent creation.
-		sp := opt.Span.ChildLane(fmt.Sprintf("rep-%d", r), r+1)
-		sp.Set("seed", opt.Seed+int64(r))
-		ropt.Span = sp
 		// Timelines split per repetition too, under the matching lane name,
-		// so rep r's samples line up with rep r's spans.
-		ropt.Timeline = opt.Timeline.Lane(fmt.Sprintf("rep-%d", r), r)
+		// so rep r's samples line up with rep r's spans. An untraced run
+		// records nothing, so it formats no name.
+		if opt.Span != nil || opt.Timeline != nil {
+			lane := fmt.Sprintf("rep-%d", r)
+			ropt.Span = opt.Span.ChildLane(lane, r+1)
+			ropt.Timeline = opt.Timeline.Lane(lane, r)
+		}
+		ropt.Span.Set("seed", opt.Seed+int64(r))
 		res, err := RunEntry(entry, gov, ropt, opt.Seed+int64(r))
-		sp.End()
+		ropt.Span.End()
 		results[r] = res
 		return err
 	})

@@ -32,20 +32,23 @@ const snapshotPhases = 30
 // from boot and overwrites it under the same key.
 const memoContainerMagic = "cfmemo2\n"
 
-// prefixKeys derives the snapshot key chain for one run: keys[k] commits
-// to everything the simulation's future depends on after k completed
-// regions. The base digest covers the machine configuration, the
-// governor name and tuning, and the seed; each link then absorbs one
+// prefixKeys derives one run's snapshot keys at its snapshot points:
+// keys[i] is the key of boundary points[i], which commits to everything
+// the simulation's future depends on after points[i] completed regions.
+// The base digest covers the machine configuration, the governor name
+// and tuning, and the seed; each link of the chain then absorbs one
 // region's exact values (IEEE-754 bit patterns, so "almost equal"
-// programs never collide). Two runs agree on keys[k] iff they are
-// bit-identical through their first k regions.
+// programs never collide). Two runs agree on the key of boundary k iff
+// they are bit-identical through their first k regions. Every region is
+// chained, but only the points' keys are hex-encoded: a run probes and
+// stores no other. points ascend, none past len(regions).
 //
 // The simulation deadline is deliberately not hashed: it only bounds the
 // batch that would end a run, so the state at boundary k is the same
 // under any deadline the run outlived to reach k. Hashing it would
 // re-key every snapshot of a program whenever an edit to its tail moved
 // Definition.EstimateSeconds.
-func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, regions []sched.Region) ([]string, error) {
+func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, regions []sched.Region, points []int) ([]string, error) {
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, err
@@ -66,14 +69,19 @@ func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int6
 	h.Write([]byte{byte(t.CF), byte(t.UF), t.DDCMLevel})
 	binary.BigEndian.PutUint64(b[:], uint64(seed))
 	h.Write(b[:])
-	prev := h.Sum(nil)
+	// link is one link's input: the previous digest, then the region.
+	var link [sha256.Size + 7*8]byte
+	h.Sum(link[:0])
 
-	keys := make([]string, len(regions)+1)
-	keys[0] = hex.EncodeToString(prev)
-	for i, r := range regions {
-		hh := sha256.New()
-		hh.Write(prev)
-		var rb [7 * 8]byte
+	keys := make([]string, 0, len(points))
+	for k := 0; ; k++ {
+		for len(keys) < len(points) && points[len(keys)] == k {
+			keys = append(keys, hex.EncodeToString(link[:sha256.Size]))
+		}
+		if len(keys) == len(points) {
+			return keys, nil
+		}
+		r, rb := regions[k], link[sha256.Size:]
 		binary.BigEndian.PutUint64(rb[0:], math.Float64bits(r.Seg.Instructions))
 		binary.BigEndian.PutUint64(rb[8:], math.Float64bits(r.Seg.MissPerInstr))
 		binary.BigEndian.PutUint64(rb[16:], math.Float64bits(r.Seg.IPC))
@@ -81,11 +89,9 @@ func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int6
 		binary.BigEndian.PutUint64(rb[32:], math.Float64bits(r.Seg.Exposure))
 		binary.BigEndian.PutUint64(rb[40:], uint64(r.Chunks))
 		binary.BigEndian.PutUint64(rb[48:], math.Float64bits(r.JitterFrac))
-		hh.Write(rb[:])
-		prev = hh.Sum(nil)
-		keys[i+1] = hex.EncodeToString(prev)
+		prev := sha256.Sum256(link[:])
+		copy(link[:], prev[:])
 	}
-	return keys, nil
 }
 
 // snapshotPoints picks the region boundaries a run snapshots, in
@@ -185,10 +191,10 @@ func decodeContainer(raw []byte) (machineSnap, govBlob []byte, cp sched.WSCheckp
 type memoPlan struct {
 	tier      *memo.Tier
 	regions   []sched.Region
-	keys      []string
-	points    []int  // ascending
-	resumeK   int    // regions the probed snapshot completed; 0 = none
-	container []byte // the probed snapshot
+	points    []int    // ascending
+	keys      []string // keys[i] is the snapshot key of boundary points[i]
+	resumeK   int      // regions the probed snapshot completed; 0 = none
+	container []byte   // the probed snapshot
 	// ws, resumedAt and taken describe the latest simulate call: its
 	// source, the simulated time it restored to and the snapshots it
 	// took, which simulate stores when the run ends.
@@ -197,9 +203,9 @@ type memoPlan struct {
 	taken     []snap
 }
 
-// snap is one snapshot a run took: its boundary and its container.
+// snap is one snapshot a run took: its key and its container.
 type snap struct {
-	k    int
+	key  string
 	body []byte
 }
 
@@ -216,20 +222,20 @@ func newMemoPlan(j simJob, opt Options) *memoPlan {
 	if err != nil {
 		return nil
 	}
-	keys, err := prefixKeys(cfg, j.gov.Name(), opt.tuning(), j.seed, regions)
+	points := snapshotPoints(bounds, len(regions))
+	keys, err := prefixKeys(cfg, j.gov.Name(), opt.tuning(), j.seed, regions, points)
 	if err != nil {
 		return nil
 	}
-	p := &memoPlan{tier: opt.Memo, regions: regions, keys: keys, points: snapshotPoints(bounds, len(regions))}
+	p := &memoPlan{tier: opt.Memo, regions: regions, points: points, keys: keys}
 	// A stored spec that shares a prefix with this one snapshotted the
 	// prefix's end at one of these points (snapshotPoints), so probing
 	// only them misses no resume but one between programs whose regions
 	// coincide under a different phase structure.
 	probe := opt.Span.Child("memo_probe")
 	for i := len(p.points) - 1; i >= 0; i-- {
-		k := p.points[i]
-		if body, ok := p.tier.Get(keys[k]); ok {
-			p.resumeK, p.container = k, body
+		if body, ok := p.tier.Get(keys[i]); ok {
+			p.resumeK, p.container = p.points[i], body
 			break
 		}
 	}
@@ -319,7 +325,8 @@ func (p *memoPlan) source(m *machine.Machine, att *governor.Attachment, opt Opti
 // sp. It returns false once snapshotting must stop (the governor could
 // not export its state, e.g. a latched daemon error).
 func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int, sp *obs.Span) bool {
-	if !slices.Contains(p.points, n) {
+	i := slices.Index(p.points, n)
+	if i < 0 {
 		return true
 	}
 	cp, ok := p.ws.Checkpoint()
@@ -335,7 +342,7 @@ func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int,
 	if err != nil {
 		return false
 	}
-	p.taken = append(p.taken, snap{k: n, body: encodeContainer(m.Snapshot().Encode(), govBlob, cp)})
+	p.taken = append(p.taken, snap{key: p.keys[i], body: encodeContainer(m.Snapshot().Encode(), govBlob, cp)})
 	return true
 }
 
@@ -343,7 +350,7 @@ func (p *memoPlan) snapshot(m *machine.Machine, att *governor.Attachment, n int,
 // record each, and returns how many it wrote.
 func (p *memoPlan) store() int {
 	for _, s := range p.taken {
-		p.tier.Put(p.keys[s.k], s.body)
+		p.tier.Put(s.key, s.body)
 	}
 	return len(p.taken)
 }

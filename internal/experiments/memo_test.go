@@ -52,9 +52,10 @@ func requireBitEqual(t *testing.T, label string, a, b RunResult) {
 	}
 }
 
-// memoKeysAndPoints recomputes the run's prefix-key chain and snapshot
-// boundaries exactly as newMemoPlan does, so tests can seed a tier with a
-// chosen subset of snapshots.
+// memoKeysAndPoints recomputes the run's whole prefix-key chain (keys[k]
+// is the key of boundary k, for every k) and its snapshot boundaries as
+// newMemoPlan does, so tests can seed a tier with a chosen subset of
+// snapshots.
 func memoKeysAndPoints(t testing.TB, e scenario.Entry, gov string, opt Options, seed int64) (keys []string, points []int) {
 	t.Helper()
 	cfg := opt.machineConfig()
@@ -64,7 +65,11 @@ func memoKeysAndPoints(t testing.TB, e scenario.Entry, gov string, opt Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err = prefixKeys(cfg, gov, opt.tuning(), seed, regions)
+	every := make([]int, len(regions)+1)
+	for k := range every {
+		every[k] = k
+	}
+	keys, err = prefixKeys(cfg, gov, opt.tuning(), seed, regions, every)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,6 +513,44 @@ func TestSnapshotPoints(t *testing.T) {
 	}
 }
 
+// TestPrefixKeysPinned pins the snapshot keys ramp's run probes and
+// stores under cuttlefish, as the version that hex-encoded every region's
+// key computed them, so a memo dir written by that version still resumes.
+// The whole chain keys the same boundaries to the same values.
+func TestPrefixKeysPinned(t *testing.T) {
+	want := []string{
+		"81f41ed18f2a83b7a710deda1a2750b188a0a39d7d7b24dae02bb62c8f173118",
+		"7ed48c049a0d09fd042d1ac50368b4cb314075628b5c79f5a8484941488170fc",
+		"70b6b69be7d484716cd353a08fe9d51746f15cf75364f3d87bef16991c6a3642",
+		"38030ab1d4358be540d3801bdc557940ce4d78e4e1187aabc7812ccdc7334b3b",
+		"4e990069661456cecf4502d35f2cd62948e30eaa58bb5a6ec67f1436b01d7b0f",
+	}
+	e, ok := scenario.Get("ramp")
+	if !ok || e.Def == nil {
+		t.Fatal("scenario ramp is not a registered phase program")
+	}
+	opt := memoTestOptions()
+	cfg := opt.machineConfig()
+	regions, bounds, err := e.Def.CompiledRegions(scenario.Params{Cores: cfg.Cores, Scale: opt.Scale, Seed: 1, Model: opt.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := snapshotPoints(bounds, len(regions))
+	keys, err := prefixKeys(cfg, "cuttlefish", opt.tuning(), 1, regions, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("ramp's keys at %v are\n%q\nwant\n%q", points, keys, want)
+	}
+	chain, _ := memoKeysAndPoints(t, e, "cuttlefish", opt, 1)
+	for i, k := range points {
+		if chain[k] != keys[i] {
+			t.Errorf("the whole chain keys boundary %d as %s, the points as %s", k, chain[k], keys[i])
+		}
+	}
+}
+
 // divergenceEdit is one edit of a memoized program, named for the test
 // log.
 type divergenceEdit struct {
@@ -606,7 +649,8 @@ func TestMemoResumesAtDivergence(t *testing.T) {
 					o.MemoStats = rs
 					j := simJob{entry: edited, gov: g, seed: 1}
 					p := newMemoPlan(j, o)
-					want := sharedPrefix(baseKeys, p.keys)
+					editedKeys, _ := memoKeysAndPoints(t, edited, gov, o, 1)
+					want := sharedPrefix(baseKeys, editedKeys)
 					if ed.label == "iterations+1" && want != 0 {
 						t.Fatalf("an Iterations edit shares %d regions with the stored program", want)
 					}

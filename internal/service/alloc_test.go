@@ -13,12 +13,13 @@ import (
 )
 
 // coldAllocBudget bounds the bytes one cold request allocates, averaged
-// over the replay below. It measured 51.7-51.8 KB on go1.24/amd64 once
-// work-stealing runtimes kept their deque buffers across runs, against
-// 124 KB when every UTS run regrew its deques from empty. The budget,
-// 64 KiB, leaves 26% over the measured value for toolchain and platform
-// drift.
-const coldAllocBudget = 64 << 10
+// over the replay below. It measured 45.6-45.9 KB on go1.24/amd64 once
+// the memo key chain hex-encoded only its snapshot points' keys and
+// untraced runs stopped naming their lanes, against 51.7-51.8 KB before
+// and 124 KB when every UTS run regrew its deques from empty. The
+// budget, 56 KiB, leaves 25% over the measured value for toolchain and
+// platform drift.
+const coldAllocBudget = 56 << 10
 
 // TestColdRequestAllocationBudget replays the registered workloads twice
 // through a service with a result store and a disk memo tier, as cfbench

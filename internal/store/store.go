@@ -7,7 +7,8 @@
 //
 // On disk a store is a set of append-only segment files. Each open Store
 // appends checksummed records to one segment it holds an exclusive lock
-// on, and an in-memory index maps every key to its newest record. Opening
+// on, and an in-memory index maps every key to its newest record. The
+// index holds no pointer, so the garbage collector never marks it. Opening
 // a store scans record headers only; a Get reads one record and verifies
 // its checksum, so a truncated, garbled or unreadable record is a cache
 // miss, never data. Records other processes append become visible on the
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -69,34 +71,42 @@ var ErrBadHash = errors.New("store: key is not a hex sha-256 hash")
 // errClosed is returned by Put after Close.
 var errClosed = errors.New("store: closed")
 
+// maxPayload is the longest payload an index entry can locate: its
+// length is held in 32 bits.
+const maxPayload = math.MaxUint32
+
 // segment is one segment file as this Store has scanned it.
 type segment struct {
 	name  string
+	id    uint32   // its slot in Store.byID, which index entries name it by
 	f     *os.File // read-only; records are read with pread
 	end   int64    // offset the scan reached: every record below it is indexed
 	bytes int64    // payload bytes of the records below end, superseded ones included
 	top   uint64   // largest sequence number below end: the segment's age for pruning
 }
 
-// loc is where a key's newest record lives.
-type loc struct {
-	seg  *segment
-	off  int64 // the record's header
-	size int64 // payload length
-	seq  uint64
+// key is a record key: the SHA-256 digest that its hex name spells.
+type key [sha256.Size]byte
+
+// parseKey decodes a lowercase hex SHA-256 name, the names the service
+// layer keys on.
+func parseKey(hash string) (key, bool) {
+	var k key
+	if len(hash) != hex.EncodedLen(len(k)) || !lowerHex([]byte(hash)) {
+		return k, false
+	}
+	hex.Decode(k[:], []byte(hash))
+	return k, true
 }
 
-// after reports whether l supersedes m: the larger sequence number wins,
-// ties go to the later segment name, then the later offset, so every
-// scan of the same files picks the same record.
-func (l loc) after(m loc) bool {
-	if l.seq != m.seq {
-		return l.seq > m.seq
-	}
-	if l.seg != m.seg {
-		return l.seg.name > m.seg.name
-	}
-	return l.off > m.off
+// loc is where a key's newest record lives. Neither it nor key holds a
+// pointer, so an index slot is 56 bytes the garbage collector never
+// scans; the segment is named by its id.
+type loc struct {
+	off  int64 // the record's header
+	seq  uint64
+	size uint32 // payload length
+	seg  uint32 // the segment's id
 }
 
 // Store is a disk-backed content-addressed map from spec hashes to
@@ -108,9 +118,10 @@ type Store struct {
 	maxBytes int64
 
 	mu     sync.Mutex
-	index  map[string]loc
+	index  map[key]loc
 	total  int64      // payload bytes currently indexed
 	segs   []*segment // sorted by name
+	byID   []*segment // by id; nil marks a free id
 	active *segment   // the segment w appends to; nil until the first Put
 	w      *os.File   // O_APPEND descriptor holding active's exclusive lock
 	clock  uint64     // largest sequence number seen; the next record gets clock+1
@@ -137,7 +148,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, index: make(map[string]loc)}
+	s := &Store{dir: dir, maxBytes: maxBytes, index: make(map[key]loc)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.listLocked(); err != nil {
@@ -153,16 +164,10 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// validKey reports whether key is a lowercase hex SHA-256 name, the
-// names the service layer keys on.
-func validKey(key string) bool {
-	return len(key) == 64 && lowerHex([]byte(key))
-}
-
 // encodeHeader appends the header of a record to buf.
-func encodeHeader(buf []byte, key string, seq uint64, body []byte) []byte {
+func encodeHeader(buf []byte, hash string, seq uint64, body []byte) []byte {
 	sum := sha256.Sum256(body)
-	buf = append(append(buf, magic+" "...), key...)
+	buf = append(append(buf, magic+" "...), hash...)
 	buf = appendHex16(append(buf, ' '), seq)
 	buf = appendHex16(append(buf, ' '), uint64(len(body)))
 	return append(hex.AppendEncode(append(buf, ' '), sum[:]), '\n')
@@ -175,9 +180,9 @@ func appendHex16(buf []byte, v uint64) []byte {
 	return hex.AppendEncode(buf, b[:])
 }
 
-// header is a parsed record header; key aliases the parsed bytes.
+// header is a parsed record header.
 type header struct {
-	key  []byte
+	key  key
 	seq  uint64
 	size uint64
 	sum  [sha256.Size]byte
@@ -192,7 +197,7 @@ func parseHeader(b []byte) (header, bool) {
 		!lowerHex(b[keyAt:seqAt-1]) || !lowerHex(b[seqAt:sizeAt-1]) || !lowerHex(b[sizeAt:sumAt-1]) || !lowerHex(b[sumAt:headerLen-1]) {
 		return h, false
 	}
-	h.key = b[keyAt : seqAt-1]
+	hex.Decode(h.key[:], b[keyAt:seqAt-1])
 	h.seq, _ = strconv.ParseUint(string(b[seqAt:sizeAt-1]), 16, 64)
 	h.size, _ = strconv.ParseUint(string(b[sizeAt:sumAt-1]), 16, 64)
 	hex.Decode(h.sum[:], b[sumAt:headerLen-1])
@@ -214,16 +219,17 @@ func lowerHex(b []byte) bool {
 // record is dropped from the index and counted, so it is never served,
 // and the re-execution's rewrite supersedes it on every later scan.
 func (s *Store) Get(hash string) ([]byte, bool) {
-	if !validKey(hash) {
+	k, valid := parseKey(hash)
+	if !valid {
 		return nil, false
 	}
 	s.mu.Lock()
-	l, found := s.findLocked(hash)
+	l, seg := s.findLocked(k)
 	s.mu.Unlock()
 	var body []byte
 	var ok, unlinked bool
-	if found {
-		body, unlinked, ok = read(l, hash)
+	if seg != nil {
+		body, unlinked, ok = read(seg, l, k)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,32 +238,44 @@ func (s *Store) Get(hash string) ([]byte, bool) {
 		s.hits++
 		return body, true
 	case unlinked:
-		s.dropSegmentLocked(l.seg)
-	case found && s.index[hash] == l:
+		s.dropSegmentLocked(seg)
+	case seg != nil && s.indexedLocked(k, l, seg):
 		// Still the indexed record (not one a concurrent drop or Put
 		// replaced), so the bytes on disk are bad.
 		s.corrupt++
-		s.total -= l.size
-		delete(s.index, hash)
+		s.total -= int64(l.size)
+		delete(s.index, k)
 	}
 	s.misses++
 	return nil, false
 }
 
-// read reads and verifies the record at l. unlinked reports that the
-// segment was deleted (by a purge or prune in any process sharing the
+// indexedLocked reports whether k is still indexed at l in seg: no drop
+// has freed seg's id for another segment since l was looked up.
+func (s *Store) indexedLocked(k key, l loc, seg *segment) bool {
+	cur, ok := s.index[k]
+	return ok && cur == l && s.liveLocked(seg)
+}
+
+// liveLocked reports whether seg is still registered under its id.
+func (s *Store) liveLocked(seg *segment) bool {
+	return int(seg.id) < len(s.byID) && s.byID[seg.id] == seg
+}
+
+// read reads and verifies the record at l in seg. unlinked reports that
+// the segment was deleted (by a purge or prune in any process sharing the
 // directory), which makes the record a miss without being corrupt.
-func read(l loc, hash string) (body []byte, unlinked, ok bool) {
-	if fi, err := l.seg.f.Stat(); err != nil || nlink(fi) == 0 {
+func read(seg *segment, l loc, k key) (body []byte, unlinked, ok bool) {
+	if fi, err := seg.f.Stat(); err != nil || nlink(fi) == 0 {
 		return nil, err == nil, false
 	}
-	raw := make([]byte, int64(headerLen)+l.size)
-	if _, err := l.seg.f.ReadAt(raw, l.off); err != nil {
+	raw := make([]byte, int64(headerLen)+int64(l.size))
+	if _, err := seg.f.ReadAt(raw, l.off); err != nil {
 		return nil, false, false
 	}
 	h, ok := parseHeader(raw)
 	body = raw[headerLen:]
-	if !ok || string(h.key) != hash || h.size != uint64(l.size) || sha256.Sum256(body) != h.sum {
+	if !ok || h.key != k || h.size != uint64(l.size) || sha256.Sum256(body) != h.sum {
 		return nil, false, false
 	}
 	return body, false, true
@@ -271,18 +289,21 @@ func nlink(fi fs.FileInfo) uint64 {
 	return 1
 }
 
-// findLocked looks hash up in the index, first bringing the index up to
-// date with the directory when it misses.
-func (s *Store) findLocked(hash string) (loc, bool) {
+// findLocked looks k up in the index, first bringing the index up to
+// date with the directory when it misses. It returns the record's
+// location and segment, or a nil segment when k is not indexed.
+func (s *Store) findLocked(k key) (loc, *segment) {
 	if s.closed {
-		return loc{}, false
+		return loc{}, nil
 	}
-	l, ok := s.index[hash]
+	l, ok := s.index[k]
 	if !ok {
 		s.refreshLocked()
-		l, ok = s.index[hash]
+		if l, ok = s.index[k]; !ok {
+			return loc{}, nil
+		}
 	}
-	return l, ok
+	return l, s.byID[l.seg]
 }
 
 // refreshLocked indexes what other Stores sharing the directory wrote
@@ -328,13 +349,25 @@ func (s *Store) listLocked() error {
 		if err != nil {
 			continue // unreadable: its records read as misses
 		}
-		seg := &segment{name: e.Name(), f: f}
-		s.segs = slices.Insert(s.segs, i, seg)
+		seg := s.addLocked(i, e.Name(), f)
 		if fi, err := f.Stat(); err == nil {
 			s.scanLocked(seg, fi.Size())
 		}
 	}
 	return nil
+}
+
+// addLocked registers a segment at position i of s.segs under the
+// lowest free id.
+func (s *Store) addLocked(i int, name string, f *os.File) *segment {
+	id := slices.Index(s.byID, nil)
+	if id < 0 {
+		id, s.byID = len(s.byID), append(s.byID, nil)
+	}
+	seg := &segment{name: name, f: f, id: uint32(id)}
+	s.byID[id] = seg
+	s.segs = slices.Insert(s.segs, i, seg)
+	return seg
 }
 
 // segIndex finds the segment named name in s.segs, or where it belongs.
@@ -365,7 +398,11 @@ func (s *Store) scanLocked(seg *segment, size int64) {
 		if !ok || h.size > uint64(size-seg.end-int64(headerLen)) {
 			return
 		}
-		s.indexLocked(string(h.key), loc{seg: seg, off: seg.end, size: int64(h.size), seq: h.seq})
+		// No Put writes a payload an index entry cannot locate; a foreign
+		// record that long is stepped over, so its key reads as a miss.
+		if h.size <= maxPayload {
+			s.indexLocked(h.key, loc{off: seg.end, seq: h.seq, size: uint32(h.size), seg: seg.id})
+		}
 		n := int64(headerLen) + int64(h.size)
 		seg.end += n
 		have = have[min(n, int64(len(have))):]
@@ -374,35 +411,53 @@ func (s *Store) scanLocked(seg *segment, size int64) {
 
 // indexLocked records a scanned or appended record, which replaces the
 // key's indexed record only if it supersedes it.
-func (s *Store) indexLocked(key string, l loc) {
-	l.seg.bytes += l.size
-	l.seg.top = max(l.seg.top, l.seq)
+func (s *Store) indexLocked(k key, l loc) {
+	seg := s.byID[l.seg]
+	seg.bytes += int64(l.size)
+	seg.top = max(seg.top, l.seq)
 	s.clock = max(s.clock, l.seq)
-	if old, ok := s.index[key]; ok {
-		if !l.after(old) {
+	if old, ok := s.index[k]; ok {
+		if !s.supersedesLocked(l, old) {
 			return
 		}
-		s.total -= old.size
+		s.total -= int64(old.size)
 	}
-	s.index[key] = l
-	s.total += l.size
+	s.index[k] = l
+	s.total += int64(l.size)
+}
+
+// supersedesLocked reports whether l supersedes m: the larger sequence
+// number wins, ties go to the later segment name, then the later offset,
+// so every scan of the same files picks the same record.
+func (s *Store) supersedesLocked(l, m loc) bool {
+	if l.seq != m.seq {
+		return l.seq > m.seq
+	}
+	if l.seg != m.seg {
+		return s.byID[l.seg].name > s.byID[m.seg].name
+	}
+	return l.off > m.off
 }
 
 // dropSegmentLocked forgets seg and every key indexed into it, returning
-// how many keys that was. The file itself is left to the caller.
+// how many keys that was, and frees its id. The file itself is left to
+// the caller. A segment already dropped is left alone.
 func (s *Store) dropSegmentLocked(seg *segment) int {
+	if !s.liveLocked(seg) {
+		return 0
+	}
 	if seg == s.active {
 		s.retireLocked()
 	}
 	seg.f.Close()
-	if i, ok := s.segIndex(seg.name); ok && s.segs[i] == seg {
-		s.segs = slices.Delete(s.segs, i, i+1)
-	}
+	i, _ := s.segIndex(seg.name)
+	s.segs = slices.Delete(s.segs, i, i+1)
+	s.byID[seg.id] = nil
 	n := 0
-	for h, l := range s.index {
-		if l.seg == seg {
-			s.total -= l.size
-			delete(s.index, h)
+	for k, l := range s.index {
+		if l.seg == seg.id {
+			s.total -= int64(l.size)
+			delete(s.index, k)
 			n++
 		}
 	}
@@ -415,8 +470,12 @@ func (s *Store) dropSegmentLocked(seg *segment) int {
 // stops before, and that the next writer to take over the segment cuts
 // off.
 func (s *Store) Put(hash string, body []byte) error {
-	if !validKey(hash) {
+	k, ok := parseKey(hash)
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrBadHash, hash)
+	}
+	if uint64(len(body)) > maxPayload {
+		return fmt.Errorf("store: put %s: a %d-byte payload is over the %d-byte limit", hash, len(body), uint64(maxPayload))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -432,7 +491,7 @@ func (s *Store) Put(hash string, body []byte) error {
 		return fmt.Errorf("store: put %s: %w", hash, err)
 	}
 	seg := s.active
-	s.indexLocked(hash, loc{seg: seg, off: seg.end, size: int64(len(body)), seq: s.clock + 1})
+	s.indexLocked(k, loc{off: seg.end, seq: s.clock + 1, size: uint32(len(body)), seg: seg.id})
 	seg.end += int64(len(s.wbuf))
 	s.pruneLocked()
 	return nil
@@ -520,10 +579,8 @@ func (s *Store) createLocked() error {
 		os.Remove(path)
 		return err
 	}
-	seg := &segment{name: name, f: f}
 	i, _ := s.segIndex(name)
-	s.segs = slices.Insert(s.segs, i, seg)
-	s.active, s.w = seg, w
+	s.active, s.w = s.addLocked(i, name, f), w
 	return nil
 }
 
@@ -613,7 +670,7 @@ func (s *Store) resetLocked() error {
 	for _, seg := range s.segs {
 		seg.f.Close()
 	}
-	s.active, s.w, s.segs, s.index, s.total, s.listed = nil, nil, nil, make(map[string]loc), 0, time.Time{}
+	s.active, s.w, s.segs, s.byID, s.index, s.total, s.listed = nil, nil, nil, nil, make(map[key]loc), 0, time.Time{}
 	return err
 }
 
