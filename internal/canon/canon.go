@@ -1,9 +1,12 @@
-// Package canon is the canonical binary encoding of the simulation state
-// the memo tier persists — machine snapshots and governor state:
-// big-endian integers, IEEE-754 bit patterns for floats and one 0 or 1
-// byte per flag. Equal values encode to equal bytes, and a Reader refuses
-// what a Writer never writes: a truncation, a flag byte other than 0 or
-// 1, a length the remaining bytes cannot hold, or trailing bytes.
+// Package canon holds the canonical encodings. The binary one carries the
+// simulation state the memo tier persists — machine snapshots and
+// governor state: big-endian integers, IEEE-754 bit patterns for floats
+// and one 0 or 1 byte per flag. Equal values encode to equal bytes, and a
+// Reader refuses what a Writer never writes: a truncation, a flag byte
+// other than 0 or 1, a length the remaining bytes cannot hold, or
+// trailing bytes. The JSON one (json.go) writes the spec's canonical
+// bytes and the run report byte-identically to encoding/json, and reads
+// the plain JSON specs arrive in.
 package canon
 
 import (

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,10 +32,23 @@ func goldenOptions() Options {
 	return o
 }
 
+// reportDigest digests the report's canonical bytes, and requires them to
+// equal the bytes encoding/json writes for the same report, so every
+// report the golden test builds also holds the hand-written encoder to
+// its reference.
 func reportDigest(rep *report.RunReport) (string, error) {
 	data, err := rep.Encode()
 	if err != nil {
 		return "", err
+	}
+	var ref bytes.Buffer
+	enc := json.NewEncoder(&ref)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		return "", err
+	}
+	if !bytes.Equal(data, ref.Bytes()) {
+		return "", fmt.Errorf("%s report: Encode wrote\n%s\nencoding/json writes\n%s", rep.Experiment, data, ref.Bytes())
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/governor"
 	"repro/internal/machine"
@@ -49,7 +50,7 @@ const memoContainerMagic = "cfmemo2\n"
 // re-key every snapshot of a program whenever an edit to its tail moved
 // Definition.EstimateSeconds.
 func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, regions []sched.Region, points []int) ([]string, error) {
-	cfgJSON, err := json.Marshal(cfg)
+	cfgJSON, err := configJSON(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -92,6 +93,26 @@ func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int6
 		prev := sha256.Sum256(link[:])
 		copy(link[:], prev[:])
 	}
+}
+
+// configJSONs holds json.Marshal of each machine configuration a memo key
+// chain has started from, keyed by the configuration itself.
+// Options.machineConfig varies only Cores, so a service holds at most one
+// encoding of a few hundred bytes per core count Validate allows.
+var configJSONs sync.Map // machine.Config → []byte
+
+// configJSON returns json.Marshal(cfg), marshalling each distinct
+// configuration once.
+func configJSON(cfg machine.Config) ([]byte, error) {
+	if b, ok := configJSONs.Load(cfg); ok {
+		return b.([]byte), nil
+	}
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, err
+	}
+	configJSONs.Store(cfg, b)
+	return b, nil
 }
 
 // snapshotPoints picks the region boundaries a run snapshots, in

@@ -1,14 +1,19 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"strconv"
+	"sync"
 
 	"repro/internal/bench"
+	"repro/internal/canon"
 	"repro/internal/governor"
 	"repro/internal/scenario"
 )
@@ -219,23 +224,168 @@ func (s Spec) Validate() error {
 }
 
 // Canonical returns the spec's canonical serialization: the normalized
-// spec encoded with Go's fixed struct field order. Two specs describe the
+// spec as json.Marshal encodes it (WriteJSON). Two specs describe the
 // same run iff their canonical bytes are equal.
 func (s Spec) Canonical() []byte {
-	c := s.Normalized()
-	raw, err := json.Marshal(c)
-	if err != nil {
-		// Marshal fails only on a NaN or ±Inf float, which Validate
-		// rejects: every caller validates a spec before hashing it.
-		panic(fmt.Sprintf("experiments: canonical marshal: %v", err))
+	return s.canonical(make([]byte, 0, 512))
+}
+
+// canonical appends the canonical bytes to dst.
+func (s Spec) canonical(dst []byte) []byte {
+	w := canon.JSONWriter{B: dst}
+	s.Normalized().WriteJSON(&w)
+	if w.Err != nil {
+		// Only a NaN or ±Inf float fails, which Validate rejects: every
+		// caller validates a spec before hashing it.
+		panic(fmt.Sprintf("experiments: canonical marshal: %v", w.Err))
 	}
-	return raw
+	return w.B
 }
 
 // Hash returns the content address of the run: the hex SHA-256 of the
 // canonical serialization. The result cache, request coalescing and job
 // IDs all key on it.
 func (s Spec) Hash() string {
-	sum := sha256.Sum256(s.Canonical())
+	buf := canonicalBufs.Get().(*[]byte)
+	*buf = s.canonical((*buf)[:0])
+	sum := sha256.Sum256(*buf)
+	canonicalBufs.Put(buf)
 	return hex.EncodeToString(sum[:])
+}
+
+// canonicalBufs recycles Hash's buffers: its canonical bytes are hashed
+// and dropped.
+var canonicalBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteJSON writes the spec exactly as json.Marshal encodes it: fields in
+// struct order, each left out when zero (every field is omitempty). The
+// canonical bytes are its output for the normalized spec, so every
+// exported field must be written here (cfvet's hashfield check holds it
+// to that).
+func (s Spec) WriteJSON(w *canon.JSONWriter) {
+	w.Raw("{")
+	if s.Experiment != "" {
+		w.Field("experiment")
+		w.String(s.Experiment)
+	}
+	if s.Benchmark != "" {
+		w.Field("benchmark")
+		w.String(s.Benchmark)
+	}
+	if s.Scenario != "" {
+		w.Field("scenario")
+		w.String(s.Scenario)
+	}
+	if s.ScenarioDef != nil {
+		w.Field("scenario_def")
+		s.ScenarioDef.WriteJSON(w)
+	}
+	if s.Governor != "" {
+		w.Field("governor")
+		w.String(s.Governor)
+	}
+	if s.Cores != 0 {
+		w.Field("cores")
+		w.Int(int64(s.Cores))
+	}
+	if s.Scale != 0 {
+		w.Field("scale")
+		w.Float(s.Scale)
+	}
+	if s.Reps != 0 {
+		w.Field("reps")
+		w.Int(int64(s.Reps))
+	}
+	if s.Seed != 0 {
+		w.Field("seed")
+		w.Int(s.Seed)
+	}
+	if s.TinvSec != 0 {
+		w.Field("tinv_sec")
+		w.Float(s.TinvSec)
+	}
+	if s.WarmupSec != 0 {
+		w.Field("warmup_sec")
+		w.Float(s.WarmupSec)
+	}
+	if s.Model != "" {
+		w.Field("model")
+		w.String(s.Model)
+	}
+	w.Raw("}")
+}
+
+// ParseSpec decodes one spec document, such as the body of POST /v1/runs:
+// one JSON object with nothing but whitespace after it, decoded strictly,
+// so a typoed field is an error rather than a knob silently left at its
+// default (which would change the run without changing anything the
+// sender sees). A document in the plain subset canon.PlainJSON reads,
+// which is any encoder's output for a spec whose strings need no
+// escaping, is read by hand; any other goes to encoding/json, whose
+// result and errors are the reference either way.
+func ParseSpec(body []byte) (Spec, error) {
+	if s, ok := parsePlainSpec(body); ok {
+		return s, nil
+	}
+	return decodeSpec(body)
+}
+
+var specFields = []string{"experiment", "benchmark", "scenario", "scenario_def", "governor",
+	"cores", "scale", "reps", "seed", "tinv_sec", "warmup_sec", "model"}
+
+// parsePlainSpec reads body by hand; ok is false at its first byte
+// outside canon.PlainJSON's subset or a field Spec does not have.
+func parsePlainSpec(body []byte) (s Spec, ok bool) {
+	p := canon.NewPlainJSON(body)
+	if p.Open('{') {
+		var seen uint64
+		for first := true; p.Next('}', first); first = false {
+			switch p.Field(specFields, &seen) {
+			case "experiment":
+				s.Experiment = p.String()
+			case "benchmark":
+				s.Benchmark = p.String()
+			case "scenario":
+				s.Scenario = p.String()
+			case "scenario_def":
+				s.ScenarioDef = new(scenario.Definition)
+				s.ScenarioDef.ReadPlainJSON(p)
+			case "governor":
+				s.Governor = p.String()
+			case "cores":
+				s.Cores = int(p.Int(strconv.IntSize))
+			case "scale":
+				s.Scale = p.Float()
+			case "reps":
+				s.Reps = int(p.Int(strconv.IntSize))
+			case "seed":
+				s.Seed = p.Int(64)
+			case "tinv_sec":
+				s.TinvSec = p.Float()
+			case "warmup_sec":
+				s.WarmupSec = p.Float()
+			case "model":
+				s.Model = p.String()
+			}
+		}
+	}
+	return s, p.End()
+}
+
+// decodeSpec decodes body with encoding/json: unknown fields are errors,
+// and so is anything after the spec but whitespace (a second object
+// there must not slip its unknown fields past the first check).
+func decodeSpec(body []byte) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return s, nil
+		} else if err == nil {
+			err = errors.New("trailing data after the spec")
+		}
+	}
+	return Spec{}, err
 }

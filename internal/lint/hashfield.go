@@ -28,11 +28,18 @@ type HashFieldRule struct {
 
 // DefaultHashFieldRules pins the three hashed spec types: the run Spec
 // (canonical bytes = content hash = cache key) and the scenario
-// definition types embedded in it.
+// definition types embedded in it. Each type is pinned twice: its
+// Normalized/Validate pair must decide every field's canonical handling,
+// and its hand-written JSON writer, whose output is the canonical bytes,
+// must write every field — a field it skipped would drop out of the hash
+// unnoticed, so two different runs would share one cache entry.
 var DefaultHashFieldRules = []HashFieldRule{
 	{PkgPath: "repro/internal/experiments", TypeName: "Spec", Funcs: []string{"Normalized", "Validate"}},
 	{PkgPath: "repro/internal/scenario", TypeName: "Definition", Funcs: []string{"Normalized", "Validate"}},
 	{PkgPath: "repro/internal/scenario", TypeName: "PhaseDef", Funcs: []string{"Normalized", "Validate"}},
+	{PkgPath: "repro/internal/experiments", TypeName: "Spec", Funcs: []string{"WriteJSON"}},
+	{PkgPath: "repro/internal/scenario", TypeName: "Definition", Funcs: []string{"WriteJSON"}},
+	{PkgPath: "repro/internal/scenario", TypeName: "PhaseDef", Funcs: []string{"writeJSON"}},
 }
 
 // NewHashField returns the hashfield analyzer for the given rules.
@@ -40,7 +47,8 @@ func NewHashField(rules []HashFieldRule) *Analyzer {
 	a := &Analyzer{
 		Name: "hashfield",
 		Doc: "every exported field of a hashed spec struct must be referenced in its canonical-form " +
-			"functions (Normalized/Validate) so no field is silently excluded from the contract",
+			"functions (Normalized/Validate, and the JSON writer of its canonical bytes) so no field is " +
+			"silently excluded from the contract",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, rule := range rules {

@@ -6,14 +6,16 @@
 package report
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/canon"
 )
 
 // Row is one record keyed by the report's column names.
@@ -53,24 +55,170 @@ func (r *RunReport) AddRow(cells ...any) *RunReport {
 	return r
 }
 
-// WriteJSON renders the report as an indented JSON document.
+// WriteJSON renders the report as an indented JSON document: Encode's
+// bytes. Nothing is written when encoding fails.
 func (r *RunReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	data, err := r.Encode()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
-// Encode renders the report in its canonical byte form: the same indented
-// JSON document WriteJSON emits, as a byte slice. Go's encoder sorts map
-// keys, so two structurally equal reports encode byte-identically — the
-// property the service layer's content-addressed cache relies on to serve
-// cached and freshly computed responses that compare equal byte for byte.
+// Encode renders the report in its canonical byte form: exactly the
+// document json.Encoder writes for it after SetIndent("", "  "), final
+// newline included, written by hand. Map keys are sorted, so two
+// structurally equal reports encode byte-identically — the property the
+// service layer's content-addressed cache relies on to serve cached and
+// freshly computed responses that compare equal byte for byte. A cell
+// of a type the encoder does not write itself (any but nil, bool,
+// string, int, int64 and float64) goes to json.MarshalIndent at the
+// cell's depth. A NaN or ±Inf float fails with encoding/json's error.
 func (r *RunReport) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		return nil, err
+	e := &encoder{w: canon.JSONWriter{B: make([]byte, 0, 1024)}}
+	e.open('{')
+	e.key("experiment")
+	e.w.String(r.Experiment)
+	if r.Title != "" {
+		e.key("title")
+		e.w.String(r.Title)
 	}
-	return buf.Bytes(), nil
+	if r.Governor != "" {
+		e.key("governor")
+		e.w.String(r.Governor)
+	}
+	if len(r.Governors) > 0 {
+		e.key("governors")
+		e.strings(r.Governors)
+	}
+	if len(r.Meta) > 0 {
+		e.key("meta")
+		e.object(r.Meta)
+	}
+	e.key("columns")
+	e.strings(r.Columns)
+	e.key("rows")
+	if r.Rows == nil {
+		e.w.Raw("null")
+	} else {
+		e.open('[')
+		for _, row := range r.Rows {
+			e.member()
+			e.object(row)
+		}
+		e.close(']')
+	}
+	e.close('}')
+	e.w.Raw("\n")
+	if e.w.Err != nil {
+		return nil, e.w.Err
+	}
+	return e.w.B, nil
+}
+
+// encoder lays JSON out as json.Encoder does after SetIndent("", "  "):
+// each member of a non-empty object or array on a line of its own, two
+// spaces deeper than its container's, and "key": value.
+type encoder struct {
+	w     canon.JSONWriter
+	depth int
+	keys  []string // the object being written's sorted keys, reused
+}
+
+// open starts an object or array.
+func (e *encoder) open(c byte) {
+	e.w.B = append(e.w.B, c)
+	e.depth++
+}
+
+// member starts the next member of the open object or array.
+func (e *encoder) member() {
+	if last := e.w.B[len(e.w.B)-1]; last != '{' && last != '[' {
+		e.w.B = append(e.w.B, ',')
+	}
+	e.newline()
+}
+
+// key starts the next member of the open object.
+func (e *encoder) key(k string) {
+	e.member()
+	e.w.String(k)
+	e.w.Raw(": ")
+}
+
+// close ends the open object or array with c; an empty one stays {} or [].
+func (e *encoder) close(c byte) {
+	e.depth--
+	if last := e.w.B[len(e.w.B)-1]; last != '{' && last != '[' {
+		e.newline()
+	}
+	e.w.B = append(e.w.B, c)
+}
+
+func (e *encoder) newline() {
+	e.w.B = append(e.w.B, '\n')
+	for range e.depth {
+		e.w.B = append(e.w.B, "  "...)
+	}
+}
+
+func (e *encoder) strings(ss []string) {
+	if ss == nil {
+		e.w.Raw("null")
+		return
+	}
+	e.open('[')
+	for _, s := range ss {
+		e.member()
+		e.w.String(s)
+	}
+	e.close(']')
+}
+
+// object writes m with its keys in sorted order, as encoding/json does.
+func (e *encoder) object(m map[string]any) {
+	if m == nil {
+		e.w.Raw("null")
+		return
+	}
+	keys := e.keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.open('{')
+	for _, k := range keys {
+		e.key(k)
+		e.value(m[k])
+	}
+	e.close('}')
+	e.keys = keys
+}
+
+// value writes one cell. No case writes an object, so object's reuse of
+// e.keys never nests.
+func (e *encoder) value(v any) {
+	switch x := v.(type) {
+	case nil:
+		e.w.Raw("null")
+	case bool:
+		e.w.Raw(strconv.FormatBool(x))
+	case string:
+		e.w.String(x)
+	case int:
+		e.w.Int(int64(x))
+	case int64:
+		e.w.Int(x)
+	case float64:
+		e.w.Float(x)
+	default:
+		data, err := json.MarshalIndent(x, strings.Repeat("  ", e.depth), "  ")
+		if err != nil && e.w.Err == nil {
+			e.w.Err = err
+		}
+		e.w.B = append(e.w.B, data...)
+	}
 }
 
 // Decode parses a JSON document produced by WriteJSON/Encode back into a

@@ -32,16 +32,16 @@ const (
 // of a service RunSpec and the built-in synthetics all speak it.
 //
 // A definition is a pure value: its normalized form serializes
-// canonically (fixed struct field order, every default spelled out), so
+// canonically (WriteJSON: fixed field order, every default spelled out), so
 // embedding one in a RunSpec keeps the spec's content hash stable across
 // spelling variants of the same program.
 type Definition struct {
 	// Name labels the scenario in reports and registry listings.
 	Name string `json:"name"`
 	// Description is the one-line listing text. It is part of the
-	// canonical bytes verbatim (struct-level json.Marshal), needs no
+	// canonical bytes verbatim (WriteJSON writes it as given), needs no
 	// defaulting, and no harness consults it.
-	Description string `json:"description,omitempty"` //cfvet:allow(hashfield) documentation-only; hashed verbatim via struct marshal, deliberately untouched by Normalized/Validate
+	Description string `json:"description,omitempty"` //cfvet:allow(hashfield) documentation-only; WriteJSON hashes it verbatim, deliberately untouched by Normalized/Validate
 	// Decomposition is "work-sharing" (default) or "task-dag".
 	Decomposition string `json:"decomposition,omitempty"`
 	// Iterations repeats the whole phase list in sequence (default 1) —

@@ -1,9 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 // BenchmarkServiceCacheHit measures the steady-state cost of serving a
@@ -91,5 +97,62 @@ func TestServiceCacheHitSpeedup(t *testing.T) {
 	t.Logf("cold %v, hit %v, speedup %.0f×", cold, hit, speedup)
 	if speedup < 50 {
 		t.Errorf("cache hit speedup = %.1f×, want >= 50×", speedup)
+	}
+}
+
+// memoResumeSpec is a cfbench memo-resume request: eight phases
+// alternating compute and memory, then an edited tail.
+func memoResumeSpec() RunSpec {
+	def := &scenario.Definition{Name: "cfbench-memo"}
+	for k := 0; k < 8; k++ {
+		p := scenario.PhaseDef{Name: fmt.Sprintf("compute-%d", k), Instructions: 3e11, MissPerInstr: 0.0005, IPC: 2.0}
+		if k%2 == 1 {
+			p = scenario.PhaseDef{Name: fmt.Sprintf("memory-%d", k), Instructions: 3e11, MissPerInstr: 0.01, IPC: 1.2, RemoteFrac: 0.2}
+		}
+		def.Phases = append(def.Phases, p)
+	}
+	def.Phases = append(def.Phases, scenario.PhaseDef{Name: "tail", Instructions: 1e11, MissPerInstr: 0.004, IPC: 1.6,
+		RemoteFrac: 0.3090169943749474, JitterFrac: 0.12426406871192851})
+	return RunSpec{ScenarioDef: def, Governor: "cuttlefish", Scale: 0.05, Seed: 7, WarmupSec: 0.25, Reps: 1}
+}
+
+// BenchmarkRequestCodecs times the codecs on a memo-resume request's
+// path outside the simulation. Each op parses the request body as
+// POST /v1/runs does, hashes the normalized spec and encodes the run's
+// report. "plain" is the body json.Marshal writes; "escaped" spells one
+// name with a JSON escape, which sends the body to encoding/json, so
+// the two differ by what the fallback costs.
+func BenchmarkRequestCodecs(b *testing.B) {
+	spec := memoResumeSpec()
+	plain, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := experiments.BuildReport(experiments.Options{Spec: spec.Normalized(), Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{
+		{"plain", plain},
+		{"escaped", bytes.Replace(plain, []byte(`"tail"`), []byte(`"t\u0061il"`), 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				s, err := experiments.ParseSpec(bc.body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Normalized().Hash() == "" {
+					b.Fatal("empty hash")
+				}
+				if _, err := rep.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

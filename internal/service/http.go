@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/governor"
 	"repro/internal/lru"
 	"repro/internal/memo"
@@ -277,18 +278,13 @@ func handleTimeline(s *Service, w http.ResponseWriter, r *http.Request) {
 const maxSpecBytes = 1 << 20
 
 func handleRuns(s *Service, w http.ResponseWriter, r *http.Request) {
+	// The body is one spec, strictly: a typoed field silently changing
+	// the run would poison the hash, and anything after the spec but
+	// whitespace is rejected, not ignored.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	var spec RunSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields() // a typoed field silently changing the run would poison the hash
-	err := dec.Decode(&spec)
 	if err == nil {
-		// The body is one spec: anything after it but whitespace is
-		// rejected, not ignored.
-		if _, err = dec.Token(); err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = errors.New("trailing data after the spec")
-		}
+		spec, err = experiments.ParseSpec(body)
 	}
 	if err != nil {
 		code := http.StatusBadRequest

@@ -8,7 +8,7 @@
 // The cache is sound because of two properties the engine layers below
 // guarantee: simulations are bit-deterministic functions of their spec
 // (the engine determinism tests), and reports encode canonically
-// (encoding/json sorts map keys). A cached response is therefore
+// (RunReport.Encode sorts map keys). A cached response is therefore
 // byte-identical to what a fresh execution of the same spec would produce
 // — see DESIGN.md, "Why determinism makes the result cache sound".
 package service

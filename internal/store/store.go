@@ -80,6 +80,7 @@ type segment struct {
 	name  string
 	id    uint32   // its slot in Store.byID, which index entries name it by
 	f     *os.File // read-only; records are read with pread
+	fd    int      // f's descriptor, which Get and refresh fstat
 	end   int64    // offset the scan reached: every record below it is indexed
 	bytes int64    // payload bytes of the records below end, superseded ones included
 	top   uint64   // largest sequence number below end: the segment's age for pruning
@@ -115,6 +116,7 @@ type loc struct {
 // directory: each appends to its own segment.
 type Store struct {
 	dir      string
+	dirf     *os.File // dir, held open so refreshes can fstat it
 	maxBytes int64
 
 	mu     sync.Mutex
@@ -148,10 +150,15 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, index: make(map[key]loc)}
+	dirf, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	s := &Store{dir: dir, dirf: dirf, maxBytes: maxBytes, index: make(map[key]loc)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.listLocked(); err != nil {
+		dirf.Close()
 		return nil, fmt.Errorf("store: scan %s: %w", dir, err)
 	}
 	// Enforce the bound on pre-existing data too (a restart with a
@@ -264,9 +271,13 @@ func (s *Store) liveLocked(seg *segment) bool {
 
 // read reads and verifies the record at l in seg. unlinked reports that
 // the segment was deleted (by a purge or prune in any process sharing the
-// directory), which makes the record a miss without being corrupt.
+// directory), which makes the record a miss without being corrupt. read
+// runs unlocked, so a drop may close seg.f meanwhile and another file
+// may reuse its descriptor: the stat then describes that file, but the
+// read from the closed seg.f fails, and the record is a miss either way.
 func read(seg *segment, l loc, k key) (body []byte, unlinked, ok bool) {
-	if fi, err := seg.f.Stat(); err != nil || nlink(fi) == 0 {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(seg.fd, &st); err != nil || st.Nlink == 0 {
 		return nil, err == nil, false
 	}
 	raw := make([]byte, int64(headerLen)+int64(l.size))
@@ -279,14 +290,6 @@ func read(seg *segment, l loc, k key) (body []byte, unlinked, ok bool) {
 		return nil, false, false
 	}
 	return body, false, true
-}
-
-// nlink is a file's hard-link count; 0 means it was unlinked.
-func nlink(fi fs.FileInfo) uint64 {
-	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
-		return uint64(st.Nlink)
-	}
-	return 1
 }
 
 // findLocked looks k up in the index, first bringing the index up to
@@ -308,22 +311,25 @@ func (s *Store) findLocked(k key) (loc, *segment) {
 
 // refreshLocked indexes what other Stores sharing the directory wrote
 // since the last look: records appended to known segments, and new
-// segments. Known segments cost one fstat each; the directory is listed
-// again only when its mtime says a segment may have been created. A
-// segment whose link count dropped to zero was deleted by a purge or
-// prune elsewhere and stops being served.
+// segments. Known segments and the directory cost one fstat each, into a
+// Stat_t on the stack; the directory is listed again only when its mtime
+// says a segment may have been created. A segment whose link count
+// dropped to zero was deleted by a purge or prune elsewhere and stops
+// being served.
 func (s *Store) refreshLocked() {
-	for _, seg := range append([]*segment(nil), s.segs...) {
-		fi, err := seg.f.Stat()
+	var st syscall.Stat_t
+	// Backwards: a drop deletes its segment from s.segs.
+	for i := len(s.segs) - 1; i >= 0; i-- {
+		seg := s.segs[i]
+		err := syscall.Fstat(seg.fd, &st)
 		switch {
-		case err != nil || nlink(fi) == 0:
+		case err != nil || st.Nlink == 0:
 			s.dropSegmentLocked(seg)
-		case fi.Size() > seg.end:
-			s.scanLocked(seg, fi.Size())
+		case st.Size > seg.end:
+			s.scanLocked(seg, st.Size)
 		}
 	}
-	fi, err := os.Stat(s.dir)
-	if err != nil || fi.ModTime().Equal(s.listed) && !s.racy {
+	if syscall.Fstat(int(s.dirf.Fd()), &st) != nil || mtime(&st).Equal(s.listed) && !s.racy {
 		return
 	}
 	s.listLocked() // an unreadable directory leaves the index as it was
@@ -331,15 +337,16 @@ func (s *Store) refreshLocked() {
 
 // listLocked lists the directory and scans every segment not yet known.
 func (s *Store) listLocked() error {
-	fi, err := os.Stat(s.dir)
-	if err != nil {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(int(s.dirf.Fd()), &st); err != nil {
 		return err
 	}
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
-	s.listed, s.racy = fi.ModTime(), time.Since(fi.ModTime()) < racyWindow
+	s.listed = mtime(&st)
+	s.racy = time.Since(s.listed) < racyWindow
 	for _, e := range ents {
 		i, known := s.segIndex(e.Name())
 		if known || !segPattern.MatchString(e.Name()) {
@@ -350,8 +357,8 @@ func (s *Store) listLocked() error {
 			continue // unreadable: its records read as misses
 		}
 		seg := s.addLocked(i, e.Name(), f)
-		if fi, err := f.Stat(); err == nil {
-			s.scanLocked(seg, fi.Size())
+		if syscall.Fstat(seg.fd, &st) == nil {
+			s.scanLocked(seg, st.Size)
 		}
 	}
 	return nil
@@ -364,7 +371,7 @@ func (s *Store) addLocked(i int, name string, f *os.File) *segment {
 	if id < 0 {
 		id, s.byID = len(s.byID), append(s.byID, nil)
 	}
-	seg := &segment{name: name, f: f, id: uint32(id)}
+	seg := &segment{name: name, f: f, fd: int(f.Fd()), id: uint32(id)}
 	s.byID[id] = seg
 	s.segs = slices.Insert(s.segs, i, seg)
 	return seg
@@ -545,13 +552,13 @@ func (s *Store) adoptLocked(seg *segment) bool {
 		w.Close()
 		return false
 	}
-	fi, err := w.Stat()
-	if err != nil || nlink(fi) == 0 || fi.Size() == 0 || fi.Size() < seg.end {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(int(w.Fd()), &st); err != nil || st.Nlink == 0 || st.Size == 0 || st.Size < seg.end {
 		w.Close()
 		return false
 	}
-	s.scanLocked(seg, fi.Size())
-	if fi.Size() > seg.end && w.Truncate(seg.end) != nil || s.full(seg) {
+	s.scanLocked(seg, st.Size)
+	if st.Size > seg.end && w.Truncate(seg.end) != nil || s.full(seg) {
 		w.Close()
 		return false
 	}
@@ -656,8 +663,13 @@ func (s *Store) Purge() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	s.closed = true
-	return s.resetLocked()
+	err := s.resetLocked()
+	s.dirf.Close()
+	return err
 }
 
 // resetLocked closes every descriptor and empties the index, returning

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // hashFor makes a valid-looking content address from a short label.
@@ -283,6 +284,40 @@ func TestSiblingSeesAppendsWithoutReopen(t *testing.T) {
 	if reader.Len() != 2 {
 		t.Errorf("reader Len = %d, want 2", reader.Len())
 	}
+}
+
+// TestGetAllocations pins what a lookup allocates once the directory is
+// quiet: a hit only its record's buffer, and a miss — the probe every
+// executed request makes, which fstats each segment and the directory —
+// nothing. A sibling's Put stays visible on the next miss.
+func TestGetAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race runtime allocates on its own")
+	}
+	dir := t.TempDir()
+	h, missing := hashFor("stored"), hashFor("missing")
+	if err := openStore(t, dir, 0).Put(h, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	// A directory modified within racyWindow is listed on every miss;
+	// age it, as any directory is between segment creations.
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(dir, old, old); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir, 0)
+	mustGet(t, s, h, []byte("payload"))
+	if n := testing.AllocsPerRun(100, func() { s.Get(h) }); n != 1 {
+		t.Errorf("a hit allocates %v times, want 1 (its record buffer)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get(missing) }); n != 0 {
+		t.Errorf("a miss allocates %v times, want 0", n)
+	}
+	sibling := openStore(t, dir, 0)
+	if err := sibling.Put(missing, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, s, missing, []byte("late"))
 }
 
 // TestParallelWritersSameHash races many writers of one content address
